@@ -150,6 +150,7 @@ mod tests {
 
     #[test]
     fn baseline_mode_writes_artifact_and_trace_dump() {
+        let _trace = crate::tests::trace_lock();
         let dir = std::env::temp_dir().join("simpadv-bench-baseline-test");
         std::fs::create_dir_all(&dir).expect("temp dir");
         let mut opts = baseline_opts(&dir);

@@ -2,9 +2,10 @@
 //!
 //! A registry of the workspace's hot kernels at the shapes the real
 //! experiments run them — the default-MLP matmuls at batch 64, their
-//! `matmul_tn`/`matmul_nt` gradient forms, the CNN's im2col lowering
-//! tiles, the BIM/PGD craft-chunk attack steps, and the serve path's
-//! batched forward — swept two ways:
+//! `matmul_tn`/`matmul_nt` gradient forms (plus the input gradient of
+//! one craft chunk), the CNN's im2col lowering tiles and the forward
+//! GEMMs over them, the BIM/PGD craft-chunk attack steps, and the serve
+//! path's batched forward — swept two ways:
 //!
 //! 1. **Logical sweep** (gateable): one iteration per workload under
 //!    an in-memory trace. Per-iteration forward/backward/flop/attack
@@ -71,9 +72,12 @@ impl Workload {
     }
 }
 
-/// Deterministic pseudo-data in `[0, 1)`: the kernels' cost is
-/// data-independent, but seeded patterns keep any future
-/// value-sensitive assertion reproducible.
+/// Deterministic pseudo-data in `[0, 1)`, one exact zero per thousand
+/// elements. The matmul kernels skip zero left-operand elements, so their
+/// wall cost depends on sparsity: these near-dense operands time the
+/// dense worst case, not the ReLU-masked (about half zero) gradients
+/// that training feeds the input-gradient products. Logical rows do not
+/// depend on the data.
 fn pattern(len: usize, salt: u64) -> Vec<f32> {
     (0..len)
         .map(|i| (((i as u64).wrapping_mul(2_654_435_761).wrapping_add(salt * 97)) % 1000) as f32)
@@ -141,10 +145,22 @@ pub fn registry() -> Vec<Workload> {
             let _ = dg.matmul_nt(&wg);
         },
     ));
+    // The same input gradient for one BIM/PGD craft chunk.
+    let (dc, wc) = (tensor(&[CRAFT_CHUNK, hidden], 15), tensor(&[px, hidden], 16));
+    workloads.push(Workload::new(
+        format!("matmul_nt/{CRAFT_CHUNK}x{hidden}x{px}"),
+        "matmul",
+        &[CRAFT_CHUNK as u64, hidden as u64, px as u64],
+        matmul_bytes(CRAFT_CHUNK, hidden, px),
+        move || {
+            let _ = dc.matmul_nt(&wc);
+        },
+    ));
 
-    // -- conv group: the small CNN's im2col lowering tiles (3×3, s1, p1).
+    // -- conv group: the small CNN's im2col lowering tiles (3×3, s1, p1)
+    // and the forward GEMMs over them, cols·Wᵀ.
     let conv_batch = 4usize;
-    for (channels, side, salt) in [(1usize, 28usize, 9u64), (8, 14, 10)] {
+    for (channels, side, c_out, salt) in [(1usize, 28usize, 8usize, 9u64), (8, 14, 16, 10)] {
         let geom = Conv2dGeometry::new(side, side, 3, 3, 1, 1);
         let input = tensor(&[conv_batch, channels, side, side], salt);
         let bytes = geom.im2col_bytes(conv_batch, channels);
@@ -155,6 +171,17 @@ pub fn registry() -> Vec<Workload> {
             bytes,
             move || {
                 let _ = im2col(&input, channels, &geom);
+            },
+        ));
+        let (rows, taps) = geom.lowered_shape(conv_batch, channels);
+        let (cols, weight) = (tensor(&[rows, taps], salt + 8), tensor(&[c_out, taps], salt + 9));
+        workloads.push(Workload::new(
+            format!("matmul_nt/{rows}x{taps}x{c_out}"),
+            "conv",
+            &[rows as u64, taps as u64, c_out as u64],
+            matmul_bytes(rows, taps, c_out),
+            move || {
+                let _ = cols.matmul_nt(&weight);
             },
         ));
     }
@@ -469,6 +496,7 @@ mod tests {
 
     #[test]
     fn logical_sweep_rows_match_the_shape_formulas() {
+        let _trace = crate::tests::trace_lock();
         let mut workloads = registry();
         let (rows, events) = logical_sweep(&mut workloads);
         assert_eq!(rows.len(), workloads.len());
@@ -477,6 +505,10 @@ mod tests {
         let mm = rows.iter().find(|r| r.name.starts_with("matmul/64x784x")).expect("matmul row");
         assert_eq!(mm.flops, matmul_flops(64, 784, 128));
         assert_eq!((mm.forward, mm.backward, mm.attack_steps), (0, 0, 0));
+
+        // the small CNN's first conv forward: 4·28·28 patches × 9 taps × 8 filters
+        let conv = rows.iter().find(|r| r.name == "matmul_nt/3136x9x8").expect("conv GEMM row");
+        assert_eq!((conv.group.as_str(), conv.flops), ("conv", matmul_flops(3136, 9, 8)));
 
         let step = rows.iter().find(|r| r.group == "attack" && r.name.contains("signed_step"));
         let step = step.expect("signed_step row");
@@ -494,6 +526,7 @@ mod tests {
 
     #[test]
     fn logical_sweep_is_reproducible() {
+        let _trace = crate::tests::trace_lock();
         // Same rows, same digest, run to run — the property the
         // threads-1-vs-4 CI check rests on.
         let (rows_a, events_a) = logical_sweep(&mut registry());
@@ -504,6 +537,7 @@ mod tests {
 
     #[test]
     fn sweep_trace_has_one_span_per_workload() {
+        let _trace = crate::tests::trace_lock();
         let mut workloads = registry();
         let n = workloads.len();
         let (_, events) = logical_sweep(&mut workloads);
@@ -518,6 +552,7 @@ mod tests {
 
     #[test]
     fn full_run_produces_a_self_consistent_artifact() {
+        let _trace = crate::tests::trace_lock();
         let opts = KernelsOpts {
             target_iter_wall_us: 200, // keep the test fast
             repeat: 2,

@@ -243,6 +243,13 @@ mod tests {
         s.split_whitespace().map(str::to_string).collect()
     }
 
+    /// Serializes every test in this binary that reads the process-global
+    /// logical clock or installs or removes the process-global trace sink.
+    pub(crate) fn trace_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn verify_artifact_reports_truncation_as_a_typed_error() {
         let dir = std::env::temp_dir().join(format!("simpadv-bench-verify-{}", std::process::id()));
@@ -294,6 +301,7 @@ mod tests {
 
     #[test]
     fn trace_flags_are_parsed() {
+        let _trace = trace_lock();
         let opts = BenchOpts::from_args(&argv("--trace out.jsonl --trace-format pretty"));
         assert_eq!(opts.trace.as_deref(), Some(std::path::Path::new("out.jsonl")));
         assert_eq!(opts.trace_format, TraceFormat::Pretty);

@@ -1,17 +1,29 @@
 //! Dense linear algebra: matrix multiplication variants, dot and outer
 //! products.
 //!
-//! The matmul kernels use the cache-friendly `i-k-j` loop order; that is
-//! within a small factor of a tuned BLAS for the matrix sizes that occur
-//! (hundreds by hundreds). Products above [`PAR_WORK_THRESHOLD`] are
-//! row-blocked across the global [`Runtime`]: every output row is
-//! computed by the same per-row loop as the serial kernel and the blocks
-//! are concatenated in row order, so parallel results are bitwise equal
-//! to serial ones for any thread count.
+//! All three matmul variants run one kernel, [`gemm_rows`]: an `i-k-j`
+//! loop over a strided left operand and a row-major `[k, n]` right
+//! operand. `matmul` reads its left operand with strides `(k, 1)`,
+//! `matmul_tn` reads it transposed in place with strides `(1, m)`, and
+//! `matmul_nt` packs `rhsᵀ` once per call. The kernel skips a left
+//! operand element that is zero; ReLU-masked gradients are about half
+//! zeros, so the skip saves real work on the backward and attack paths.
+//!
+//! **Accumulation order.** Output element `(i, j)` starts at `+0.0` and
+//! adds `a[i][p] * b[p][j]` in increasing `p` in one accumulator, for
+//! every variant. Skipping a zero `a[i][p]` drops an addend of `±0.0`,
+//! which leaves the sum unchanged for finite operands, so the result is
+//! bitwise that of a scalar dot product in increasing `p`. The order
+//! depends on neither the row block an output row falls in nor the other
+//! rows of the operand: products above [`PAR_WORK_THRESHOLD`] are
+//! row-blocked across the global [`Runtime`] and concatenated in row
+//! order, so results are bitwise equal for any thread count, and row `i`
+//! of a batched product equals the product of row `i` alone.
 
 use crate::error::TensorError;
 use crate::tensor::Tensor;
 use simpadv_runtime::Runtime;
+use std::ops::Range;
 
 /// Work size (`m * k * n` multiply-accumulates) below which the matmul
 /// kernels stay serial: thread spawn overhead beats the parallel win for
@@ -38,62 +50,22 @@ pub fn matmul_bytes(m: usize, k: usize, n: usize) -> u64 {
     4 * ((m as u64) * (k as u64) + (k as u64) * (n as u64) + (m as u64) * (n as u64))
 }
 
-/// The runtime and row-chunk size to use for an `m`-row product with
-/// `work = m * k * n`, or `None` to run serially.
-fn parallel_plan(m: usize, k: usize, n: usize) -> Option<(Runtime, usize)> {
-    let rt = Runtime::global();
-    if rt.threads() > 1 && m > 1 && m.saturating_mul(k).saturating_mul(n) >= PAR_WORK_THRESHOLD {
-        Some((rt, m.div_ceil(KERNEL_CHUNKS).max(1)))
-    } else {
-        None
-    }
-}
-
-/// Concatenates per-chunk output row blocks (already in row order).
-fn concat_blocks(blocks: Vec<Vec<f32>>, m: usize, n: usize) -> Tensor {
-    let mut out = Vec::with_capacity(m * n);
-    for block in blocks {
-        out.extend_from_slice(&block);
-    }
-    Tensor::from_vec(out, &[m, n])
-}
-
-/// Rows `rows` of `a @ b` (`a: [m, k]`, `b: [k, n]`), `i-k-j` order.
-fn matmul_rows(a: &[f32], b: &[f32], rows: std::ops::Range<usize>, k: usize, n: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; rows.len() * n];
-    for (row_idx, i) in rows.enumerate() {
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[row_idx * n..(row_idx + 1) * n];
-        for (p, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let brow = &b[p * n..(p + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += av * bv;
-            }
-        }
-    }
-    out
-}
-
-/// Rows `rows` of `aᵀ @ b` (`a: [k, m]`, `b: [k, n]`): for each output
-/// row `i`, accumulates over `p` in increasing order with the same
-/// zero-skip as the serial `p`-outer kernel, so per-element flop order —
-/// and therefore the f32 result — is identical.
-fn matmul_tn_rows(
+/// Rows `rows` of `A @ b`, where `A[i][p] = a[i * rs + p * cs]` and
+/// `b: [k, n]` is row-major, in `i-k-j` order: the one accumulation loop
+/// behind every matmul variant (see the module docs for its order).
+fn gemm_rows(
     a: &[f32],
+    (rs, cs): (usize, usize),
     b: &[f32],
-    rows: std::ops::Range<usize>,
+    rows: Range<usize>,
     k: usize,
-    m: usize,
     n: usize,
 ) -> Vec<f32> {
     let mut out = vec![0.0f32; rows.len() * n];
     for (row_idx, i) in rows.enumerate() {
         let orow = &mut out[row_idx * n..(row_idx + 1) * n];
         for p in 0..k {
-            let av = a[p * m + i];
+            let av = a[i * rs + p * cs];
             if av == 0.0 {
                 continue;
             }
@@ -106,28 +78,17 @@ fn matmul_tn_rows(
     out
 }
 
-/// Rows `rows` of `a @ bᵀ` (`a: [m, k]`, `b: [n, k]`), dot per cell.
-fn matmul_nt_rows(
-    a: &[f32],
-    b: &[f32],
-    rows: std::ops::Range<usize>,
-    k: usize,
-    n: usize,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; rows.len() * n];
-    for (row_idx, i) in rows.enumerate() {
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[row_idx * n..(row_idx + 1) * n];
-        for (j, o) in orow.iter_mut().enumerate() {
-            let brow = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in arow.iter().zip(brow) {
-                acc += av * bv;
-            }
-            *o = acc;
-        }
+/// Ticks the product's flops and computes `A @ b` (see [`gemm_rows`]),
+/// row-blocked across the global runtime above [`PAR_WORK_THRESHOLD`].
+fn gemm(a: &[f32], strides: (usize, usize), b: &[f32], m: usize, k: usize, n: usize) -> Tensor {
+    simpadv_trace::clock::add_flops(matmul_flops(m, k, n));
+    let rt = Runtime::global();
+    if rt.threads() > 1 && m > 1 && m.saturating_mul(k).saturating_mul(n) >= PAR_WORK_THRESHOLD {
+        let chunk = m.div_ceil(KERNEL_CHUNKS).max(1);
+        let blocks = rt.par_chunks(m, chunk, |rows| gemm_rows(a, strides, b, rows, k, n));
+        return Tensor::from_vec(blocks.concat(), &[m, n]);
     }
-    out
+    Tensor::from_vec(gemm_rows(a, strides, b, 0..m, k, n), &[m, n])
 }
 
 impl Tensor {
@@ -161,14 +122,7 @@ impl Tensor {
                 op: "matmul",
             });
         }
-        simpadv_trace::clock::add_flops(matmul_flops(m, k, n));
-        let a = self.as_slice();
-        let b = rhs.as_slice();
-        if let Some((rt, chunk)) = parallel_plan(m, k, n) {
-            let blocks = rt.par_chunks(m, chunk, |rows| matmul_rows(a, b, rows, k, n));
-            return Ok(concat_blocks(blocks, m, n));
-        }
-        Ok(Tensor::from_vec(matmul_rows(a, b, 0..m, k, n), &[m, n]))
+        Ok(gemm(self.as_slice(), (k, 1), rhs.as_slice(), m, k, n))
     }
 
     /// `selfᵀ @ rhs` without materializing the transpose.
@@ -201,18 +155,11 @@ impl Tensor {
                 op: "matmul_tn",
             });
         }
-        simpadv_trace::clock::add_flops(matmul_flops(m, k, n));
-        let a = self.as_slice();
-        let b = rhs.as_slice();
-        // out[i][j] = sum_p a[p][i] * b[p][j]
-        if let Some((rt, chunk)) = parallel_plan(m, k, n) {
-            let blocks = rt.par_chunks(m, chunk, |rows| matmul_tn_rows(a, b, rows, k, m, n));
-            return Ok(concat_blocks(blocks, m, n));
-        }
-        Ok(Tensor::from_vec(matmul_tn_rows(a, b, 0..m, k, m, n), &[m, n]))
+        Ok(gemm(self.as_slice(), (1, m), rhs.as_slice(), m, k, n))
     }
 
-    /// `self @ rhsᵀ` without materializing the transpose.
+    /// `self @ rhsᵀ`; `rhsᵀ` is packed once per call so the product runs
+    /// the shared row kernel.
     ///
     /// Shapes: `[m, k] @ [n, k]ᵀ -> [m, n]`.
     ///
@@ -242,14 +189,7 @@ impl Tensor {
                 op: "matmul_nt",
             });
         }
-        simpadv_trace::clock::add_flops(matmul_flops(m, k, n));
-        let a = self.as_slice();
-        let b = rhs.as_slice();
-        if let Some((rt, chunk)) = parallel_plan(m, k, n) {
-            let blocks = rt.par_chunks(m, chunk, |rows| matmul_nt_rows(a, b, rows, k, n));
-            return Ok(concat_blocks(blocks, m, n));
-        }
-        Ok(Tensor::from_vec(matmul_nt_rows(a, b, 0..m, k, n), &[m, n]))
+        Ok(gemm(self.as_slice(), (k, 1), rhs.transpose().as_slice(), m, k, n))
     }
 
     /// Inner (dot) product of two 1-D tensors.
@@ -350,24 +290,80 @@ mod tests {
         assert_eq!(a.matmul_nt(&b), a.matmul(&b.transpose()));
     }
 
+    /// Serializes the tests that set the global thread count or read
+    /// flop deltas off the process-global trace clock.
+    fn global_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// A `[r, c]` operand with exact `0.0` and `-0.0` entries, like a
+    /// ReLU-masked gradient.
+    fn masked(seed: u64, r: usize, c: usize) -> Tensor {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dense = Tensor::rand_uniform(&mut rng, &[r, c], -1.0, 1.0);
+        dense.map(|v| if v.abs() < 0.4 { 0.0f32.copysign(v) } else { v })
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `a @ b` as each variant computes it: `matmul`, `matmul_tn` on
+    /// `aᵀ`, `matmul_nt` on `bᵀ`.
+    fn variants(a: &Tensor, b: &Tensor) -> [Tensor; 3] {
+        [a.matmul(b), a.transpose().matmul_tn(b), a.matmul_nt(&b.transpose())]
+    }
+
+    #[test]
+    fn every_variant_sums_in_increasing_p_bitwise() {
+        let _g = global_lock();
+        for (m, k, n, seed) in [(1, 1, 1, 1), (5, 9, 3, 2), (16, 128, 784, 3)] {
+            let (a, b) = (masked(seed, m, k), masked(seed + 10, k, n));
+            // one scalar accumulator per element, from +0.0, increasing p
+            let (sa, sb) = (a.as_slice(), b.as_slice());
+            let reference: Vec<u32> = (0..m * n)
+                .map(|ij| {
+                    let (i, j) = (ij / n, ij % n);
+                    (0..k).fold(0.0f32, |acc, p| acc + sa[i * k + p] * sb[p * n + j]).to_bits()
+                })
+                .collect();
+            for (v, c) in variants(&a, &b).iter().enumerate() {
+                assert_eq!(bits(c), reference, "variant {v} at {m}x{k}x{n}");
+            }
+        }
+    }
+
+    #[test]
+    fn row_i_of_a_product_is_the_product_of_row_i_alone() {
+        // serve's batched ≡ single contract, with the batch row-blocked
+        let _g = global_lock();
+        simpadv_runtime::set_global_threads(4);
+        let (a, b) = (masked(4, 64, 128), masked(5, 128, 784));
+        let batched = variants(&a, &b);
+        for i in 0..64 {
+            let single = variants(&a.rows(i..i + 1), &b);
+            for (v, (one, all)) in single.iter().zip(&batched).enumerate() {
+                assert_eq!(bits(one), bits(&all.rows(i..i + 1)), "variant {v}, row {i}");
+            }
+        }
+        simpadv_runtime::set_global_threads(1);
+    }
+
     #[test]
     fn parallel_kernels_match_serial_bitwise() {
-        use rand::{rngs::StdRng, SeedableRng};
-        // Large enough to cross PAR_WORK_THRESHOLD (96*180*150 ≈ 2.6M).
-        let mut rng = StdRng::seed_from_u64(7);
-        let a = Tensor::rand_uniform(&mut rng, &[96, 180], -1.0, 1.0);
-        let b = Tensor::rand_uniform(&mut rng, &[180, 150], -1.0, 1.0);
-        let products = |aa: &Tensor, bb: &Tensor| {
-            (aa.matmul(bb), aa.transpose().matmul_tn(bb), aa.matmul_nt(&bb.transpose()))
-        };
+        // The Dense input gradient δ·Wᵀ at batch 64 crosses the threshold.
+        const { assert!(64 * 128 * 784 >= PAR_WORK_THRESHOLD) };
+        let _g = global_lock();
+        let (a, b) = (masked(6, 64, 128), masked(7, 128, 784));
         simpadv_runtime::set_global_threads(1);
-        let serial = products(&a, &b);
+        let serial = variants(&a, &b);
         for threads in [2, 4] {
             simpadv_runtime::set_global_threads(threads);
-            let par = products(&a, &b);
-            assert_eq!(par.0, serial.0, "matmul, threads={threads}");
-            assert_eq!(par.1, serial.1, "matmul_tn, threads={threads}");
-            assert_eq!(par.2, serial.2, "matmul_nt, threads={threads}");
+            for (v, (par, ser)) in variants(&a, &b).iter().zip(&serial).enumerate() {
+                assert_eq!(bits(par), bits(ser), "variant {v}, threads={threads}");
+            }
         }
         simpadv_runtime::set_global_threads(1);
     }
@@ -393,6 +389,7 @@ mod tests {
     #[test]
     fn flop_formula_matches_the_clock_tick() {
         use simpadv_trace::clock;
+        let _g = global_lock();
         let a = Tensor::ones(&[3, 5]);
         let b = Tensor::ones(&[5, 7]);
         let before = clock::snapshot();

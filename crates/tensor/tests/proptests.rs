@@ -76,17 +76,14 @@ proptest! {
     fn matmul_transpose_variants_agree(m in 1usize..4, k in 1usize..4, n in 1usize..4, seed in 0u64..1000) {
         use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
-        let a = Tensor::rand_uniform(&mut rng, &[m, k], -1.0, 1.0);
-        let b = Tensor::rand_uniform(&mut rng, &[k, n], -1.0, 1.0);
-        let c = a.matmul(&b);
-        let c_tn = a.transpose().matmul_tn(&b);
-        let c_nt = a.matmul_nt(&b.transpose());
-        for (x, y) in c.as_slice().iter().zip(c_tn.as_slice()) {
-            prop_assert!((x - y).abs() < 1e-4);
-        }
-        for (x, y) in c.as_slice().iter().zip(c_nt.as_slice()) {
-            prop_assert!((x - y).abs() < 1e-4);
-        }
+        // exact 0.0 and -0.0 entries exercise the kernel's zero-skip
+        let mut operand = |r, c| Tensor::rand_uniform(&mut rng, &[r, c], -1.0, 1.0)
+            .map(|v| if v.abs() < 0.4 { 0.0f32.copysign(v) } else { v });
+        let (a, b) = (operand(m, k), operand(k, n));
+        let bits = |t: Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let c = bits(a.matmul(&b));
+        prop_assert_eq!(bits(a.transpose().matmul_tn(&b)), c.clone());
+        prop_assert_eq!(bits(a.matmul_nt(&b.transpose())), c);
     }
 
     #[test]
