@@ -1,6 +1,6 @@
 //! `--baseline` mode: runs the experiment under an in-memory trace and
 //! emits the `BENCH_<experiment>.json` artifact the CI perf gate
-//! compares against (see `simpadv_obs::baseline` for the schema and the
+//! compares against (see `simpadv_obs::artifact` for the schema and the
 //! comparison itself).
 //!
 //! The runner deliberately does **not** wrap the experiment in an extra
@@ -8,56 +8,108 @@
 //! run produces, so `trace diff` between a baseline dump and a normal
 //! `--trace` capture stays empty.
 
-use crate::BenchOpts;
-use simpadv_obs::baseline as obs;
-use simpadv_trace::Event;
+use crate::{BenchOpts, WallStats};
+use simpadv_obs::{diff, Artifact, DiffOptions, SpanTree};
+use simpadv_trace::{Event, FieldValue};
 use std::error::Error;
 use std::path::PathBuf;
 
-fn scale_info(opts: &BenchOpts) -> obs::ScaleInfo {
-    obs::ScaleInfo {
-        train_samples: opts.scale.train_samples as u64,
-        test_samples: opts.scale.test_samples as u64,
-        epochs: opts.scale.epochs as u64,
-        seed: opts.scale.seed,
+/// Sums the logical cost of every `train` span into one `trainer/<id>`
+/// row per `trainer` field (spans without one group under `unknown`):
+/// runs, nested epoch spans, and the clock counters.
+fn set_trainer_rows(artifact: &mut Artifact, tree: &SpanTree) {
+    const FIELDS: [&str; 6] = ["runs", "epochs", "forward", "backward", "flops", "attack_steps"];
+    let mut costs: std::collections::BTreeMap<String, [u64; 6]> = Default::default();
+    tree.walk(&mut |node| {
+        if node.name != "train" {
+            return;
+        }
+        let id = node.fields.iter().find_map(|(k, v)| match v {
+            FieldValue::Str(s) if k == "trainer" => Some(s.clone()),
+            _ => None,
+        });
+        let epochs = node.children.iter().filter(|c| c.name == "epoch").count() as u64;
+        let t = &node.total;
+        let add = [1, epochs, t.forward, t.backward, t.flops, t.attack_steps];
+        let cost = costs.entry(id.unwrap_or_else(|| "unknown".to_string())).or_default();
+        for (sum, n) in cost.iter_mut().zip(add) {
+            *sum += n;
+        }
+    });
+    for (id, cost) in costs {
+        for (field, n) in FIELDS.into_iter().zip(cost) {
+            artifact.set(&format!("trainer/{id}"), field, n);
+        }
     }
 }
 
+/// Wall seconds of every `epoch` span in the tree.
+fn epoch_walls_s(tree: &SpanTree) -> Vec<f64> {
+    let mut out = Vec::new();
+    tree.walk(&mut |node| {
+        if node.name == "epoch" {
+            out.push(node.total.wall_us as f64 / 1e6);
+        }
+    });
+    out
+}
+
+/// Whether every stream in `repeats` is logically identical to the
+/// first (vacuously true below two repeats).
+fn repeats_logically_identical(repeats: &[Vec<Event>]) -> bool {
+    repeats
+        .iter()
+        .skip(1)
+        .all(|r| diff(&repeats[0], r, &DiffOptions::default()).logically_identical())
+}
+
+/// Builds the training artifact: scale, per-trainer cost and accuracy
+/// rows plus the trace row (logical); thread conditions, repeat
+/// identity and median wall per epoch (warn-only); repeat count and the
+/// wall spreads (meta).
+///
+/// An accuracy named `a/b/c` lands in row `accuracy/a/b`, field `c`.
 fn build_artifact(
     opts: &BenchOpts,
     experiment: &str,
     accuracies: Vec<(String, f64)>,
     streams: &[Vec<Event>],
-) -> Result<obs::BenchArtifact, Box<dyn Error>> {
-    let tree = simpadv_obs::build_tree(&streams[0])?;
+) -> Result<Artifact, Box<dyn Error>> {
+    let mut artifact = Artifact::new(experiment);
+    let scale = &opts.scale;
+    artifact.set("scale", "train_samples", scale.train_samples as u64);
+    artifact.set("scale", "test_samples", scale.test_samples as u64);
+    artifact.set("scale", "epochs", scale.epochs as u64);
+    artifact.set("scale", "seed", scale.seed);
+    set_trainer_rows(&mut artifact, &simpadv_obs::build_tree(&streams[0])?);
+    for (name, value) in accuracies {
+        let (row, field) = match name.rsplit_once('/') {
+            Some((row, field)) => (format!("accuracy/{row}"), field),
+            None => ("accuracy".to_string(), name.as_str()),
+        };
+        artifact.set(&row, field, value);
+    }
+    artifact.set_trace(&streams[0]);
+
     let mut epoch_walls = Vec::new();
     let mut total_walls = Vec::new();
     for stream in streams {
-        let t = simpadv_obs::build_tree(stream)?;
-        let epochs = obs::epoch_walls_s(&t);
+        let tree = simpadv_obs::build_tree(stream)?;
+        let epochs = epoch_walls_s(&tree);
         if !epochs.is_empty() {
             epoch_walls.push(epochs.iter().sum::<f64>() / epochs.len() as f64);
         }
-        total_walls.push(obs::total_wall_s(&t));
+        total_walls.push(tree.roots.iter().map(|r| r.total.wall_us as f64 / 1e6).sum());
     }
-    Ok(obs::BenchArtifact {
-        schema_version: obs::BENCH_SCHEMA_VERSION,
-        experiment: experiment.to_string(),
-        scale: scale_info(opts),
-        trainers: obs::trainer_costs(&tree),
-        accuracies,
-        events: streams[0].len() as u64,
-        trace_digest: obs::logical_digest(&streams[0]),
-        meta: obs::BenchMeta {
-            threads: opts.threads.unwrap_or(0) as u64,
-            threads_available: simpadv_runtime::available_threads() as u64,
-            repeat: streams.len() as u64,
-            wall_per_epoch_s: obs::WallStats::from_samples(&epoch_walls),
-            wall_total_s: obs::WallStats::from_samples(&total_walls),
-            repeats_logically_identical: obs::repeats_logically_identical(streams),
-            note: obs::WALL_NOTE.to_string(),
-        },
-    })
+    let wall_per_epoch = WallStats::from_samples(&epoch_walls);
+    artifact.set_warn("run", "threads", opts.threads.unwrap_or(0) as u64);
+    artifact.set_warn("run", "threads_available", simpadv_runtime::available_threads() as u64);
+    artifact.set_warn("run", "repeats_logically_identical", repeats_logically_identical(streams));
+    artifact.set_warn("run", "wall_per_epoch_s", wall_per_epoch.median_s);
+    artifact.set_meta("repeat", streams.len() as u64);
+    artifact.set_meta("wall_per_epoch_s", wall_per_epoch);
+    artifact.set_meta("wall_total_s", WallStats::from_samples(&total_walls));
+    Ok(artifact)
 }
 
 fn dump_jsonl(path: &std::path::Path, events: &[Event]) -> Result<(), Box<dyn Error>> {
@@ -114,13 +166,14 @@ pub fn run_with_baseline<T>(
     }
     let out = PathBuf::from(format!("BENCH_{experiment}.json"));
     simpadv_resilience::write_json_atomic(&out, &artifact)?;
-    let _: obs::BenchArtifact = crate::verify_artifact(&out)?;
+    crate::verify_artifact(&out)?;
     Ok((result, Some(out)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
     use simpadv_trace::span;
 
     fn baseline_opts(dir: &std::path::Path) -> BenchOpts {
@@ -160,7 +213,7 @@ mod tests {
         let out = run_with_baseline(
             &opts,
             "unittest",
-            |v| vec![("answer".into(), *v as f64)],
+            |v| vec![("answer".into(), *v as f64), ("mnist/proposed/original".into(), 0.5)],
             tiny_traced_workload,
         );
         let (v, path) = out.expect("baseline run");
@@ -168,17 +221,36 @@ mod tests {
         let path = path.expect("artifact written");
         let text = std::fs::read_to_string(&path).expect("artifact readable");
         std::fs::remove_file(&path).expect("artifact cleanup");
-        let artifact: obs::BenchArtifact = serde_json::from_str(&text).expect("valid artifact");
-        assert_eq!(artifact.experiment, "unittest");
-        assert_eq!(artifact.meta.repeat, 2);
-        assert!(artifact.meta.repeats_logically_identical);
-        assert_eq!(artifact.trainers.len(), 1);
-        assert_eq!(artifact.trainers[0].forward, 3);
-        assert_eq!(artifact.accuracies, vec![("answer".to_string(), 42.0)]);
+        let a = simpadv_obs::parse_artifact(&text).expect("valid artifact");
+        assert_eq!(a.experiment, "unittest");
+        assert_eq!(a.meta["repeat"], Value::U64(2));
+        assert_eq!(a.warn["run"]["repeats_logically_identical"], Value::Bool(true));
+        assert_eq!(a.rows.keys().filter(|id| id.starts_with("trainer/")).count(), 1);
+        let proposed = &a.rows["trainer/proposed"];
+        for (field, n) in [("runs", 1), ("epochs", 1), ("forward", 3), ("attack_steps", 0)] {
+            assert_eq!(proposed[field], Value::U64(n), "{field}");
+        }
+        assert_eq!(a.rows["accuracy"]["answer"], Value::F64(42.0));
+        assert_eq!(a.rows["accuracy/mnist/proposed"]["original"], Value::F64(0.5));
 
         let dump = std::fs::read_to_string(dir.join("trace.jsonl")).expect("dump readable");
         let events = simpadv_obs::read_events(&dump).expect("dump parses");
-        assert_eq!(events.len() as u64, artifact.events);
-        assert_eq!(obs::logical_digest(&events), artifact.trace_digest);
+        assert_eq!(a.rows["trace"]["events"], Value::U64(events.len() as u64));
+        assert_eq!(a.rows["trace"]["digest"], Value::String(simpadv_obs::logical_digest(&events)));
+    }
+
+    #[test]
+    fn repeat_identity_check_spots_divergence() {
+        let close = |forward| Event {
+            seq: 0,
+            kind: simpadv_trace::EventKind::SpanClose,
+            path: "train".into(),
+            fields: vec![("forward".into(), FieldValue::U64(forward))],
+            meta: Vec::new(),
+            ctx: None,
+        };
+        let (a, b) = (vec![close(8)], vec![close(9)]);
+        assert!(repeats_logically_identical(&[a.clone(), a.clone()]));
+        assert!(!repeats_logically_identical(&[a, b]));
     }
 }

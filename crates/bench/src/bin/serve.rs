@@ -7,18 +7,15 @@
 //! is checked bitwise against offline single-input inference on the same
 //! generation — the serving path must not change a single logit bit.
 //!
-//! Emits `BENCH_serve.json` (schema v1): per-generation
-//! clean-vs-adversarial accuracy counters in the logical section,
-//! latency percentiles / throughput / batch occupancy quarantined in
-//! `meta` (see `simpadv_obs::serve`).
+//! Emits `BENCH_serve.json` (`simpadv_obs::artifact`, tagged `serve`):
+//! the load scale and per-generation clean-vs-adversarial accuracy
+//! counters as logical rows, throughput and backpressure rejections
+//! warn-only, latency percentiles and batch occupancy in `meta`.
 
 use simpadv_attacks::{parallel::craft_parallel, Attack, Bim, Pgd};
 use simpadv_data::{SynthConfig, SynthDataset, CLASS_COUNT};
 use simpadv_nn::GradientModel;
-use simpadv_obs::{
-    ServeArtifact, ServeGenerationRow, ServeMeta, ServeScale, SERVE_EXPERIMENT,
-    SERVE_SCHEMA_VERSION,
-};
+use simpadv_obs::Artifact;
 use simpadv_runtime::{split_seed, Runtime};
 use simpadv_serve::{
     client, load_latest_servable, BatchConfig, PredictRequest, ServeConfig, Server,
@@ -273,55 +270,40 @@ fn main() {
     let client_rejected: u64 = per_client.iter().map(|r| r.1).sum();
     let mismatches: u64 = per_client.iter().map(|r| r.2).sum();
 
-    let artifact = ServeArtifact {
-        schema_version: SERVE_SCHEMA_VERSION,
-        experiment: SERVE_EXPERIMENT.to_string(),
-        scale: ServeScale {
-            requests: opts.requests as u64,
-            clients: opts.clients as u64,
-            samples: opts.samples as u64,
-            adv_permille: opts.adv_permille,
-            attack: opts.attack.clone(),
-            batch_max: opts.batch_max as u64,
-            queue_cap: queue_cap as u64,
-            seed: opts.seed,
-        },
-        served: snapshot.served,
-        skipped_generations: snapshot.skipped_generations,
-        generations: snapshot
-            .generations
-            .iter()
-            .map(|g| ServeGenerationRow {
-                generation: g.generation,
-                traffic: g.traffic.clone(),
-                requests: g.requests,
-                labeled: g.labeled,
-                correct: g.correct,
-            })
-            .collect(),
-        meta: ServeMeta {
-            threads: rt.threads() as u64,
-            wall_total_s,
-            throughput_rps: if wall_total_s > 0.0 {
-                snapshot.served as f64 / wall_total_s
-            } else {
-                0.0
-            },
-            latency_p50_us: snapshot.latency_us.p50_us,
-            latency_p90_us: snapshot.latency_us.p90_us,
-            latency_p99_us: snapshot.latency_us.p99_us,
-            latency_max_us: snapshot.latency_us.max_us,
-            batch_occupancy_mean: snapshot.batch_occupancy.mean,
-            batch_occupancy_max: snapshot.batch_occupancy.max,
-            rejected: snapshot.rejected,
-            note: ServeArtifact::wall_note(),
-        },
-    };
+    let throughput_rps =
+        if wall_total_s > 0.0 { snapshot.served as f64 / wall_total_s } else { 0.0 };
+    let mut artifact = Artifact::new("serve");
+    artifact.set("scale", "requests", opts.requests as u64);
+    artifact.set("scale", "clients", opts.clients as u64);
+    artifact.set("scale", "samples", opts.samples as u64);
+    artifact.set("scale", "adv_permille", opts.adv_permille);
+    artifact.set("scale", "attack", &opts.attack);
+    artifact.set("scale", "batch_max", opts.batch_max as u64);
+    artifact.set("scale", "queue_cap", queue_cap as u64);
+    artifact.set("scale", "seed", opts.seed);
+    artifact.set("server", "served", snapshot.served);
+    artifact.set("server", "skipped_generations", snapshot.skipped_generations);
+    for g in &snapshot.generations {
+        let row = format!("generation/{}/{}", g.generation, g.traffic);
+        artifact.set(&row, "requests", g.requests);
+        artifact.set(&row, "labeled", g.labeled);
+        artifact.set(&row, "correct", g.correct);
+    }
+    artifact.set_warn("run", "throughput_rps", throughput_rps);
+    artifact.set_warn("run", "rejected", snapshot.rejected);
+    artifact.set_meta("threads", rt.threads() as u64);
+    artifact.set_meta("wall_total_s", wall_total_s);
+    artifact.set_meta("latency_p50_us", snapshot.latency_us.p50_us);
+    artifact.set_meta("latency_p90_us", snapshot.latency_us.p90_us);
+    artifact.set_meta("latency_p99_us", snapshot.latency_us.p99_us);
+    artifact.set_meta("latency_max_us", snapshot.latency_us.max_us);
+    artifact.set_meta("batch_occupancy_mean", snapshot.batch_occupancy.mean);
+    artifact.set_meta("batch_occupancy_max", snapshot.batch_occupancy.max);
     if let Err(e) = simpadv_resilience::write_json_atomic(&opts.out, &artifact) {
         eprintln!("cannot write {}: {e}", opts.out.display());
         std::process::exit(1);
     }
-    if let Err(e) = simpadv_bench::verify_artifact::<ServeArtifact>(&opts.out) {
+    if let Err(e) = simpadv_bench::verify_artifact(&opts.out) {
         eprintln!("{e}");
         std::process::exit(1);
     }
@@ -331,15 +313,15 @@ fn main() {
          {:.1} rps, p50 {} us, p99 {} us, mean batch {:.2}",
         snapshot.served,
         snapshot.rejected.max(client_rejected),
-        artifact.meta.throughput_rps,
-        artifact.meta.latency_p50_us,
-        artifact.meta.latency_p99_us,
-        artifact.meta.batch_occupancy_mean,
+        throughput_rps,
+        snapshot.latency_us.p50_us,
+        snapshot.latency_us.p99_us,
+        snapshot.batch_occupancy.mean,
     );
-    for row in &artifact.generations {
+    for g in &snapshot.generations {
         println!(
             "  gen {} {:<11} {:>5} requests, accuracy {}/{}",
-            row.generation, row.traffic, row.requests, row.correct, row.labeled
+            g.generation, g.traffic, g.requests, g.correct, g.labeled
         );
     }
     println!("artifact: {}", opts.out.display());

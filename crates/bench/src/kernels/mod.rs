@@ -15,20 +15,23 @@
 //! 2. **Wall sweep** (informational): warmup, a calibrated iteration
 //!    count aimed at a per-workload wall budget (see `calibrate.rs`),
 //!    and median/min/max seconds-per-iteration over `--repeat` runs,
-//!    from which GFLOP/s and GB/s are derived. All of it lands in the
-//!    artifact's `meta` and can only ever warn in the perf gate — this
-//!    project benchmarks on one CPU, wall numbers are weather.
+//!    from which the scoreboard derives GFLOP/s and GB/s. None of it is
+//!    logical: the median lands in the artifact's warn-only section and
+//!    the rest in `meta`, so it can only ever warn in the perf gate —
+//!    this project benchmarks on one CPU, wall numbers are weather.
 //!
-//! The sweep emits `BENCH_kernels.json`
-//! ([`simpadv_obs::KernelsArtifact`]) plus, with `--flame-dir`,
-//! collapsed-stack flamegraphs of the logical sweep in both wall and
-//! flop weights.
+//! The sweep emits `BENCH_kernels.json` (a [`simpadv_obs::Artifact`]
+//! tagged `kernels`: one logical row per workload, the median wall per
+//! iteration warn-only, calibration details in `meta`) plus, with
+//! `--flame-dir`, collapsed-stack flamegraphs of the logical sweep in
+//! both wall and flop weights.
 
 mod calibrate;
 
+use crate::WallStats;
+use serde::{Serialize, Value};
 use simpadv::ModelSpec;
-use simpadv_obs::baseline::{logical_digest, WallStats};
-use simpadv_obs::{FlameWeight, KernelRow, KernelWallRow, KernelsArtifact, KernelsMeta};
+use simpadv_obs::{Artifact, FlameWeight};
 use simpadv_tensor::{im2col, matmul_bytes, Conv2dGeometry, Tensor};
 use simpadv_trace::{clock, span, Event};
 use std::error::Error;
@@ -309,12 +312,13 @@ impl KernelsOpts {
     }
 }
 
-/// The logical sweep: one traced iteration per workload, clock-delta
-/// counters per row, plus the captured event stream. Deterministic —
+/// The logical sweep: one traced iteration per workload, whose
+/// clock-delta counters and logical bytes become the workload's row,
+/// plus the captured event stream and its `trace` row. Deterministic —
 /// same rows and digest on any machine at any thread count.
-fn logical_sweep(workloads: &mut [Workload]) -> (Vec<KernelRow>, Vec<Event>) {
+fn logical_sweep(workloads: &mut [Workload]) -> (Artifact, Vec<Event>) {
+    let mut artifact = Artifact::new("kernels");
     let handle = simpadv_trace::install_memory();
-    let mut rows = Vec::with_capacity(workloads.len());
     {
         let _sweep = span!("kernels");
         for w in workloads.iter_mut() {
@@ -324,35 +328,37 @@ fn logical_sweep(workloads: &mut [Workload]) -> (Vec<KernelRow>, Vec<Event>) {
                 w.run_once();
             }
             let d = clock::snapshot().delta_since(&before);
-            rows.push(KernelRow {
-                name: w.name.clone(),
-                group: w.group.to_string(),
-                shape: w.shape.clone(),
-                forward: d.forward,
-                backward: d.backward,
-                flops: d.flops,
-                attack_steps: d.attack_steps,
-                bytes: w.bytes,
-            });
+            let id = w.name.as_str();
+            artifact.set(id, "group", w.group);
+            artifact.set(id, "shape", &w.shape);
+            artifact.set(id, "forward", d.forward);
+            artifact.set(id, "backward", d.backward);
+            artifact.set(id, "flops", d.flops);
+            artifact.set(id, "attack_steps", d.attack_steps);
+            artifact.set(id, "bytes", w.bytes);
         }
     }
     simpadv_trace::flush();
     let events = handle.take();
     simpadv_trace::uninstall();
-    (rows, events)
+    artifact.set_trace(&events);
+    (artifact, events)
 }
 
 /// The wall sweep: warmup, calibration, `repeat` timed loops per
-/// workload. Runs strictly after the trace sink is gone, so calibrated
-/// iteration counts can never leak events into the logical stream.
-fn wall_sweep(
-    workloads: &mut [Workload],
-    rows: &[KernelRow],
-    opts: &KernelsOpts,
-) -> Vec<KernelWallRow> {
+/// workload; the median wall per iteration goes to the warn-only
+/// section, iteration counts and spreads to `meta`. Runs strictly after
+/// the trace sink is gone, so calibrated iteration counts can never leak
+/// events into the logical stream.
+fn wall_sweep(workloads: &mut [Workload], opts: &KernelsOpts, artifact: &mut Artifact) {
+    #[derive(Serialize)]
+    struct Calibrated {
+        iters: u64,
+        wall_per_iter_s: WallStats,
+    }
     let target_s = opts.target_iter_wall_us as f64 / 1e6;
-    let mut out = Vec::with_capacity(workloads.len());
-    for (w, row) in workloads.iter_mut().zip(rows) {
+    let mut wall = Vec::with_capacity(workloads.len());
+    for w in workloads.iter_mut() {
         for _ in 0..opts.warmup {
             w.run_once();
         }
@@ -360,43 +366,26 @@ fn wall_sweep(
         let samples: Vec<f64> =
             (0..opts.repeat).map(|_| calibrate::time_iters(&mut *w.run, iters)).collect();
         let stats = WallStats::from_samples(&samples);
-        let median = stats.median_s;
-        out.push(KernelWallRow {
-            name: w.name.clone(),
-            iters,
-            wall_per_iter_s: stats,
-            gflops: if median > 0.0 { row.flops as f64 / median / 1e9 } else { 0.0 },
-            gbytes_per_s: if median > 0.0 { row.bytes as f64 / median / 1e9 } else { 0.0 },
-        });
+        artifact.set_warn(&w.name, "wall_per_iter_s", stats.median_s);
+        wall.push((w.name.clone(), Calibrated { iters, wall_per_iter_s: stats }.to_value()));
     }
-    out
+    artifact.set_meta("wall", Value::Object(wall));
 }
 
 /// Runs the full sweep and assembles the scoreboard artifact plus the
 /// logical sweep's event stream (for flamegraph output).
-pub fn run_sweep(opts: &KernelsOpts) -> (KernelsArtifact, Vec<Event>) {
+pub fn run_sweep(opts: &KernelsOpts) -> (Artifact, Vec<Event>) {
     if let Some(n) = opts.threads {
         simpadv_runtime::set_global_threads(n);
     }
     let mut workloads = registry();
-    let (rows, events) = logical_sweep(&mut workloads);
-    let wall = wall_sweep(&mut workloads, &rows, opts);
-    let artifact = KernelsArtifact {
-        schema_version: simpadv_obs::KERNELS_SCHEMA_VERSION,
-        experiment: simpadv_obs::KERNELS_EXPERIMENT.to_string(),
-        workloads: rows,
-        events: events.len() as u64,
-        trace_digest: logical_digest(&events),
-        meta: KernelsMeta {
-            threads: opts.threads.unwrap_or(0) as u64,
-            threads_available: simpadv_runtime::available_threads() as u64,
-            repeat: opts.repeat as u64,
-            warmup: opts.warmup,
-            target_iter_wall_us: opts.target_iter_wall_us,
-            wall,
-            note: KernelsArtifact::wall_note(),
-        },
-    };
+    let (mut artifact, events) = logical_sweep(&mut workloads);
+    wall_sweep(&mut workloads, opts, &mut artifact);
+    artifact.set_warn("run", "threads", opts.threads.unwrap_or(0) as u64);
+    artifact.set_warn("run", "threads_available", simpadv_runtime::available_threads() as u64);
+    artifact.set_meta("repeat", opts.repeat as u64);
+    artifact.set_meta("warmup", opts.warmup);
+    artifact.set_meta("target_iter_wall_us", opts.target_iter_wall_us);
     (artifact, events)
 }
 
@@ -409,11 +398,11 @@ pub fn run_sweep(opts: &KernelsOpts) -> (KernelsArtifact, Vec<Event>) {
 /// Returns I/O and trace-reconstruction errors.
 pub fn write_outputs(
     opts: &KernelsOpts,
-    artifact: &KernelsArtifact,
+    artifact: &Artifact,
     events: &[Event],
 ) -> Result<(), Box<dyn Error>> {
     simpadv_resilience::write_json_atomic(&opts.out, artifact)?;
-    let _: KernelsArtifact = crate::verify_artifact(&opts.out)?;
+    crate::verify_artifact(&opts.out)?;
     if let Some(dir) = &opts.flame_dir {
         std::fs::create_dir_all(dir)?;
         let tree = simpadv_obs::build_tree(events)?;
@@ -432,27 +421,45 @@ pub fn write_outputs(
 }
 
 /// Renders the human-facing scoreboard table: logical columns first,
-/// wall columns clearly bracketed as meta.
-pub fn render_table(artifact: &KernelsArtifact) -> String {
+/// then the median wall per iteration and the rates derived from it.
+pub fn render_table(artifact: &Artifact) -> String {
     use std::fmt::Write as _;
+    let count = |row: &simpadv_obs::Fields, field: &str| match row.get(field) {
+        Some(Value::U64(n)) => *n,
+        _ => 0,
+    };
     let mut out = String::new();
     let _ = writeln!(
         out,
         "{:<34} {:>8} {:>4} {:>4} {:>12} {:>12} | {:>12} {:>9} {:>9}",
         "workload", "group", "fwd", "bwd", "flops", "bytes", "wall/iter(s)", "GFLOP/s", "GB/s"
     );
-    for row in &artifact.workloads {
-        let wall = artifact.meta.wall.iter().find(|w| w.name == row.name);
-        let (wps, gf, gb) = wall
-            .map(|w| (w.wall_per_iter_s.median_s, w.gflops, w.gbytes_per_s))
-            .unwrap_or((0.0, 0.0, 0.0));
+    for (name, row) in artifact.rows.iter().filter(|(name, _)| *name != "trace") {
+        let group = match row.get("group") {
+            Some(Value::String(g)) => g.as_str(),
+            _ => "",
+        };
+        let wps = match artifact.warn.get(name).and_then(|w| w.get("wall_per_iter_s")) {
+            Some(Value::F64(s)) => *s,
+            _ => 0.0,
+        };
+        let rate = |n: u64| if wps > 0.0 { n as f64 / wps / 1e9 } else { 0.0 };
+        let (flops, bytes) = (count(row, "flops"), count(row, "bytes"));
         let _ = writeln!(
             out,
             "{:<34} {:>8} {:>4} {:>4} {:>12} {:>12} | {:>12.3e} {:>9.2} {:>9.2}",
-            row.name, row.group, row.forward, row.backward, row.flops, row.bytes, wps, gf, gb
+            name,
+            group,
+            count(row, "forward"),
+            count(row, "backward"),
+            flops,
+            bytes,
+            wps,
+            rate(flops),
+            rate(bytes)
         );
     }
-    let _ = writeln!(out, "({})", artifact.meta.note);
+    let _ = writeln!(out, "({})", simpadv_obs::WALL_NOTE);
     out
 }
 
@@ -498,30 +505,34 @@ mod tests {
     fn logical_sweep_rows_match_the_shape_formulas() {
         let _trace = crate::tests::trace_lock();
         let mut workloads = registry();
-        let (rows, events) = logical_sweep(&mut workloads);
-        assert_eq!(rows.len(), workloads.len());
-        assert!(!events.is_empty());
+        let (artifact, events) = logical_sweep(&mut workloads);
+        assert_eq!(artifact.rows.len(), workloads.len() + 1, "one row per workload + trace");
+        assert_eq!(artifact.rows["trace"]["events"], Value::U64(events.len() as u64));
+        let u = |n: u64| Value::U64(n);
+        let counters = |name: &str| {
+            let row = &artifact.rows[name];
+            ["forward", "backward", "flops", "attack_steps"].map(|f| row[f].clone())
+        };
 
-        let mm = rows.iter().find(|r| r.name.starts_with("matmul/64x784x")).expect("matmul row");
-        assert_eq!(mm.flops, matmul_flops(64, 784, 128));
-        assert_eq!((mm.forward, mm.backward, mm.attack_steps), (0, 0, 0));
+        let mm = counters("matmul/64x784x128");
+        assert_eq!(mm, [u(0), u(0), u(matmul_flops(64, 784, 128)), u(0)]);
 
         // the small CNN's first conv forward: 4·28·28 patches × 9 taps × 8 filters
-        let conv = rows.iter().find(|r| r.name == "matmul_nt/3136x9x8").expect("conv GEMM row");
-        assert_eq!((conv.group.as_str(), conv.flops), ("conv", matmul_flops(3136, 9, 8)));
+        let conv = &artifact.rows["matmul_nt/3136x9x8"];
+        assert_eq!(conv["group"], Value::String("conv".into()));
+        assert_eq!(conv["flops"], u(matmul_flops(3136, 9, 8)));
 
-        let step = rows.iter().find(|r| r.group == "attack" && r.name.contains("signed_step"));
-        let step = step.expect("signed_step row");
-        assert_eq!((step.forward, step.backward, step.attack_steps), (1, 1, 1));
-        assert!(step.flops > 0, "the gradient passes tick flops");
+        let step = counters("attack/signed_step/16x784");
+        assert_eq!([&step[0], &step[1], &step[3]], [&u(1), &u(1), &u(1)]);
+        assert!(step[2] != u(0), "the gradient passes tick flops");
 
-        let ball = rows.iter().find(|r| r.name.contains("project_ball")).expect("project_ball row");
-        assert_eq!((ball.forward, ball.backward, ball.flops, ball.attack_steps), (0, 0, 0, 0));
-        assert_eq!(ball.bytes, simpadv_attacks::project_ball_bytes(16 * 784));
+        let ball = "attack/project_ball/16x784";
+        assert_eq!(counters(ball), [u(0), u(0), u(0), u(0)]);
+        assert_eq!(artifact.rows[ball]["bytes"], u(simpadv_attacks::project_ball_bytes(16 * 784)));
 
-        let serve = rows.iter().find(|r| r.group == "serve").expect("serve row");
-        assert_eq!(serve.forward, 1);
-        assert_eq!(serve.flops, matmul_flops(16, 784, 128) + matmul_flops(16, 128, 10));
+        let serve = counters("serve/predict/16x784");
+        let flops = matmul_flops(16, 784, 128) + matmul_flops(16, 128, 10);
+        assert_eq!([&serve[0], &serve[2]], [&u(1), &u(flops)]);
     }
 
     #[test]
@@ -529,10 +540,9 @@ mod tests {
         let _trace = crate::tests::trace_lock();
         // Same rows, same digest, run to run — the property the
         // threads-1-vs-4 CI check rests on.
-        let (rows_a, events_a) = logical_sweep(&mut registry());
-        let (rows_b, events_b) = logical_sweep(&mut registry());
-        assert_eq!(rows_a, rows_b);
-        assert_eq!(logical_digest(&events_a), logical_digest(&events_b));
+        let (a, _) = logical_sweep(&mut registry());
+        let (b, _) = logical_sweep(&mut registry());
+        assert_eq!(a.rows, b.rows);
     }
 
     #[test]
@@ -560,26 +570,23 @@ mod tests {
             ..KernelsOpts::default()
         };
         let (artifact, events) = run_sweep(&opts);
-        assert_eq!(artifact.schema_version, simpadv_obs::KERNELS_SCHEMA_VERSION);
-        assert_eq!(artifact.experiment, simpadv_obs::KERNELS_EXPERIMENT);
-        assert_eq!(artifact.events, events.len() as u64);
-        assert_eq!(artifact.workloads.len(), artifact.meta.wall.len());
-        for wall in &artifact.meta.wall {
-            assert!(wall.iters >= 1);
-            assert!(wall.wall_per_iter_s.median_s >= 0.0);
+        assert_eq!(artifact.schema_version, simpadv_obs::SCHEMA_VERSION);
+        assert_eq!(artifact.experiment, "kernels");
+        assert_eq!(artifact.rows["trace"]["events"], Value::U64(events.len() as u64));
+        let Value::Object(wall) = &artifact.meta["wall"] else { panic!("meta.wall is a map") };
+        assert_eq!(wall.len(), artifact.rows.len() - 1);
+        for (name, calibrated) in wall {
+            assert!(matches!(calibrated.get("iters"), Some(Value::U64(n)) if *n >= 1), "{name}");
+            assert!(matches!(artifact.warn[name]["wall_per_iter_s"], Value::F64(s) if s >= 0.0));
         }
         // identity comparison passes the gate cleanly
-        let report = simpadv_obs::compare_kernels(
-            &artifact,
-            &artifact,
-            &simpadv_obs::CompareOptions::default(),
-        );
+        let report = simpadv_obs::compare(&artifact, &artifact, 25.0);
         assert!(report.passed(), "{:?}", report.regressions);
         // the table renders every workload and the wall caveat
         let table = render_table(&artifact);
-        for row in &artifact.workloads {
-            assert!(table.contains(&row.name), "missing {} in:\n{table}", row.name);
+        for (name, _) in wall {
+            assert!(table.contains(name.as_str()), "missing {name} in:\n{table}");
         }
-        assert!(table.contains(&artifact.meta.note));
+        assert!(table.contains(simpadv_obs::WALL_NOTE));
     }
 }

@@ -9,10 +9,13 @@
 //!   for the larger workload, `--smoke` for a seconds-scale sanity run,
 //!   and `--trace FILE` to capture a structured event trace of the run
 //!   (summarize it with `simpadv-cli trace summarize FILE`).
-//! * **Criterion benches** — `cargo bench -p simpadv-bench` measures the
-//!   substrate (tensor/layer throughput), attack generation cost, and the
-//!   per-epoch training cost of every method (the micro version of
-//!   Table I's time column).
+//! * **Benchmark artifacts** — `--baseline` makes a regeneration binary
+//!   write `BENCH_<experiment>.json` (per-trainer clock counters and
+//!   accuracies, see [`baseline`]); the [`kernels`] lab writes
+//!   `BENCH_kernels.json`, every hot kernel at the shapes the
+//!   experiments run; the `serve` binary writes `BENCH_serve.json`. All
+//!   three emit the one schema of `simpadv_obs::artifact`, gated by
+//!   `simpadv-cli bench compare`.
 
 use simpadv::experiments::ExperimentScale;
 use simpadv_trace::TraceFormat;
@@ -20,25 +23,52 @@ use simpadv_trace::TraceFormat;
 pub mod baseline;
 pub mod kernels;
 
-/// Reads a just-written `BENCH_*.json` back and type-checks it through
+/// Reads a just-written `BENCH_*.json` back through
 /// `simpadv_obs::parse_artifact`, so a torn write (writer killed
 /// mid-write, disk full) surfaces at the writer as the typed
 /// `TruncatedArtifact` error — mirroring `simpadv_obs::read_events`'s
-/// torn-tail handling — instead of as a panic in a later `bench
+/// torn-tail handling — instead of as a failure in a later `bench
 /// compare` against the committed baseline.
 ///
 /// # Errors
 ///
 /// The read-back I/O error, or the typed truncation/parse error from
 /// `parse_artifact`, each prefixed with the artifact path.
-pub fn verify_artifact<T: serde::Deserialize>(
+pub fn verify_artifact(
     path: &std::path::Path,
-) -> Result<T, Box<dyn std::error::Error>> {
+) -> Result<simpadv_obs::Artifact, Box<dyn std::error::Error>> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("read back {}: {e}", path.display()))?;
     let artifact = simpadv_obs::parse_artifact(&text)
         .map_err(|e| format!("artifact {} failed read-back validation: {e}", path.display()))?;
     Ok(artifact)
+}
+
+/// Median/min/max over repeat wall measurements (seconds): the median
+/// goes to an artifact's warn-only section, the spread to its `meta`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize)]
+pub struct WallStats {
+    /// Median across repeats.
+    pub median_s: f64,
+    /// Fastest repeat.
+    pub min_s: f64,
+    /// Slowest repeat.
+    pub max_s: f64,
+}
+
+impl WallStats {
+    /// Builds the stats from per-repeat samples (zeroes when empty).
+    pub fn from_samples(samples: &[f64]) -> WallStats {
+        if samples.is_empty() {
+            return WallStats::default();
+        }
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let mid = sorted.len() / 2;
+        let median_s =
+            if sorted.len() % 2 == 1 { sorted[mid] } else { (sorted[mid - 1] + sorted[mid]) / 2.0 };
+        WallStats { median_s, min_s: sorted[0], max_s: sorted[sorted.len() - 1] }
+    }
 }
 
 /// The common CLI of the regeneration binaries: workload scale, thread
@@ -67,7 +97,7 @@ pub struct BenchOpts {
     pub resume: bool,
     /// `--baseline`: run under an in-memory trace and emit a
     /// `BENCH_<experiment>.json` benchmark-baseline artifact at the
-    /// repository root (see `simpadv_obs::baseline`).
+    /// repository root (see [`baseline`]).
     pub baseline: bool,
     /// `--repeat N` (default 1, baseline mode only): repetitions behind
     /// the artifact's wall median/min/max statistics.
@@ -255,18 +285,27 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("simpadv-bench-verify-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("BENCH_torn.json");
+        let whole = serde_json::to_string_pretty(&simpadv_obs::Artifact::new("kernels"))
+            .expect("serializable");
 
         // a strict prefix of a valid artifact: the mid-write kill signature
-        std::fs::write(&path, "{\"experiment\": \"kernels\", \"work").expect("plant torn file");
-        let err = verify_artifact::<serde::Value>(&path).unwrap_err().to_string();
+        std::fs::write(&path, &whole[..whole.len() / 2]).expect("plant torn file");
+        let err = verify_artifact(&path).unwrap_err().to_string();
         assert!(err.contains("truncated artifact"), "{err}");
         assert!(err.contains("BENCH_torn.json"), "names the file: {err}");
 
         // an intact artifact reads back clean
-        std::fs::write(&path, "{\"experiment\": \"kernels\"}").expect("plant whole file");
-        let value: serde::Value = verify_artifact(&path).expect("intact artifact");
-        assert!(value.get("experiment").is_some());
+        std::fs::write(&path, &whole).expect("plant whole file");
+        assert_eq!(verify_artifact(&path).expect("intact artifact").experiment, "kernels");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn wall_stats_median_min_max() {
+        let s = WallStats::from_samples(&[3.0, 1.0, 2.0]);
+        assert_eq!((s.median_s, s.min_s, s.max_s), (2.0, 1.0, 3.0));
+        assert_eq!(WallStats::from_samples(&[4.0, 2.0]).median_s, 3.0);
+        assert_eq!(WallStats::from_samples(&[]), WallStats::default());
     }
 
     #[test]

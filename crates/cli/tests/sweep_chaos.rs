@@ -2,9 +2,10 @@
 //! `simpadv-cli` binary: healthy campaigns, chaos-killed cells, a
 //! simulated orchestrator death with `--resume`, and quarantine exit
 //! codes. The invariant under test everywhere: the aggregate's logical
-//! `cells` section is bitwise identical no matter how the campaign was
+//! rows are bitwise identical no matter how the campaign was
 //! interrupted.
 
+use simpadv_obs::{Artifact, Value};
 use simpadv_sweep::manifest::ManifestStore;
 use simpadv_sweep::CellStatus;
 use std::path::{Path, PathBuf};
@@ -57,9 +58,14 @@ fn grid_args(dir: &Path, out: &Path) -> Vec<String> {
     .collect()
 }
 
-fn load_artifact(path: &Path) -> simpadv_obs::SweepArtifact {
+fn load_artifact(path: &Path) -> Artifact {
     let text = std::fs::read_to_string(path).unwrap();
     simpadv_obs::parse_artifact(&text).unwrap()
+}
+
+/// The ids of an aggregate's rows under `prefix` (`cell/`, `quarantine/`).
+fn row_ids<'a>(artifact: &'a Artifact, prefix: &'a str) -> Vec<&'a str> {
+    artifact.rows.keys().filter_map(|id| id.strip_prefix(prefix)).collect()
 }
 
 fn run_campaign(args: &[String]) -> (bool, String) {
@@ -77,8 +83,8 @@ fn healthy_campaign_completes_and_self_compares() {
 
     let artifact = load_artifact(&out);
     assert_eq!(artifact.experiment, "sweep");
-    assert_eq!(artifact.completed, 2);
-    assert_eq!(artifact.meta.attempts_total, 2, "healthy cells take one attempt each");
+    assert_eq!(artifact.rows["campaign"]["completed"], Value::U64(2));
+    assert_eq!(artifact.meta["attempts_total"], Value::U64(2), "one attempt per healthy cell");
 
     // the written aggregate self-compares clean through the perf gate
     let (ok, log) = run_cli(&["bench", "compare", out.to_str().unwrap(), out.to_str().unwrap()]);
@@ -105,13 +111,15 @@ fn chaos_killed_cells_converge_to_the_uninterrupted_result() {
     assert!(ok, "chaos campaign failed:\n{log}");
 
     let (reference, interrupted) = (load_artifact(&ref_out), load_artifact(&chaos_out));
-    assert_eq!(interrupted.cells, reference.cells, "chaos must not change logical rows");
-    assert!(interrupted.meta.retries_spent >= 1, "the kill must have cost a retry");
+    assert_eq!(interrupted.rows, reference.rows, "chaos must not change logical rows");
+    let retries = &interrupted.warn["run"]["retries_spent"];
+    assert!(matches!(retries, Value::U64(n) if *n >= 1), "the kill must have cost a retry");
 
     // cross-compare through the CLI gate: logical pass (retries only warn)
     let (ok, log) =
         run_cli(&["bench", "compare", ref_out.to_str().unwrap(), chaos_out.to_str().unwrap()]);
     assert!(ok, "cross-compare failed:\n{log}");
+    assert!(log.contains("warning: row 'run' field 'retries_spent'"), "{log}");
 }
 
 #[test]
@@ -148,9 +156,9 @@ fn orchestrator_death_resumes_to_the_identical_aggregate() {
     assert!(log.contains("folded 1 in-flight cell"), "{log}");
 
     let resumed = load_artifact(&resumed_out);
-    assert_eq!(resumed.cells, reference.cells, "resume must reproduce the aggregate bitwise");
-    assert_eq!(resumed.completed, 2);
-    assert!(resumed.quarantined.is_empty());
+    assert_eq!(resumed.rows, reference.rows, "resume must reproduce the aggregate bitwise");
+    assert_eq!(resumed.rows["campaign"]["completed"], Value::U64(2));
+    assert!(row_ids(&resumed, "quarantine/").is_empty());
 }
 
 #[test]
@@ -168,10 +176,14 @@ fn all_cells_quarantined_fails_the_exit_code_but_writes_the_aggregate() {
     assert!(log.contains("2 cell(s) quarantined"), "{log}");
 
     let artifact = load_artifact(&out);
-    assert_eq!(artifact.completed, 0);
-    assert_eq!(artifact.quarantined.len(), 2);
-    for q in &artifact.quarantined {
-        assert!(q.cause.contains("attempt cap"), "{}", q.cause);
-        assert!(q.cause.contains("exited with code 1"), "{}", q.cause);
+    assert_eq!(artifact.rows["campaign"]["completed"], Value::U64(0));
+    let quarantined = row_ids(&artifact, "quarantine/");
+    assert_eq!(quarantined.len(), 2);
+    for id in quarantined {
+        let Value::String(cause) = &artifact.warn[&format!("quarantine/{id}")]["cause"] else {
+            panic!("{id}: the cause is text")
+        };
+        assert!(cause.contains("attempt cap"), "{cause}");
+        assert!(cause.contains("exited with code 1"), "{cause}");
     }
 }

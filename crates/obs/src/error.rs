@@ -1,6 +1,6 @@
 //! Typed failures of the trace-analysis pipeline.
 //!
-//! Every consumer (`trace summarize|flame|top|diff`, `bench baseline`)
+//! Every consumer (`trace summarize|flame|top|diff`, `bench compare`)
 //! reports malformed input through [`ObsError`] instead of panicking, so
 //! a trace torn by a crash mid-write degrades into a diagnosable error.
 
@@ -50,6 +50,15 @@ pub enum ObsError {
         /// The underlying parse failure.
         message: String,
     },
+    /// A `BENCH_*.json` artifact repeats a key — a row id, a field
+    /// name, or a top-level section — so one copy would silently shadow
+    /// the other.
+    DuplicateKey {
+        /// Where the key repeats (the artifact, a section, or a row).
+        within: String,
+        /// The repeated key.
+        key: String,
+    },
 }
 
 impl fmt::Display for ObsError {
@@ -87,6 +96,11 @@ impl fmt::Display for ObsError {
                 "truncated artifact: file ends mid-value ({message}); the writer was \
                  likely killed mid-write — regenerate the artifact"
             ),
+            ObsError::DuplicateKey { within, key } => write!(
+                f,
+                "duplicate key '{key}' in {within}: an artifact must not repeat a row id or \
+                 field name"
+            ),
         }
     }
 }
@@ -112,5 +126,7 @@ mod tests {
         let e = ObsError::TruncatedArtifact { message: "unexpected end of input".into() };
         assert!(e.to_string().contains("truncated artifact"));
         assert!(e.to_string().contains("killed mid-write"));
+        let e = ObsError::DuplicateKey { within: "row 'r' of `rows`".into(), key: "flops".into() };
+        assert!(e.to_string().contains("duplicate key 'flops' in row 'r'"));
     }
 }

@@ -26,9 +26,9 @@
 //! samples, seed) — that is the workspace's core determinism contract —
 //! and checkpoint resume restores the accumulated report state, so a
 //! cell that crashed at any point and re-ran produces the identical
-//! sealed report. The aggregate's logical sections are a pure function
-//! of those reports in grid order; attempts, retries and wall time are
-//! quarantined in `meta`.
+//! sealed report. The aggregate's logical rows are a pure function of
+//! those reports; retries and quarantine causes are warn-only, attempts
+//! and wall time live in `meta`.
 
 use crate::backoff_for;
 use crate::chaos::{ChaosConfig, ChaosState};
@@ -36,10 +36,7 @@ use crate::error::SweepError;
 use crate::manifest::{CampaignConfig, CampaignManifest, CellStatus, ManifestStore};
 use crate::report::CellReport;
 use crate::supervise::{run_cell, CellOutcome, ChildCommand, Supervision};
-use simpadv_obs::sweep::{
-    QuarantineRow, SweepArtifact, SweepCellRow, SweepMeta, SweepScale, SWEEP_EXPERIMENT,
-    SWEEP_SCHEMA_VERSION,
-};
+use simpadv_obs::Artifact;
 use simpadv_resilience::backoff::derive_seed;
 use simpadv_trace::clock::WallTimer;
 use std::io::Write;
@@ -125,7 +122,7 @@ impl Campaign {
         chaos: ChaosConfig,
         out: &Path,
         progress: &mut dyn Write,
-    ) -> Result<SweepArtifact, SweepError> {
+    ) -> Result<Artifact, SweepError> {
         // With a trace directory, the campaign is the root of a
         // cross-process trace whose id is a pure function of the grid
         // seed — a resumed orchestrator regrows the same trace id, so
@@ -171,8 +168,8 @@ impl Campaign {
         let _ = writeln!(
             progress,
             "campaign done: {} completed, {} quarantined -> {}",
-            artifact.completed,
-            artifact.quarantined.len(),
+            self.manifest.count(CellStatus::Done),
+            self.manifest.count(CellStatus::Quarantined),
             out.display()
         );
         Ok(artifact)
@@ -352,65 +349,58 @@ impl Campaign {
         ]
     }
 
-    /// Builds the aggregate from the terminal manifest + cell reports.
-    fn aggregate(&self, wall_total_s: f64) -> Result<SweepArtifact, SweepError> {
+    /// Builds the aggregate from the terminal manifest + cell reports:
+    /// the grid scale, one `cell/<id>` row per completed cell and one
+    /// `quarantine/<id>` row per quarantined cell (logical), retries
+    /// spent and quarantine causes (warn-only), attempts and wall (meta).
+    fn aggregate(&self, wall_total_s: f64) -> Result<Artifact, SweepError> {
         let grid = &self.manifest.config.grid;
-        let mut cells = Vec::new();
-        let mut quarantined = Vec::new();
+        let mut artifact = Artifact::new("sweep");
+        artifact.set("scale", "dataset", &grid.dataset);
+        artifact.set("scale", "epochs", grid.epochs);
+        artifact.set("scale", "seed", grid.seed);
+        artifact.set("scale", "test_samples", grid.test_samples);
+        artifact.set("scale", "methods", &grid.methods);
+        let epsilons: Vec<f64> = grid.epsilons.iter().map(|e| f64::from(*e)).collect();
+        artifact.set("scale", "epsilons", epsilons);
+        artifact.set("scale", "samples", &grid.samples);
+        artifact.set("scale", "threads", &grid.threads);
+        let mut completed = 0u64;
         for cell in &self.manifest.cells {
+            let id = &cell.spec.id;
             match cell.status {
                 CellStatus::Done => {
-                    let report =
-                        CellReport::load(&cell_dir(&self.dir, &cell.spec.id).join("report.json"))?;
-                    cells.push(SweepCellRow {
-                        id: cell.spec.id.clone(),
-                        method: cell.spec.method.clone(),
-                        eps: f64::from(report.eps),
-                        samples: report.samples,
-                        threads: cell.spec.threads,
-                        final_loss: f64::from(report.final_loss),
-                        columns: report.columns.clone(),
-                        accuracies: report.accuracies.iter().map(|a| f64::from(*a)).collect(),
-                    });
+                    let report = CellReport::load(&cell_dir(&self.dir, id).join("report.json"))?;
+                    let row = format!("cell/{id}");
+                    artifact.set(&row, "method", &cell.spec.method);
+                    artifact.set(&row, "eps", f64::from(report.eps));
+                    artifact.set(&row, "samples", report.samples);
+                    artifact.set(&row, "threads", cell.spec.threads);
+                    artifact.set(&row, "final_loss", f64::from(report.final_loss));
+                    artifact.set(&row, "columns", &report.columns);
+                    let accuracies: Vec<f64> =
+                        report.accuracies.iter().map(|a| f64::from(*a)).collect();
+                    artifact.set(&row, "accuracies", accuracies);
+                    completed += 1;
                 }
-                CellStatus::Quarantined => quarantined.push(QuarantineRow {
-                    id: cell.spec.id.clone(),
-                    cause: cell
-                        .last_error
-                        .clone()
-                        .unwrap_or_else(|| "retry allowance exhausted".to_string()),
-                }),
+                CellStatus::Quarantined => {
+                    let row = format!("quarantine/{id}");
+                    artifact.set(&row, "method", &cell.spec.method);
+                    let cause = cell.last_error.as_deref().unwrap_or("retry allowance exhausted");
+                    artifact.set_warn(&row, "cause", cause);
+                }
                 CellStatus::Pending | CellStatus::Running => {
                     return Err(SweepError::Config(format!(
-                        "cell {} is not terminal; aggregate called too early",
-                        cell.spec.id
+                        "cell {id} is not terminal; aggregate called too early"
                     )));
                 }
             }
         }
+        artifact.set("campaign", "completed", completed);
+        artifact.set_warn("run", "retries_spent", u64::from(self.manifest.retries_spent));
         let attempts_total: u64 = self.manifest.cells.iter().map(|c| u64::from(c.attempts)).sum();
-        Ok(SweepArtifact {
-            schema_version: SWEEP_SCHEMA_VERSION,
-            experiment: SWEEP_EXPERIMENT.to_string(),
-            scale: SweepScale {
-                dataset: grid.dataset.clone(),
-                epochs: grid.epochs,
-                seed: grid.seed,
-                test_samples: grid.test_samples,
-                methods: grid.methods.clone(),
-                epsilons: grid.epsilons.iter().map(|e| f64::from(*e)).collect(),
-                samples: grid.samples.clone(),
-                threads: grid.threads.clone(),
-            },
-            completed: cells.len() as u64,
-            cells,
-            quarantined,
-            meta: SweepMeta {
-                wall_total_s,
-                attempts_total,
-                retries_spent: u64::from(self.manifest.retries_spent),
-                note: SweepArtifact::wall_note(),
-            },
-        })
+        artifact.set_meta("attempts_total", attempts_total);
+        artifact.set_meta("wall_total_s", wall_total_s);
+        Ok(artifact)
     }
 }

@@ -30,11 +30,10 @@
 //!   injection, so the recovery path is exercised by CI rather than
 //!   trusted.
 //!
-//! The output is `BENCH_sweep.json`
-//! ([`simpadv_obs::sweep::SweepArtifact`]): logical per-cell rows that
-//! must reproduce bitwise whether or not the campaign was interrupted,
-//! plus an explicit quarantine list, with retry effort confined to
-//! `meta`.
+//! The output is `BENCH_sweep.json` (a [`simpadv_obs::Artifact`]
+//! tagged `sweep`): logical per-cell rows that must reproduce bitwise
+//! whether or not the campaign was interrupted, plus one row per
+//! quarantined cell, with retry effort and quarantine causes warn-only.
 
 pub mod campaign;
 pub mod chaos;

@@ -2,7 +2,7 @@
 //! `fakecell` child (a scriptable stand-in that speaks the real child
 //! protocol: durable attempt counter, sealed report, exit codes).
 
-use simpadv_obs::sweep::compare_sweep;
+use simpadv_obs::{compare, Artifact, Value, DEFAULT_WALL_THRESHOLD_PCT};
 use simpadv_sweep::manifest::{CampaignConfig, ManifestStore, MANIFEST_VERSION};
 use simpadv_sweep::supervise::ChildCommand;
 use simpadv_sweep::{Campaign, CellStatus, ChaosConfig, GridSpec, RetryConfig, SweepError};
@@ -54,10 +54,39 @@ fn run_campaign(
     cfg: CampaignConfig,
     child: &ChildCommand,
     chaos: ChaosConfig,
-) -> simpadv_obs::sweep::SweepArtifact {
+) -> Artifact {
     let mut campaign = Campaign::start(dir, cfg).unwrap();
     let mut progress = Vec::new();
     campaign.run(child, chaos, &dir.join("BENCH_sweep.json"), &mut progress).unwrap()
+}
+
+fn count(value: &Value) -> u64 {
+    match value {
+        Value::U64(n) => *n,
+        other => panic!("not a count: {other:?}"),
+    }
+}
+
+fn completed(artifact: &Artifact) -> u64 {
+    count(&artifact.rows["campaign"]["completed"])
+}
+
+fn retries(artifact: &Artifact) -> u64 {
+    count(&artifact.warn["run"]["retries_spent"])
+}
+
+fn attempts(artifact: &Artifact) -> u64 {
+    count(&artifact.meta["attempts_total"])
+}
+
+/// The causes of every quarantined cell, in cell order.
+fn quarantine_causes(artifact: &Artifact) -> Vec<String> {
+    let ids = artifact.rows.keys().filter(|id| id.starts_with("quarantine/"));
+    ids.map(|id| match &artifact.warn[id]["cause"] {
+        Value::String(cause) => cause.clone(),
+        other => panic!("{id}: cause is not text: {other:?}"),
+    })
+    .collect()
 }
 
 #[test]
@@ -66,11 +95,12 @@ fn healthy_campaign_completes_every_cell() {
     let cfg = config(grid(&["vanilla", "proposed"], &[16, 32]), quick_retry(3, 8));
     let artifact = run_campaign(&dir, cfg, &fakecell(&[]), ChaosConfig::default());
 
-    assert_eq!(artifact.completed, 4);
-    assert!(artifact.quarantined.is_empty());
-    assert_eq!(artifact.meta.attempts_total, 4, "one attempt per healthy cell");
-    assert_eq!(artifact.meta.retries_spent, 0);
-    assert_eq!(artifact.cells[0].id, "c000-vanilla-e300m-s16-t1");
+    assert_eq!(completed(&artifact), 4);
+    assert!(quarantine_causes(&artifact).is_empty());
+    assert_eq!(attempts(&artifact), 4, "one attempt per healthy cell");
+    assert_eq!(retries(&artifact), 0);
+    let first = artifact.rows.keys().find(|id| id.starts_with("cell/"));
+    assert_eq!(first.map(String::as_str), Some("cell/c000-vanilla-e300m-s16-t1"));
     // The artifact landed on disk as plain JSON.
     let text = std::fs::read_to_string(dir.join("BENCH_sweep.json")).unwrap();
     assert!(text.contains("\"experiment\": \"sweep\""));
@@ -100,14 +130,13 @@ fn crashing_cells_are_retried_and_produce_identical_results() {
         ChaosConfig::default(),
     );
 
-    assert_eq!(artifact.completed, 2);
-    assert_eq!(artifact.meta.retries_spent, 4, "two retries per cell");
-    assert_eq!(artifact.meta.attempts_total, 6);
-    // The logical sections are bitwise identical to the crash-free run;
-    // only meta (attempts/retries/wall) differs.
-    assert_eq!(artifact.cells, reference.cells);
-    assert_eq!(artifact.scale, reference.scale);
-    let report = compare_sweep(&reference, &artifact);
+    assert_eq!(completed(&artifact), 2);
+    assert_eq!(retries(&artifact), 4, "two retries per cell");
+    assert_eq!(attempts(&artifact), 6);
+    // The logical rows (scale and cells) are bitwise identical to the
+    // crash-free run; only retries, attempts and wall differ.
+    assert_eq!(artifact.rows, reference.rows);
+    let report = compare(&reference, &artifact, DEFAULT_WALL_THRESHOLD_PCT);
     assert!(report.passed(), "{:?}", report.regressions);
     assert!(report.warnings.iter().any(|w| w.contains("retries")), "{:?}", report.warnings);
     let _ = std::fs::remove_dir_all(&ref_dir);
@@ -125,14 +154,11 @@ fn attempt_cap_quarantines_without_killing_the_campaign() {
         &fakecell(&["--fakecell-fail-times", "99"]),
         ChaosConfig::default(),
     );
-    assert_eq!(artifact.completed, 0);
-    assert_eq!(artifact.quarantined.len(), 2);
-    assert!(
-        artifact.quarantined[0].cause.contains("attempt cap"),
-        "{}",
-        artifact.quarantined[0].cause
-    );
-    assert!(artifact.quarantined[0].cause.contains("exited with code 3"));
+    assert_eq!(completed(&artifact), 0);
+    let causes = quarantine_causes(&artifact);
+    assert_eq!(causes.len(), 2);
+    assert!(causes[0].contains("attempt cap"), "{}", causes[0]);
+    assert!(causes[0].contains("exited with code 3"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -147,13 +173,10 @@ fn campaign_budget_bounds_total_retries() {
         &fakecell(&["--fakecell-fail-times", "99"]),
         ChaosConfig::default(),
     );
-    assert_eq!(artifact.meta.retries_spent, 1);
-    assert_eq!(artifact.quarantined.len(), 2);
-    assert!(
-        artifact.quarantined.iter().any(|q| q.cause.contains("budget exhausted")),
-        "{:?}",
-        artifact.quarantined
-    );
+    assert_eq!(retries(&artifact), 1);
+    let causes = quarantine_causes(&artifact);
+    assert_eq!(causes.len(), 2);
+    assert!(causes.iter().any(|c| c.contains("budget exhausted")), "{causes:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -168,12 +191,9 @@ fn deadline_overrun_is_a_classified_failure() {
         &fakecell(&["--fakecell-hang-us", "20000000"]),
         ChaosConfig::default(),
     );
-    assert_eq!(artifact.quarantined.len(), 1);
-    assert!(
-        artifact.quarantined[0].cause.contains("deadline"),
-        "{}",
-        artifact.quarantined[0].cause
-    );
+    let causes = quarantine_causes(&artifact);
+    assert_eq!(causes.len(), 1);
+    assert!(causes[0].contains("deadline"), "{}", causes[0]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -200,9 +220,9 @@ fn chaos_kill_mid_cell_is_retried_to_the_same_result() {
             child_failpoints: None,
         },
     );
-    assert_eq!(artifact.completed, 1);
-    assert_eq!(artifact.meta.retries_spent, 2);
-    assert_eq!(artifact.cells, reference.cells, "kills must not change results");
+    assert_eq!(completed(&artifact), 1);
+    assert_eq!(retries(&artifact), 2);
+    assert_eq!(artifact.rows, reference.rows, "kills must not change results");
     let _ = std::fs::remove_dir_all(&ref_dir);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -246,12 +266,12 @@ fn orchestrator_death_mid_cell_resumes_exactly() {
         .run(&fakecell(&[]), ChaosConfig::default(), &dir.join("BENCH_sweep.json"), &mut progress)
         .unwrap();
 
-    assert_eq!(artifact.completed, 2);
-    assert!(artifact.quarantined.is_empty());
+    assert_eq!(completed(&artifact), 2);
+    assert!(quarantine_causes(&artifact).is_empty());
     // The interrupted attempt was already charged; the resumed run
     // spawned exactly one more child for cell 1.
-    assert_eq!(artifact.meta.attempts_total, 3);
-    assert_eq!(artifact.meta.retries_spent, 1);
+    assert_eq!(attempts(&artifact), 3);
+    assert_eq!(retries(&artifact), 1);
     let log = String::from_utf8(progress).unwrap();
     assert!(log.contains("folded 1 in-flight cell"), "{log}");
     let _ = std::fs::remove_dir_all(&dir);

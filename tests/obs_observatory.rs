@@ -13,8 +13,8 @@ use simpadv::train::{ProposedTrainer, Trainer};
 use simpadv::{EvalSuite, ModelSpec, TrainConfig};
 use simpadv_data::{SynthConfig, SynthDataset};
 use simpadv_obs::{
-    baseline, build_tree, collapse, compare, diff, parse_collapsed, prefix_totals,
-    render_collapsed, BenchArtifact, CompareOptions, DiffOptions, FlameWeight,
+    build_tree, collapse, compare, diff, logical_digest, parse_artifact, parse_collapsed,
+    prefix_totals, render_collapsed, DiffOptions, FlameWeight, Value, DEFAULT_WALL_THRESHOLD_PCT,
 };
 use simpadv_trace::{Event, Summary};
 
@@ -72,7 +72,7 @@ fn trace_diff_and_flame_reconcile_with_summarize_on_a_real_run() {
     }
 
     // the digest of the logical projection is thread-invariant too
-    assert_eq!(baseline::logical_digest(&serial), baseline::logical_digest(&parallel));
+    assert_eq!(logical_digest(&serial), logical_digest(&parallel));
 }
 
 /// The committed baseline must self-compare clean, and the gate must
@@ -83,19 +83,26 @@ fn committed_bench_baseline_gates_planted_regressions() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_table1.json");
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("committed baseline {path} must be readable: {e}"));
-    let artifact: BenchArtifact =
-        serde_json::from_str(&text).unwrap_or_else(|e| panic!("invalid baseline artifact: {e}"));
+    let artifact =
+        parse_artifact(&text).unwrap_or_else(|e| panic!("invalid baseline artifact: {e}"));
     assert_eq!(artifact.experiment, "table1");
-    assert_eq!(artifact.schema_version, simpadv_obs::BENCH_SCHEMA_VERSION);
-    assert!(!artifact.trainers.is_empty(), "baseline must carry per-trainer costs");
-    assert!(!artifact.accuracies.is_empty(), "baseline must carry final accuracies");
+    assert_eq!(artifact.schema_version, simpadv_obs::SCHEMA_VERSION);
+    let trainers: Vec<&String> =
+        artifact.rows.keys().filter(|id| id.starts_with("trainer/")).collect();
+    assert!(!trainers.is_empty(), "baseline must carry per-trainer costs");
+    assert!(
+        artifact.rows.keys().any(|id| id.starts_with("accuracy/")),
+        "baseline must carry final accuracies"
+    );
+    let gate = |cand| compare(&artifact, cand, DEFAULT_WALL_THRESHOLD_PCT);
 
-    let clean = compare(&artifact, &artifact, &CompareOptions::default());
+    let clean = gate(&artifact);
     assert!(clean.passed(), "self-comparison regressed:\n{}", clean.render());
 
     let mut planted = artifact.clone();
-    planted.trainers[0].flops += 1;
-    let caught = compare(&artifact, &planted, &CompareOptions::default());
+    let Value::U64(flops) = artifact.rows[trainers[0]]["flops"] else { panic!("flops is a count") };
+    planted.set(trainers[0], "flops", flops + 1);
+    let caught = gate(&planted);
     assert!(!caught.passed(), "a planted flops regression must fail the gate");
     assert!(
         caught.regressions.iter().any(|r| r.contains("flops")),
@@ -105,12 +112,15 @@ fn committed_bench_baseline_gates_planted_regressions() {
 
     // the digest pins the trace's logical projection: corrupting it fails too
     let mut tampered = artifact.clone();
-    tampered.trace_digest = format!("{:016x}", 0u64);
-    assert!(!compare(&artifact, &tampered, &CompareOptions::default()).passed());
+    tampered.set("trace", "digest", format!("{:016x}", 0u64));
+    assert!(!gate(&tampered).passed());
 
     // sanity of the committed per-trainer rows themselves
-    for trainer in &artifact.trainers {
-        assert!(!trainer.trainer.is_empty());
-        assert!(trainer.epochs >= trainer.runs, "every run has at least one epoch span");
+    for id in trainers {
+        let row = &artifact.rows[id];
+        let (Value::U64(epochs), Value::U64(runs)) = (&row["epochs"], &row["runs"]) else {
+            panic!("{id}: epochs and runs are counts")
+        };
+        assert!(epochs >= runs, "every run has at least one epoch span");
     }
 }

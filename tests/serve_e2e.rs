@@ -9,7 +9,7 @@
 //! 3. the per-generation clean/adversarial accuracy counters in the
 //!    trace match an offline evaluation of the same inputs;
 //! 4. the benchmark artifact records latency percentiles with all
-//!    wall-clock numbers quarantined in `meta`.
+//!    wall-clock numbers outside its logical rows.
 //!
 //! This binary owns the process-global tracer (memory sink).
 
@@ -17,7 +17,7 @@ use simpadv::ModelSpec;
 use simpadv_attacks::{Attack, Pgd};
 use simpadv_data::{SynthConfig, SynthDataset, CLASS_COUNT};
 use simpadv_nn::{Classifier, GradientModel};
-use simpadv_obs::{ServeArtifact, ServeGenerationRow, ServeMeta, ServeScale};
+use simpadv_obs::{Artifact, Value};
 use simpadv_resilience::CheckpointStore;
 use simpadv_runtime::Runtime;
 use simpadv_serve::{
@@ -209,60 +209,52 @@ fn hot_swap_under_concurrent_adversarial_traffic() {
     }
 
     // (4) The artifact records latency percentiles, wall quarantined in
-    // meta; the logical section reproduces under self-comparison.
-    let artifact = ServeArtifact {
-        schema_version: simpadv_obs::SERVE_SCHEMA_VERSION,
-        experiment: simpadv_obs::SERVE_EXPERIMENT.to_string(),
-        scale: ServeScale {
-            requests: expected_total,
-            clients: 1,
-            samples: SAMPLES as u64,
-            adv_permille: 500,
-            attack: "pgd".to_string(),
-            batch_max: 4,
-            queue_cap: 64,
-            seed: 21,
-        },
-        served: snapshot.served,
-        skipped_generations: snapshot.skipped_generations,
-        generations: snapshot
-            .generations
-            .iter()
-            .map(|g| ServeGenerationRow {
-                generation: g.generation,
-                traffic: g.traffic.clone(),
-                requests: g.requests,
-                labeled: g.labeled,
-                correct: g.correct,
-            })
-            .collect(),
-        meta: ServeMeta {
-            threads: 2,
-            wall_total_s: 0.0,
-            throughput_rps: 0.0,
-            latency_p50_us: snapshot.latency_us.p50_us,
-            latency_p90_us: snapshot.latency_us.p90_us,
-            latency_p99_us: snapshot.latency_us.p99_us,
-            latency_max_us: snapshot.latency_us.max_us,
-            batch_occupancy_mean: snapshot.batch_occupancy.mean,
-            batch_occupancy_max: snapshot.batch_occupancy.max,
-            rejected: snapshot.rejected,
-            note: ServeArtifact::wall_note(),
-        },
-    };
+    // meta; the logical rows reproduce under self-comparison.
+    let mut artifact = Artifact::new("serve");
+    let scale = [
+        ("requests", expected_total),
+        ("clients", 1),
+        ("samples", SAMPLES as u64),
+        ("adv_permille", 500),
+        ("batch_max", 4),
+        ("queue_cap", 64),
+        ("seed", 21),
+    ];
+    for (field, v) in scale {
+        artifact.set("scale", field, v);
+    }
+    artifact.set("scale", "attack", "pgd");
+    artifact.set("server", "served", snapshot.served);
+    artifact.set("server", "skipped_generations", snapshot.skipped_generations);
+    for g in &snapshot.generations {
+        let row = format!("generation/{}/{}", g.generation, g.traffic);
+        artifact.set(&row, "requests", g.requests);
+        artifact.set(&row, "labeled", g.labeled);
+        artifact.set(&row, "correct", g.correct);
+    }
+    artifact.set_warn("run", "throughput_rps", 0.0);
+    artifact.set_warn("run", "rejected", snapshot.rejected);
+    let l = &snapshot.latency_us;
+    let latencies = [("p50", l.p50_us), ("p90", l.p90_us), ("p99", l.p99_us), ("max", l.max_us)];
+    for (name, us) in latencies {
+        artifact.set_meta(&format!("latency_{name}_us"), us);
+    }
+    artifact.set_meta("batch_occupancy_mean", snapshot.batch_occupancy.mean);
+    artifact.set_meta("batch_occupancy_max", snapshot.batch_occupancy.max);
     assert_eq!(snapshot.latency_us.count, expected_total, "every request must be timed");
+    let us = |name: &str| match artifact.meta[&format!("latency_{name}_us")] {
+        Value::U64(us) => us,
+        ref other => panic!("latency_{name}_us is not a count: {other:?}"),
+    };
     assert!(
-        artifact.meta.latency_p50_us <= artifact.meta.latency_p90_us
-            && artifact.meta.latency_p90_us <= artifact.meta.latency_p99_us
-            && artifact.meta.latency_p99_us <= artifact.meta.latency_max_us,
+        us("p50") <= us("p90") && us("p90") <= us("p99") && us("p99") <= us("max"),
         "percentiles must be ordered: {:?}",
         artifact.meta
     );
     let path = dir.join("BENCH_serve.json");
     simpadv_resilience::write_json_atomic(&path, &artifact).unwrap();
-    let back: ServeArtifact =
-        serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let back = simpadv_obs::parse_artifact(&std::fs::read_to_string(&path).unwrap()).unwrap();
     assert_eq!(back, artifact, "artifact must round-trip exactly");
-    let report = simpadv_obs::compare_serve(&artifact, &back);
+    let report = simpadv_obs::compare(&artifact, &back, simpadv_obs::DEFAULT_WALL_THRESHOLD_PCT);
     assert!(report.passed(), "self-comparison must pass: {:?}", report.regressions);
 }
