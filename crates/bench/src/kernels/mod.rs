@@ -4,8 +4,9 @@
 //! experiments run them — the default-MLP matmuls at batch 64, their
 //! `matmul_tn`/`matmul_nt` gradient forms (plus the input gradient of
 //! one craft chunk), the CNN's im2col lowering tiles and the forward
-//! GEMMs over them, the BIM/PGD craft-chunk attack steps, and the serve
-//! path's batched forward — swept two ways:
+//! GEMMs over them, the BIM/PGD craft-chunk attack steps, one training
+//! step on a clean+adversarial mixture, and the serve path's batched
+//! forward — swept two ways:
 //!
 //! 1. **Logical sweep** (gateable): one iteration per workload under
 //!    an in-memory trace. Per-iteration forward/backward/flop/attack
@@ -49,7 +50,7 @@ const SERVE_BATCH: usize = 16;
 pub struct Workload {
     /// Workload id, e.g. `matmul/64x784x128`.
     pub name: String,
-    /// Registry group (`matmul`, `conv`, `attack`, `serve`).
+    /// Registry group (`matmul`, `conv`, `attack`, `train`, `serve`).
     pub group: &'static str,
     /// Shape parameters, recorded verbatim in the artifact row.
     pub shape: Vec<u64>,
@@ -94,6 +95,18 @@ fn tensor(shape: &[usize], salt: u64) -> Tensor {
 
 fn labels(n: usize) -> Vec<usize> {
     (0..n).map(|i| i % simpadv_data::CLASS_COUNT).collect()
+}
+
+/// Logical bytes of one training step of a one-hidden-layer MLP on
+/// `rows` inputs: the GEMMs it runs — the forward's two, layer 2's weight
+/// and input gradients, layer 0's weight gradient — each counted as
+/// [`matmul_bytes`] counts a product.
+fn train_step_bytes(rows: usize, px: usize, hidden: usize, classes: usize) -> u64 {
+    matmul_bytes(rows, px, hidden)
+        + matmul_bytes(rows, hidden, classes)
+        + matmul_bytes(hidden, rows, classes)
+        + matmul_bytes(rows, classes, hidden)
+        + matmul_bytes(px, rows, hidden)
 }
 
 /// Builds the workload registry: every hot kernel at the shapes the
@@ -211,6 +224,32 @@ pub fn registry() -> Vec<Workload> {
         simpadv_attacks::project_ball_bytes(elems),
         move || {
             let _ = simpadv_attacks::project_ball(&bx, &borigin, 0.1);
+        },
+    ));
+
+    // -- train group: one optimizer step of the default MLP on a batch of
+    // 64 clean rows plus their 64 FGSM-style perturbations — the
+    // clean+adversarial mixture every adversarial trainer steps on per
+    // batch. The backward computes layer 0's weight gradient but not its
+    // input gradient. The tiny learning rate keeps the model near its
+    // initialization over the calibrated wall loop, so every timed
+    // iteration sees the same ReLU sparsity; the update arithmetic is the
+    // trainers' SGD with momentum.
+    let mut stepped = ModelSpec::default_mlp().build(7);
+    let mut opt = simpadv_nn::Sgd::new(1e-4).with_momentum(0.9);
+    let clean = tensor(&[batch, px], 17);
+    let push = tensor(&[batch, px], 18).add_scalar(-0.5).sign().mul_scalar(0.1);
+    let adv = clean.add(&push).clamp(0.0, 1.0);
+    let mixture = Tensor::concat_rows(&[&clean, &adv]);
+    let mixture_labels = [labels(batch), labels(batch)].concat();
+    let rows = 2 * batch;
+    workloads.push(Workload::new(
+        format!("train/step/{rows}x{px}"),
+        "train",
+        &[rows as u64, px as u64],
+        train_step_bytes(rows, px, hidden, classes),
+        move || {
+            let _ = stepped.train_batch(&mixture, &mixture_labels, &mut opt);
         },
     ));
 
@@ -475,7 +514,7 @@ mod tests {
     #[test]
     fn registry_covers_every_kernel_group() {
         let reg = registry();
-        for group in ["matmul", "conv", "attack", "serve"] {
+        for group in ["matmul", "conv", "attack", "train", "serve"] {
             assert!(reg.iter().any(|w| w.group == group), "missing group {group}");
         }
         // names are unique — they key both artifact tables
@@ -522,9 +561,20 @@ mod tests {
         assert_eq!(conv["group"], Value::String("conv".into()));
         assert_eq!(conv["flops"], u(matmul_flops(3136, 9, 8)));
 
+        // one craft chunk: the forward plus the input gradient, no weight
+        // gradients — 2·(16·784·128 + 16·128·10)
         let step = counters("attack/signed_step/16x784");
-        assert_eq!([&step[0], &step[1], &step[3]], [&u(1), &u(1), &u(1)]);
-        assert!(step[2] != u(0), "the gradient passes tick flops");
+        assert_eq!(step, [u(1), u(1), u(3_252_224), u(1)]);
+
+        // one training step on 64 clean + 64 adversarial rows: the forward,
+        // layer 2's weight and input gradients, layer 0's weight gradient
+        // (its input gradient is never computed)
+        let train = counters("train/step/128x784");
+        let forward = matmul_flops(128, 784, 128) + matmul_flops(128, 128, 10);
+        let layer2 = matmul_flops(128, 128, 10) + matmul_flops(128, 10, 128);
+        assert_eq!(forward + layer2 + matmul_flops(784, 128, 128), 26_181_632);
+        assert_eq!(train, [u(1), u(1), u(26_181_632), u(0)]);
+        assert_eq!(artifact.rows["train/step/128x784"]["group"], Value::String("train".into()));
 
         let ball = "attack/project_ball/16x784";
         assert_eq!(counters(ball), [u(0), u(0), u(0), u(0)]);

@@ -79,6 +79,19 @@ fn run_campaign(args: &[String]) -> (bool, String) {
     run_cli(&refs)
 }
 
+/// A SIGKILL delay, in µs, that lands while a cell attempt is still
+/// running at any host speed: a quarter of the mean per-cell wall time
+/// the uninterrupted `reference` campaign measured.
+fn kill_after_us(reference: &simpadv_obs::Artifact) -> String {
+    let Value::F64(wall_total_s) = reference.meta["wall_total_s"] else {
+        panic!("the aggregate records its wall time in seconds")
+    };
+    let Value::U64(cells) = reference.rows["campaign"]["completed"] else {
+        panic!("the aggregate counts its completed cells")
+    };
+    ((wall_total_s / cells as f64 / 4.0 * 1e6) as u64).max(1).to_string()
+}
+
 /// `trace assemble <dir> --project logical` into `out`, returning the
 /// written bytes.
 fn assemble_logical(traces: &Path, out: &Path, threads: &str) -> Vec<u8> {
@@ -123,21 +136,24 @@ fn chaos_campaign_assembles_to_the_uninterrupted_logical_tree() {
     let ref_traces = ref_dir.join("traces");
     let (ok, log) = run_campaign(&grid_args(&ref_dir, &ref_out, &ref_traces));
     assert!(ok, "reference campaign failed:\n{log}");
+    let reference = load_artifact(&ref_out);
 
-    // Chaos campaign: SIGKILL the first cell attempt shortly after
-    // spawn; the retry resumes from checkpoints.
+    // Chaos campaign: SIGKILL the first cell attempt a quarter of the way
+    // through; the retry reruns the cell, from the killed attempt's last
+    // checkpoint if it left one.
     let chaos_dir = tmpdir("chaos");
     let chaos_out = chaos_dir.join("BENCH_sweep.json");
     let chaos_traces = chaos_dir.join("traces");
     let mut args = grid_args(&chaos_dir, &chaos_out, &chaos_traces);
+    let kill_after = kill_after_us(&reference);
     args.extend(
-        ["--chaos-kill-cell-after-us", "100000", "--chaos-kill-cell-times", "1"]
+        ["--chaos-kill-cell-after-us", &kill_after, "--chaos-kill-cell-times", "1"]
             .map(str::to_string),
     );
     let (ok, log) = run_campaign(&args);
     assert!(ok, "chaos campaign failed:\n{log}");
 
-    let (reference, interrupted) = (load_artifact(&ref_out), load_artifact(&chaos_out));
+    let interrupted = load_artifact(&chaos_out);
     let count = |v: &Value| match v {
         Value::U64(n) => *n,
         other => panic!("not a count: {other:?}"),

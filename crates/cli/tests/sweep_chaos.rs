@@ -73,6 +73,19 @@ fn run_campaign(args: &[String]) -> (bool, String) {
     run_cli(&refs)
 }
 
+/// A SIGKILL delay, in µs, that lands while a cell attempt is still
+/// running at any host speed: a quarter of the mean per-cell wall time
+/// the uninterrupted `reference` campaign measured.
+fn kill_after_us(reference: &Artifact) -> String {
+    let Value::F64(wall_total_s) = reference.meta["wall_total_s"] else {
+        panic!("the aggregate records its wall time in seconds")
+    };
+    let Value::U64(cells) = reference.rows["campaign"]["completed"] else {
+        panic!("the aggregate counts its completed cells")
+    };
+    ((wall_total_s / cells as f64 / 4.0 * 1e6) as u64).max(1).to_string()
+}
+
 #[test]
 fn healthy_campaign_completes_and_self_compares() {
     let dir = tmpdir("healthy");
@@ -97,20 +110,23 @@ fn chaos_killed_cells_converge_to_the_uninterrupted_result() {
     let ref_out = ref_dir.join("BENCH_sweep.json");
     let (ok, log) = run_campaign(&grid_args(&ref_dir, &ref_out));
     assert!(ok, "reference campaign failed:\n{log}");
+    let reference = load_artifact(&ref_out);
 
     let chaos_dir = tmpdir("chaos-kill");
     let chaos_out = chaos_dir.join("BENCH_sweep.json");
     let mut args = grid_args(&chaos_dir, &chaos_out);
-    // SIGKILL the first cell attempt shortly after spawn; the retry
-    // resumes from its checkpoints and must land on the same report.
+    // SIGKILL the first cell attempt a quarter of the way through; the
+    // retry reruns the cell (from the killed attempt's last checkpoint,
+    // if it left one) and must land on the same report.
+    let kill_after = kill_after_us(&reference);
     args.extend(
-        ["--chaos-kill-cell-after-us", "100000", "--chaos-kill-cell-times", "1"]
+        ["--chaos-kill-cell-after-us", &kill_after, "--chaos-kill-cell-times", "1"]
             .map(str::to_string),
     );
     let (ok, log) = run_campaign(&args);
     assert!(ok, "chaos campaign failed:\n{log}");
 
-    let (reference, interrupted) = (load_artifact(&ref_out), load_artifact(&chaos_out));
+    let interrupted = load_artifact(&chaos_out);
     assert_eq!(interrupted.rows, reference.rows, "chaos must not change logical rows");
     let retries = &interrupted.warn["run"]["retries_spent"];
     assert!(matches!(retries, Value::U64(n) if *n >= 1), "the kill must have cost a retry");

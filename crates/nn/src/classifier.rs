@@ -149,20 +149,24 @@ impl Classifier {
 
     /// One optimizer step on a batch: forward, loss, backward, update.
     /// Returns the batch's mean loss.
+    ///
+    /// The backward pass computes parameter gradients only: no input
+    /// gradient below the first layer with parameters.
     pub fn train_batch(&mut self, x: &Tensor, y: &[usize], opt: &mut dyn Optimizer) -> f32 {
         let logits = self.forward_train(x);
         let (loss, grad) = self.loss.forward(&logits, y);
         self.net.zero_grad();
         self.note_backward();
-        let _ = self.net.backward(&grad);
+        self.net.backward_params(&grad);
         opt.step(&mut self.net.params());
         loss
     }
 
     /// Like [`Classifier::train_batch`], but also returns the gradient of
     /// the batch loss with respect to the **input** — computed by the same
-    /// backward pass that produced the parameter gradients, i.e. at zero
-    /// extra cost.
+    /// full backward pass that produced the parameter gradients, at the
+    /// cost of the lowest layer's input gradient, which `train_batch`
+    /// skips.
     ///
     /// This enables "free"-style adversarial training, where the attack
     /// direction is recycled from the training backward pass.
@@ -196,7 +200,7 @@ impl Classifier {
     pub fn step_from_logit_grad(&mut self, grad_logits: &Tensor, opt: &mut dyn Optimizer) {
         self.net.zero_grad();
         self.note_backward();
-        let _ = self.net.backward(grad_logits);
+        self.net.backward_params(grad_logits);
         opt.step(&mut self.net.params());
     }
 
@@ -222,13 +226,11 @@ impl GradientModel for Classifier {
         self.note_forward();
         let logits = self.net.forward(x, Mode::Eval);
         let (loss, grad_logits) = self.loss.forward(&logits, y);
-        // Attack gradients must not pollute the training gradients: clear
-        // before and after the extra backward pass.
-        self.net.zero_grad();
+        // Input half only: an attack pass computes no weight gradients.
+        // Layers on the default `backward_input` still accumulate some, so
+        // every training entry point zeroes gradients before it steps.
         self.note_backward();
-        let grad_x = self.net.backward(&grad_logits);
-        self.net.zero_grad();
-        (loss, grad_x)
+        (loss, self.net.backward_input(&grad_logits))
     }
 
     fn custom_input_grad(
@@ -240,11 +242,8 @@ impl GradientModel for Classifier {
         let logits = self.net.forward(x, Mode::Eval);
         let grad_logits = grad_of_logits(&logits);
         assert_eq!(grad_logits.shape(), logits.shape(), "custom logit gradient shape mismatch");
-        self.net.zero_grad();
         self.note_backward();
-        let grad_x = self.net.backward(&grad_logits);
-        self.net.zero_grad();
-        grad_x
+        self.net.backward_input(&grad_logits)
     }
 
     fn num_classes(&self) -> usize {

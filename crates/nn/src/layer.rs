@@ -37,6 +37,25 @@ pub struct ParamRef<'a> {
 ///    gradient buffers, and returns ∂loss/∂input.
 /// 3. `params` exposes parameters and gradients in a stable order.
 ///
+/// `backward` has two halves, and callers ask only for the half they
+/// read:
+///
+/// * [`Layer::backward_params`] accumulates ∂loss/∂parameters and skips
+///   ∂loss/∂input. Training steps call it on the lowest trained layer,
+///   whose input gradient nobody reads.
+/// * [`Layer::backward_input`] returns ∂loss/∂input and leaves parameter
+///   gradients untouched. Attack passes call it on every layer.
+/// * [`Layer::backward`] does both; every layer above the lowest trained
+///   one gets it during training, and "free" adversarial training reads
+///   both halves.
+///
+/// Both halves default to the full `backward`, so a layer that implements
+/// only `forward` and `backward` stays correct but gains nothing: its
+/// `backward_input` also accumulates parameter gradients, which every
+/// training entry point clears before it accumulates its own. Layers
+/// with parameters override both halves and write `backward` as "params
+/// half, then input half", so the two paths run the same kernel calls.
+///
 /// `backward` after `forward(Mode::Eval)` is permitted and must produce the
 /// gradients of the *evaluation* function — attacks differentiate the
 /// deterministic inference network.
@@ -57,6 +76,32 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     /// Implementations may panic if called before `forward` or with a
     /// gradient whose shape does not match the last forward output.
     fn backward(&mut self, grad_output: &Tensor) -> Tensor;
+
+    /// The parameter half of [`Layer::backward`]: accumulates
+    /// ∂loss/∂parameters and does not compute ∂loss/∂input.
+    ///
+    /// Defaults to the full `backward`, discarding the input gradient.
+    ///
+    /// # Panics
+    ///
+    /// As [`Layer::backward`].
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        let _ = self.backward(grad_output);
+    }
+
+    /// The input half of [`Layer::backward`]: returns ∂loss/∂input and,
+    /// in every layer that overrides it, leaves parameter gradients
+    /// untouched.
+    ///
+    /// Defaults to the full `backward`, which also accumulates parameter
+    /// gradients.
+    ///
+    /// # Panics
+    ///
+    /// As [`Layer::backward`].
+    fn backward_input(&mut self, grad_output: &Tensor) -> Tensor {
+        self.backward(grad_output)
+    }
 
     /// Trainable parameters in a stable order. Defaults to none.
     fn params(&mut self) -> Vec<ParamRef<'_>> {
@@ -143,6 +188,11 @@ mod tests {
         assert!(l.state().is_empty());
         l.zero_grad(); // no-op
         l.load_state(&[]); // no-op
+
+        // both backward halves default to the full backward
+        let g = Tensor::ones(&[2]);
+        assert_eq!(l.backward_input(&g), g);
+        l.backward_params(&g);
     }
 
     #[test]

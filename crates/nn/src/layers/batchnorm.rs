@@ -99,11 +99,20 @@ impl Layer for BatchNorm1d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+        self.backward_params(grad_output);
+        self.backward_input(grad_output)
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) {
         let cache = self.cached.as_ref().expect("batchnorm backward before forward");
-        let n = grad_output.shape()[0] as f32;
         // dgamma / dbeta are the same in both modes
         self.grad_gamma.add_assign(&grad_output.mul(&cache.xhat).sum_axis(0));
         self.grad_beta.add_assign(&grad_output.sum_axis(0));
+    }
+
+    fn backward_input(&mut self, grad_output: &Tensor) -> Tensor {
+        let cache = self.cached.as_ref().expect("batchnorm backward before forward");
+        let n = grad_output.shape()[0] as f32;
         let dxhat = grad_output.mul(&self.gamma);
         if cache.train {
             // dx = rstd/n * (n*dxhat - Σdxhat - xhat * Σ(dxhat ⊙ xhat))

@@ -84,6 +84,30 @@ impl Conv2d {
     pub fn out_channels(&self) -> usize {
         self.c_out
     }
+
+    /// Lowers `grad_output` to patch-row form: `[n, c_out, oh, ow]` ->
+    /// `[n*oh*ow, c_out]`, the layout both backward halves multiply in.
+    fn grad_cols(&self, grad_output: &Tensor) -> Tensor {
+        assert!(self.cached_cols.is_some(), "conv backward before forward");
+        let n = self.cached_batch;
+        let (oh, ow) = (self.geom.out_h(), self.geom.out_w());
+        assert_eq!(grad_output.shape(), &[n, self.c_out, oh, ow], "conv backward shape mismatch");
+        grad_output.permute(&[0, 2, 3, 1]).reshape(&[n * oh * ow, self.c_out])
+    }
+
+    /// The parameter half: dW += g_colsᵀ @ cols, db += Σ g_cols.
+    fn accumulate_param_grads(&mut self, g_cols: &Tensor) {
+        let cols = self.cached_cols.as_ref().expect("conv backward before forward");
+        let grad_weight = g_cols.matmul_tn(cols);
+        self.grad_weight.add_assign(&grad_weight);
+        self.grad_bias.add_assign(&g_cols.sum_axis(0));
+    }
+
+    /// The input half: d_cols = g_cols @ W, scattered back to image space.
+    fn input_grad(&self, g_cols: &Tensor) -> Tensor {
+        let d_cols = g_cols.matmul(&self.weight);
+        col2im(&d_cols, self.cached_batch, self.c_in, &self.geom)
+    }
 }
 
 impl Layer for Conv2d {
@@ -105,18 +129,19 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let cols = self.cached_cols.as_ref().expect("conv backward before forward");
-        let n = self.cached_batch;
-        let (oh, ow) = (self.geom.out_h(), self.geom.out_w());
-        assert_eq!(grad_output.shape(), &[n, self.c_out, oh, ow], "conv backward shape mismatch");
-        // [n, c_out, oh, ow] -> [n*oh*ow, c_out]
-        let g_cols = grad_output.permute(&[0, 2, 3, 1]).reshape(&[n * oh * ow, self.c_out]);
-        // dW += g_colsᵀ @ cols, db += Σ g_cols
-        self.grad_weight.add_assign(&g_cols.matmul_tn(cols));
-        self.grad_bias.add_assign(&g_cols.sum_axis(0));
-        // d_cols = g_cols @ W, then scatter back to image space
-        let d_cols = g_cols.matmul(&self.weight);
-        col2im(&d_cols, n, self.c_in, &self.geom)
+        let g_cols = self.grad_cols(grad_output);
+        self.accumulate_param_grads(&g_cols);
+        self.input_grad(&g_cols)
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        let g_cols = self.grad_cols(grad_output);
+        self.accumulate_param_grads(&g_cols);
+    }
+
+    fn backward_input(&mut self, grad_output: &Tensor) -> Tensor {
+        let g_cols = self.grad_cols(grad_output);
+        self.input_grad(&g_cols)
     }
 
     fn params(&mut self) -> Vec<ParamRef<'_>> {

@@ -77,6 +77,18 @@ impl Dense {
     pub fn bias(&self) -> &Tensor {
         &self.bias
     }
+
+    /// The input of the last forward, checked against the shape of the
+    /// `grad_output` a backward half received.
+    fn cached_input_for(&self, grad_output: &Tensor) -> &Tensor {
+        let input = self.cached_input.as_ref().expect("dense backward called before forward");
+        assert_eq!(
+            grad_output.shape(),
+            &[input.shape()[0], self.out_features()],
+            "dense backward shape mismatch"
+        );
+        input
+    }
 }
 
 impl Layer for Dense {
@@ -98,15 +110,20 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self.cached_input.as_ref().expect("dense backward called before forward");
-        assert_eq!(
-            grad_output.shape(),
-            &[input.shape()[0], self.out_features()],
-            "dense backward shape mismatch"
-        );
-        // dW += xᵀ g, db += Σ_batch g, dx = g Wᵀ
-        self.grad_weight.add_assign(&input.matmul_tn(grad_output));
+        self.backward_params(grad_output);
+        self.backward_input(grad_output)
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        // dW += xᵀ g, db += Σ_batch g
+        let grad_weight = self.cached_input_for(grad_output).matmul_tn(grad_output);
+        self.grad_weight.add_assign(&grad_weight);
         self.grad_bias.add_assign(&grad_output.sum_axis(0));
+    }
+
+    fn backward_input(&mut self, grad_output: &Tensor) -> Tensor {
+        // dx = g Wᵀ, once the cached input confirms the forward and shape
+        let _ = self.cached_input_for(grad_output);
         grad_output.matmul_nt(&self.weight)
     }
 

@@ -8,7 +8,10 @@ use simpadv_tensor::Tensor;
 /// `forward` threads the input through every layer in order; `backward`
 /// threads the loss gradient through every layer in reverse, accumulating
 /// parameter gradients and returning ∂loss/∂input — the quantity
-/// adversarial attacks consume.
+/// adversarial attacks consume. `backward_input` threads it through every
+/// layer's input half only; `backward_params` stops at the first layer
+/// that has parameters, which computes only its parameter half, so no
+/// input gradient is computed below it.
 ///
 /// # Example
 ///
@@ -92,6 +95,26 @@ impl Layer for Sequential {
         g
     }
 
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        let Some(first) = self.layers.iter_mut().position(|l| !l.params().is_empty()) else {
+            return; // nothing to train
+        };
+        let (below, above) = self.layers.split_at_mut(first + 1);
+        let mut g = grad_output.clone();
+        for layer in above.iter_mut().rev() {
+            g = layer.backward(&g);
+        }
+        below[first].backward_params(&g);
+    }
+
+    fn backward_input(&mut self, grad_output: &Tensor) -> Tensor {
+        let mut g = grad_output.clone();
+        for layer in self.layers.iter_mut().rev() {
+            g = layer.backward_input(&g);
+        }
+        g
+    }
+
     fn params(&mut self) -> Vec<ParamRef<'_>> {
         self.layers.iter_mut().flat_map(|l| l.params()).collect()
     }
@@ -134,7 +157,7 @@ impl Layer for Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Dense, Relu};
+    use crate::layers::{Dense, Relu, Tanh};
     use crate::testutil::check_layer_gradients;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -161,6 +184,54 @@ mod tests {
     #[test]
     fn gradcheck_full_network() {
         check_layer_gradients(&mut mlp(1), &[3, 4], 2e-2, 31);
+    }
+
+    #[test]
+    fn gradcheck_network_with_a_parameterless_first_layer() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let mut net = Sequential::new(vec![
+            Box::new(Tanh::new()),
+            Box::new(Dense::new(4, 8, &mut rng)),
+            Box::new(Relu::new()),
+            Box::new(Dense::new(8, 3, &mut rng)),
+        ]);
+        check_layer_gradients(&mut net, &[3, 4], 2e-2, 32);
+    }
+
+    /// An identity layer whose backward must never run.
+    #[derive(Debug, Clone)]
+    struct NoBackward;
+    impl Layer for NoBackward {
+        fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
+            input.clone()
+        }
+        fn backward(&mut self, _grad_output: &Tensor) -> Tensor {
+            panic!("backward ran below the first trained layer")
+        }
+        fn name(&self) -> &'static str {
+            "no-backward"
+        }
+        fn clone_box(&self) -> Box<dyn Layer> {
+            Box::new(self.clone())
+        }
+    }
+
+    #[test]
+    fn backward_params_stops_at_the_first_trained_layer() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut net = Sequential::new(vec![
+            Box::new(NoBackward),
+            Box::new(Dense::new(4, 8, &mut rng)),
+            Box::new(Relu::new()),
+            Box::new(Dense::new(8, 3, &mut rng)),
+        ]);
+        let y = net.forward(&Tensor::ones(&[2, 4]), Mode::Train);
+        net.backward_params(&Tensor::ones(y.shape()));
+        assert!(net.params().iter().all(|p| p.grad.norm_linf() > 0.0));
+        // a network without parameters has nothing to backpropagate
+        let mut head = Sequential::new(vec![Box::new(NoBackward), Box::new(Relu::new())]);
+        let y = head.forward(&Tensor::ones(&[2, 4]), Mode::Train);
+        head.backward_params(&y);
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //! * Every [`Layer`] caches what its backward pass needs during `forward`
 //!   and returns **the gradient with respect to its input** from `backward`.
 //!   Chaining backward through [`Sequential`] therefore yields ∂loss/∂input
-//!   — exactly the quantity FGSM/BIM-style attacks require — at no extra
-//!   cost.
+//!   — exactly the quantity FGSM/BIM-style attacks require. Callers ask
+//!   only for the half they read: [`Layer::backward_input`] computes no
+//!   weight gradients, [`Layer::backward_params`] no input gradient below
+//!   the first trained layer.
 //! * All randomness (init, dropout) is seeded; training runs are exactly
 //!   reproducible.
 //! * Optimizers operate on a flat, stable ordering of parameters exposed by

@@ -3,7 +3,10 @@
 //! Every layer's analytic backward pass is validated against central finite
 //! differences of its forward pass. The scalar objective is a fixed random
 //! linear functional of the output, `L(x) = Σ w ⊙ f(x)`, whose gradient with
-//! respect to the output is exactly `w`.
+//! respect to the output is exactly `w`. The same harness checks that the
+//! two halves of backward, `backward_params` then `backward_input`, agree
+//! with the full `backward` bit for bit, and that the input half leaves
+//! the parameter gradients untouched.
 
 use crate::layer::{Layer, Mode};
 use rand::rngs::StdRng;
@@ -18,13 +21,14 @@ fn sample_input(rng: &mut StdRng, shape: &[usize]) -> Tensor {
     mag.mul(&sign)
 }
 
-/// Checks ∂L/∂input and ∂L/∂params of `layer` against finite differences.
+/// Checks ∂L/∂input and ∂L/∂params of `layer` against finite differences,
+/// and the backward halves against the full backward bitwise.
 ///
 /// # Panics
 ///
 /// Panics (failing the test) when any analytic gradient component deviates
 /// from the numeric estimate by more than `tol` (relative, with an absolute
-/// floor of `tol`).
+/// floor of `tol`), or when the backward halves disagree with `backward`.
 pub fn check_layer_gradients(layer: &mut dyn Layer, input_shape: &[usize], tol: f32, seed: u64) {
     check_layer_gradients_mode(layer, input_shape, tol, seed, Mode::Train);
 }
@@ -67,6 +71,7 @@ pub fn check_layer_gradients_with_input(
     layer.zero_grad();
     let gx = layer.backward(&w);
     assert_eq!(gx.shape(), x.shape(), "input-gradient shape mismatch");
+    check_backward_halves(layer, &w, &gx);
 
     let h = 5e-3f32;
     let loss = |layer: &mut dyn Layer, x: &Tensor| -> f32 {
@@ -91,7 +96,7 @@ pub fn check_layer_gradients_with_input(
 
     // --- parameter gradients ---
     // Collect analytic grads first (params() borrows mutably).
-    let analytic: Vec<Tensor> = layer.params().iter().map(|p| p.grad.clone()).collect();
+    let analytic = param_grads(layer);
     let n_params = analytic.len();
     for pi in 0..n_params {
         let plen = analytic[pi].len();
@@ -123,4 +128,35 @@ pub fn check_layer_gradients_with_input(
     }
     // Restore a consistent forward cache for any follow-up assertions.
     let _ = layer.forward(&x, mode);
+}
+
+/// The bit patterns of a tensor, so equality means bitwise equality
+/// (`-0.0 != 0.0`, and a NaN equals itself).
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+fn param_grads(layer: &mut dyn Layer) -> Vec<Tensor> {
+    layer.params().iter().map(|p| p.grad.clone()).collect()
+}
+
+/// With the gradients `backward(w)` just left (from zero) and its input
+/// gradient `gx`: re-running from zero, `backward_params` must accumulate
+/// the same parameter gradients bitwise, and `backward_input` must then
+/// return `gx` bitwise without touching them. Leaves the gradients as
+/// `backward` left them.
+fn check_backward_halves(layer: &mut dyn Layer, w: &Tensor, gx: &Tensor) {
+    let full = param_grads(layer);
+    layer.zero_grad();
+    layer.backward_params(w);
+    let split = param_grads(layer);
+    assert_eq!(split.len(), full.len());
+    for (pi, (s, f)) in split.iter().zip(&full).enumerate() {
+        assert_eq!(bits(s), bits(f), "param {pi}: backward_params differs from backward");
+    }
+    let gx_split = layer.backward_input(w);
+    assert_eq!(bits(&gx_split), bits(gx), "backward_input differs from backward");
+    for (pi, (after, s)) in param_grads(layer).iter().zip(&split).enumerate() {
+        assert_eq!(bits(after), bits(s), "param {pi}: backward_input touched its gradient");
+    }
 }
