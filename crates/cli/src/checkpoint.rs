@@ -43,6 +43,11 @@ impl SavedModel {
     }
 
     /// Rebuilds the classifier (seed only shapes the throwaway init).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the state does not fit the spec's network, which
+    /// [`SavedModel::load`] and [`SavedModel::load_from`] rule out.
     pub fn restore(&self) -> Classifier {
         let mut clf = self.spec.build(0);
         self.state.restore(clf.network_mut());
@@ -68,12 +73,20 @@ impl SavedModel {
     /// # Errors
     ///
     /// [`PersistError::Decode`] for malformed input,
-    /// [`PersistError::NonFinite`] for corrupted weights.
+    /// [`PersistError::NonFinite`] for corrupted weights,
+    /// [`PersistError::StateMismatch`] for weights that do not fit the
+    /// spec.
     pub fn load<R: Read>(reader: R) -> Result<Self, PersistError> {
         let saved: SavedModel =
             serde_json::from_reader(reader).map_err(|e| PersistError::Decode(e.to_string()))?;
-        saved.state.validate_finite()?;
+        saved.validate()?;
         Ok(saved)
+    }
+
+    /// The checks every load runs: finite weights that fit the spec.
+    fn validate(&self) -> Result<(), PersistError> {
+        self.state.validate_finite()?;
+        self.state.validate_fits(self.spec.build(0).network())
     }
 
     /// Writes the checkpoint to `path` as a sealed envelope — atomic
@@ -94,7 +107,9 @@ impl SavedModel {
     /// # Errors
     ///
     /// Any [`PersistError`]; notably [`PersistError::Corrupt`] /
-    /// [`PersistError::Truncated`] for damaged sealed files.
+    /// [`PersistError::Truncated`] for damaged sealed files and
+    /// [`PersistError::StateMismatch`] for weights that do not fit the
+    /// spec.
     pub fn load_from(path: impl AsRef<Path>) -> Result<Self, PersistError> {
         let path = path.as_ref();
         let saved: SavedModel = match simpadv_resilience::read_sealed_json(path) {
@@ -109,7 +124,7 @@ impl SavedModel {
             }
             Err(e) => return Err(e),
         };
-        saved.state.validate_finite()?;
+        saved.validate()?;
         Ok(saved)
     }
 }
@@ -180,6 +195,30 @@ mod tests {
         let json = serde_json::to_string(&saved).unwrap();
         simpadv_resilience::atomic_write(&path, json.as_bytes()).unwrap();
         assert_eq!(SavedModel::load_from(&path).unwrap(), saved);
+    }
+
+    #[test]
+    fn weights_that_do_not_fit_the_spec_refuse_to_load() {
+        let (spec, clf) = trained();
+        let saved = SavedModel::capture(&spec, &clf, "mnist", "vanilla");
+        let wrong_spec = SavedModel { spec: ModelSpec::default_mlp(), ..saved.clone() };
+        let mut buf = Vec::new();
+        wrong_spec.save(&mut buf).unwrap();
+        match SavedModel::load(buf.as_slice()) {
+            Err(PersistError::StateMismatch { name, .. }) => assert_eq!(name, "0.weight"),
+            other => panic!("expected a state mismatch, got {other:?}"),
+        }
+
+        let dir = std::env::temp_dir().join("simpadv-cli-misfit-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.ckpt");
+        let mut truncated = saved;
+        truncated.state.entries.pop();
+        truncated.save_to(&path).unwrap();
+        match SavedModel::load_from(&path) {
+            Err(PersistError::StateMismatch { name, .. }) => assert_eq!(name, "2.bias"),
+            other => panic!("expected a state mismatch, got {other:?}"),
+        }
     }
 
     #[test]

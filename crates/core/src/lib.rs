@@ -45,17 +45,13 @@ mod config;
 pub mod contracts;
 pub mod diagnostics;
 mod eval;
-mod eval_detail;
 pub mod experiments;
 mod model;
 mod report;
-pub mod smoothing;
 pub mod train;
 
 pub use config::TrainConfig;
 pub use diagnostics::{audit_masking, DiagnosticCheck, MaskingReport};
 pub use eval::{evaluate_accuracy, evaluate_clean, EvalResult, EvalSuite};
-pub use eval_detail::{class_breakdown, ClassBreakdown};
 pub use model::ModelSpec;
 pub use report::TrainReport;
-pub use smoothing::{SmoothedClassifier, SmoothedPrediction};

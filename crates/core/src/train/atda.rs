@@ -6,7 +6,7 @@ use crate::config::TrainConfig;
 use crate::report::TrainReport;
 use simpadv_attacks::{Attack, Fgsm};
 use simpadv_data::Dataset;
-use simpadv_nn::{Classifier, Loss, SoftmaxCrossEntropy};
+use simpadv_nn::{Classifier, SoftmaxCrossEntropy};
 use simpadv_resilience::PersistError;
 use simpadv_tensor::Tensor;
 

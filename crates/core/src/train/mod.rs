@@ -23,7 +23,7 @@ pub use vanilla::VanillaTrainer;
 use crate::config::TrainConfig;
 use crate::report::TrainReport;
 use simpadv_data::Dataset;
-use simpadv_nn::{Classifier, Optimizer, Sgd, StateDict};
+use simpadv_nn::{Classifier, Sgd, StateDict};
 use simpadv_resilience::PersistError;
 
 /// An adversarial-training method.
@@ -103,7 +103,7 @@ pub(crate) fn run_epochs<F>(
 where
     F: FnMut(
         &mut Classifier,
-        &mut dyn Optimizer,
+        &mut Sgd,
         &mut TrainerAux,
         usize,
         &[usize],
@@ -131,6 +131,7 @@ where
     if let Some(snapshot) = session.load_for_resume()? {
         snapshot.check_resumable(trainer_id, config, data_crc)?;
         snapshot.validate_finite()?;
+        snapshot.model.validate_fits(clf.network())?;
         let _resume_span = simpadv_trace::span!("checkpoint", action = "resume");
         rng = StdRng::from_state(snapshot.rng_words());
         snapshot.model.restore(clf.network_mut());
@@ -182,7 +183,7 @@ where
 /// examples" that FGSM-Adv, BIM-Adv and the proposed method all use.
 pub(crate) fn train_on_mixture(
     clf: &mut Classifier,
-    opt: &mut dyn Optimizer,
+    opt: &mut Sgd,
     clean: &simpadv_tensor::Tensor,
     adv: &simpadv_tensor::Tensor,
     labels: &[usize],

@@ -85,7 +85,7 @@ pub struct TrainState {
     pub data_crc: u32,
     /// Model tensors.
     pub model: StateDict,
-    /// Optimizer buffers (momentum velocity etc.).
+    /// SGD's momentum buffers.
     pub optim: OptimState,
     /// Report accumulated so far (losses, timings, pass counts).
     pub report: TrainReport,

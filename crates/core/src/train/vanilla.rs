@@ -85,4 +85,27 @@ mod tests {
         assert_eq!(ra.epoch_losses, rb.epoch_losses);
         assert_eq!(a.logits(data.images()), b.logits(data.images()));
     }
+
+    #[test]
+    fn resuming_into_another_architecture_is_a_typed_error() {
+        let data = SynthDataset::Mnist.generate(&SynthConfig::new(32, 1));
+        let dir = std::env::temp_dir().join(format!("simpadv-misfit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut save = CheckpointSession::new(&dir, 1).unwrap();
+        let mut small = ModelSpec::small_mlp().build(0);
+        VanillaTrainer::new()
+            .train_resumable(&mut small, &data, &TrainConfig::new(1, 0), &mut save)
+            .unwrap();
+
+        let mut resume = CheckpointSession::new(&dir, 1).unwrap().with_resume(true);
+        let mut wider = ModelSpec::default_mlp().build(0);
+        let err = VanillaTrainer::new()
+            .train_resumable(&mut wider, &data, &TrainConfig::new(2, 0), &mut resume)
+            .unwrap_err();
+        assert!(
+            matches!(err, PersistError::StateMismatch { ref name, .. } if name == "0.weight"),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -3,9 +3,9 @@
 //! `Classifier` asks each layer only for the gradients its caller reads:
 //! training steps call `backward_params` (no input gradient below the
 //! first trained layer), attack passes call `backward_input` (no weight
-//! gradients). On the default MLP, the small CNN and a stack with batch
-//! norm and dropout, these tests pin that every value a caller reads is
-//! bitwise what the full `backward` gives, that attack passes leave the
+//! gradients). On the default MLP and the small CNN, these tests pin
+//! that every value a caller reads is bitwise what the full `backward`
+//! gives, that attack passes leave the
 //! parameter gradients alone, that a layer on the trait defaults still
 //! trains bitwise like the plain model, and that the skipped work shows
 //! on the logical flop clock.
@@ -15,8 +15,8 @@ use rand::SeedableRng;
 use simpadv::ModelSpec;
 use simpadv_data::{SynthConfig, SynthDataset};
 use simpadv_nn::{
-    BatchNorm1d, Classifier, Dense, Dropout, GradientModel, Layer, Loss, Mode, Optimizer, ParamRef,
-    Relu, Sequential, Sgd, SoftmaxCrossEntropy, StateDict,
+    Classifier, Dense, GradientModel, Layer, Mode, ParamRef, Relu, Sequential, Sgd,
+    SoftmaxCrossEntropy, StateDict,
 };
 use simpadv_tensor::{matmul_flops, Tensor};
 use simpadv_trace::clock;
@@ -52,26 +52,10 @@ fn param_grads(clf: &mut Classifier) -> Vec<Tensor> {
     clf.network_mut().params().iter().map(|p| p.grad.clone()).collect()
 }
 
-/// Dropout below and above a batch-normalized hidden layer.
-fn batchnorm_dropout_stack(seed: u64) -> Classifier {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let px = simpadv_data::IMAGE_PIXELS;
-    let net = Sequential::new(vec![
-        Box::new(Dropout::new(0.1, seed)),
-        Box::new(Dense::new(px, 32, &mut rng)),
-        Box::new(BatchNorm1d::new(32, 0.1)),
-        Box::new(Relu::new()),
-        Box::new(Dropout::new(0.2, seed + 1)),
-        Box::new(Dense::new(32, simpadv_data::CLASS_COUNT, &mut rng)),
-    ]);
-    Classifier::new(net, simpadv_data::CLASS_COUNT)
-}
-
 fn models() -> Vec<(&'static str, Classifier)> {
     vec![
         ("default MLP", ModelSpec::default_mlp().build(3)),
         ("small CNN", ModelSpec::small_cnn().build(4)),
-        ("batchnorm+dropout", batchnorm_dropout_stack(5)),
     ]
 }
 
@@ -86,14 +70,14 @@ fn optimizer() -> Sgd {
 
 /// The reference training step: zero the gradients, run the full
 /// backward, update.
-fn full_step(clf: &mut Classifier, grad_logits: &Tensor, opt: &mut dyn Optimizer) {
+fn full_step(clf: &mut Classifier, grad_logits: &Tensor, opt: &mut Sgd) {
     let net = clf.network_mut();
     net.zero_grad();
     let _ = net.backward(grad_logits);
     opt.step(&mut net.params());
 }
 
-fn full_train_batch(clf: &mut Classifier, x: &Tensor, y: &[usize], opt: &mut dyn Optimizer) -> f32 {
+fn full_train_batch(clf: &mut Classifier, x: &Tensor, y: &[usize], opt: &mut Sgd) -> f32 {
     let logits = clf.forward_train(x);
     let (loss, grad) = SoftmaxCrossEntropy::new().forward(&logits, y);
     full_step(clf, &grad, opt);

@@ -252,6 +252,11 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 /// Runs rules over the workspace, applies the allowlist, and returns
 /// diagnostics sorted by path, line, and rule id.
 ///
+/// An `[[allow]]` entry whose `path` names no file of `ws` is itself a
+/// diagnostic, under the entry's own rule: like an unresolved
+/// `[[kernel]]` or `[[taint]]` declaration, it is stale configuration
+/// that would silently cover whatever file later takes that path.
+///
 /// `spec` filters the registry: `None` runs everything, otherwise a
 /// comma list of ids and ranges (`R1-R10,S2`) as accepted by
 /// [`rules::expand_spec`]. An invalid spec selects nothing here — the
@@ -277,6 +282,25 @@ pub fn run(ws: &Workspace, cfg: &config::Config, spec: Option<&str>) -> Vec<Diag
         }
     }
     out.retain(|d| !cfg.is_allowed(d.rule, &d.path, &d.item));
+    for allow in &cfg.allows {
+        let Some(rule) = rules::rule_by_id(&allow.rule).filter(|r| wants(r.id)) else {
+            continue;
+        };
+        if ws.files.iter().all(|f| f.path != allow.path) {
+            out.push(Diagnostic {
+                rule: rule.id,
+                path: allow.path.clone(),
+                line: 1,
+                item: allow.item.clone().unwrap_or_default(),
+                message: format!(
+                    "[[allow]] entry for `{}` does not resolve to any workspace file; \
+                     fix or remove the declaration",
+                    allow.path
+                ),
+                chain: Vec::new(),
+            });
+        }
+    }
     out.sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
     out
 }
@@ -340,6 +364,26 @@ mod tests {
         assert!(run(&ws, &cfg, None).is_empty());
         // Without the allow entry, it fires.
         assert_eq!(run(&ws, &config::Config::default(), Some("R1")).len(), 1);
+    }
+
+    #[test]
+    fn allow_entry_for_a_missing_file_is_reported_under_its_rule() {
+        let ws = Workspace {
+            files: vec![FileUnit::from_source("crates/nn/src/pool.rs", "fn forward() {}")],
+        };
+        let cfg = config::parse(
+            "[[allow]]\nrule = \"R1\"\npath = \"crates/nn/src/gone.rs\"\nitem = \"expect\"\nreason = \"x\"\n\n\
+             [[allow]]\nrule = \"R7\"\npath = \"crates/nn/src/pool.rs\"\nreason = \"y\"\n",
+        )
+        .expect("config");
+        let d = run(&ws, &cfg, None);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!((d[0].rule, d[0].path.as_str()), ("R1", "crates/nn/src/gone.rs"));
+        assert_eq!(d[0].item, "expect");
+        assert!(d[0].message.contains("does not resolve"), "{}", d[0].message);
+        // scoped like the rule it names
+        assert!(run(&ws, &cfg, Some("R7")).is_empty());
+        assert_eq!(run(&ws, &cfg, Some("R1")).len(), 1);
     }
 
     #[test]

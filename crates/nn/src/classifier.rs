@@ -3,8 +3,8 @@
 
 use crate::layer::{Layer, Mode};
 use crate::layers::Sequential;
-use crate::loss::{Loss, SoftmaxCrossEntropy};
-use crate::optim::Optimizer;
+use crate::loss::SoftmaxCrossEntropy;
+use crate::optim::Sgd;
 use simpadv_tensor::Tensor;
 
 /// A white-box view of a differentiable classifier: everything a
@@ -141,7 +141,7 @@ impl Classifier {
         simpadv_trace::clock::tick_backward(1);
     }
 
-    /// Training-mode forward pass (dropout active, batch-norm batch stats).
+    /// Training-mode forward pass, tagged [`Mode::Train`].
     pub fn forward_train(&mut self, x: &Tensor) -> Tensor {
         self.note_forward();
         self.net.forward(x, Mode::Train)
@@ -152,7 +152,7 @@ impl Classifier {
     ///
     /// The backward pass computes parameter gradients only: no input
     /// gradient below the first layer with parameters.
-    pub fn train_batch(&mut self, x: &Tensor, y: &[usize], opt: &mut dyn Optimizer) -> f32 {
+    pub fn train_batch(&mut self, x: &Tensor, y: &[usize], opt: &mut Sgd) -> f32 {
         let logits = self.forward_train(x);
         let (loss, grad) = self.loss.forward(&logits, y);
         self.net.zero_grad();
@@ -174,7 +174,7 @@ impl Classifier {
         &mut self,
         x: &Tensor,
         y: &[usize],
-        opt: &mut dyn Optimizer,
+        opt: &mut Sgd,
     ) -> (f32, Tensor) {
         let logits = self.forward_train(x);
         let (loss, grad) = self.loss.forward(&logits, y);
@@ -197,7 +197,7 @@ impl Classifier {
     ///
     /// Panics if no forward pass has been run or the gradient shape does
     /// not match the last forward output.
-    pub fn step_from_logit_grad(&mut self, grad_logits: &Tensor, opt: &mut dyn Optimizer) {
+    pub fn step_from_logit_grad(&mut self, grad_logits: &Tensor, opt: &mut Sgd) {
         self.net.zero_grad();
         self.note_backward();
         self.net.backward_params(grad_logits);
@@ -255,7 +255,6 @@ impl GradientModel for Classifier {
 mod tests {
     use super::*;
     use crate::layers::{Dense, Relu};
-    use crate::optim::Sgd;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

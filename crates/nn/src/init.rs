@@ -1,142 +1,68 @@
-//! Weight initialization schemes.
+//! He-uniform weight initialization, the one scheme every layer uses.
 
 use rand::Rng;
 use simpadv_tensor::Tensor;
 
-/// A weight-initialization scheme.
+/// Samples He/Kaiming-uniform weights, the standard choice for the ReLU
+/// networks in this project: `U(-a, a)` with `a = sqrt(6 / fan_in)`.
 ///
-/// The fan-in/fan-out arguments are derived by the layer that owns the
-/// weight (for `Dense`, the input and output widths; for `Conv2d`, the
-/// receptive-field sizes).
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[non_exhaustive]
-pub enum WeightInit {
-    /// All zeros (only sensible for biases).
-    Zeros,
-    /// A constant value.
-    Constant(f32),
-    /// Glorot/Xavier uniform: `U(-a, a)` with `a = sqrt(6 / (fan_in + fan_out))`.
-    XavierUniform,
-    /// Glorot/Xavier normal: `N(0, 2 / (fan_in + fan_out))`.
-    XavierNormal,
-    /// He/Kaiming uniform (for ReLU nets): `U(-a, a)`, `a = sqrt(6 / fan_in)`.
-    HeUniform,
-    /// He/Kaiming normal (for ReLU nets): `N(0, 2 / fan_in)`.
-    HeNormal,
-    /// LeCun normal: `N(0, 1 / fan_in)`.
-    LecunNormal,
-}
-
-impl Default for WeightInit {
-    /// [`WeightInit::HeUniform`] — the standard choice for the ReLU networks
-    /// used throughout this project.
-    fn default() -> Self {
-        WeightInit::HeUniform
-    }
-}
-
-impl WeightInit {
-    /// Samples a tensor of the given shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fan_in` or `fan_out` is zero for a scheme that divides by
-    /// them.
-    pub fn sample<R: Rng + ?Sized>(
-        self,
-        rng: &mut R,
-        shape: &[usize],
-        fan_in: usize,
-        fan_out: usize,
-    ) -> Tensor {
-        match self {
-            WeightInit::Zeros => Tensor::zeros(shape),
-            WeightInit::Constant(c) => Tensor::full(shape, c),
-            WeightInit::XavierUniform => {
-                assert!(fan_in + fan_out > 0, "xavier init needs nonzero fans");
-                let a = (6.0 / (fan_in + fan_out) as f32).sqrt();
-                Tensor::rand_uniform(rng, shape, -a, a)
-            }
-            WeightInit::XavierNormal => {
-                assert!(fan_in + fan_out > 0, "xavier init needs nonzero fans");
-                let std = (2.0 / (fan_in + fan_out) as f32).sqrt();
-                Tensor::rand_normal(rng, shape, 0.0, std)
-            }
-            WeightInit::HeUniform => {
-                assert!(fan_in > 0, "he init needs nonzero fan_in");
-                let a = (6.0 / fan_in as f32).sqrt();
-                Tensor::rand_uniform(rng, shape, -a, a)
-            }
-            WeightInit::HeNormal => {
-                assert!(fan_in > 0, "he init needs nonzero fan_in");
-                let std = (2.0 / fan_in as f32).sqrt();
-                Tensor::rand_normal(rng, shape, 0.0, std)
-            }
-            WeightInit::LecunNormal => {
-                assert!(fan_in > 0, "lecun init needs nonzero fan_in");
-                let std = (1.0 / fan_in as f32).sqrt();
-                Tensor::rand_normal(rng, shape, 0.0, std)
-            }
-        }
-    }
+/// # Panics
+///
+/// Panics if `fan_in` is zero.
+pub(crate) fn he_uniform<R: Rng + ?Sized>(rng: &mut R, shape: &[usize], fan_in: usize) -> Tensor {
+    assert!(fan_in > 0, "he init needs nonzero fan_in");
+    let a = (6.0 / fan_in as f32).sqrt();
+    Tensor::rand_uniform(rng, shape, -a, a)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::{Conv2d, Dense};
+    use crate::Layer;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    #[test]
-    fn zeros_and_constant() {
-        let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(WeightInit::Zeros.sample(&mut rng, &[3], 1, 1).sum(), 0.0);
-        assert_eq!(WeightInit::Constant(2.0).sample(&mut rng, &[3], 1, 1).sum(), 6.0);
+    /// The weights a layer was built with, as bits.
+    fn weight_bits(layer: &dyn Layer) -> Vec<u32> {
+        let state = layer.state();
+        let (_, weight) = state.iter().find(|(k, _)| k == "weight").expect("a weight entry");
+        weight.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `U(-a, a)` with `a = sqrt(6 / fan_in)`, drawn directly.
+    fn reference(rng: &mut StdRng, shape: &[usize], fan_in: usize) -> Vec<u32> {
+        let a = (6.0 / fan_in as f32).sqrt();
+        let t = Tensor::rand_uniform(rng, shape, -a, a);
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
-    fn xavier_uniform_bounds() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let t = WeightInit::XavierUniform.sample(&mut rng, &[1000], 50, 50);
-        let a = (6.0f32 / 100.0).sqrt();
-        assert!(t.norm_linf() <= a);
-        assert!(t.norm_linf() > 0.5 * a, "samples should spread across the interval");
-    }
+    fn layers_draw_he_uniform_weights_bitwise() {
+        // Dense: weight [in, out], fan_in = in
+        let (mut built, mut direct) = (StdRng::seed_from_u64(11), StdRng::seed_from_u64(11));
+        let dense = Dense::new(5, 3, &mut built);
+        assert_eq!(weight_bits(&dense), reference(&mut direct, &[5, 3], 5));
+        assert_eq!(built.state(), direct.state(), "dense left the rng elsewhere");
 
-    #[test]
-    fn he_normal_scale() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let t = WeightInit::HeNormal.sample(&mut rng, &[20_000], 100, 10);
-        let std = t.std_dev();
-        let expect = (2.0f32 / 100.0).sqrt();
-        assert!((std - expect).abs() < 0.01, "std {std} vs {expect}");
-    }
-
-    #[test]
-    fn lecun_normal_scale() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let t = WeightInit::LecunNormal.sample(&mut rng, &[20_000], 400, 10);
-        assert!((t.std_dev() - 0.05).abs() < 0.005);
+        // Conv2d: weight [c_out, c_in·k·k], fan_in = c_in·k·k
+        let (mut built, mut direct) = (StdRng::seed_from_u64(12), StdRng::seed_from_u64(12));
+        let conv = Conv2d::new(2, 4, 3, 1, 1, 6, 6, &mut built);
+        assert_eq!(weight_bits(&conv), reference(&mut direct, &[4, 18], 18));
+        assert_eq!(built.state(), direct.state(), "conv left the rng elsewhere");
     }
 
     #[test]
     fn deterministic_under_seed() {
         let mut r1 = StdRng::seed_from_u64(5);
         let mut r2 = StdRng::seed_from_u64(5);
-        let a = WeightInit::HeUniform.sample(&mut r1, &[16], 4, 4);
-        let b = WeightInit::HeUniform.sample(&mut r2, &[16], 4, 4);
-        assert_eq!(a, b);
+        assert_eq!(he_uniform(&mut r1, &[16], 4), he_uniform(&mut r2, &[16], 4));
     }
 
     #[test]
     #[should_panic(expected = "fan_in")]
     fn he_rejects_zero_fan() {
         let mut rng = StdRng::seed_from_u64(0);
-        WeightInit::HeUniform.sample(&mut rng, &[1], 0, 1);
-    }
-
-    #[test]
-    fn default_is_he_uniform() {
-        assert_eq!(WeightInit::default(), WeightInit::HeUniform);
+        he_uniform(&mut rng, &[1], 0);
     }
 }

@@ -4,20 +4,22 @@ use simpadv_tensor::Tensor;
 
 /// Whether a forward pass is part of training or evaluation.
 ///
-/// Layers with train-time stochasticity or statistics (dropout, batch norm)
-/// change behaviour based on this; pure layers ignore it.
+/// Every layer in this crate computes the same function in both modes.
+/// [`crate::Classifier`] tags its training passes `Train` and its
+/// evaluation and attack passes `Eval`, so a layer that wraps another
+/// (an instrumentation shim, say) can tell the two apart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mode {
-    /// Training: dropout active, batch statistics collected.
+    /// A training step's forward pass.
     Train,
-    /// Inference: deterministic, running statistics used.
+    /// An evaluation or attack forward pass.
     Eval,
 }
 
 /// A mutable view of one trainable parameter and its gradient accumulator.
 ///
-/// Layers hand these out in a *stable order* so optimizers can maintain
-/// per-parameter state (momentum, Adam moments) keyed by position.
+/// Layers hand these out in a *stable order* so the optimizer can keep
+/// per-parameter state (momentum) keyed by position.
 #[derive(Debug)]
 pub struct ParamRef<'a> {
     /// The parameter values, updated in place by the optimizer.
@@ -60,8 +62,8 @@ pub struct ParamRef<'a> {
 /// gradients of the *evaluation* function — attacks differentiate the
 /// deterministic inference network.
 ///
-/// Layers are `Send + Sync` (they hold plain tensors, scalars, and seeded
-/// rngs) so model replicas can cross `simpadv-runtime` worker boundaries,
+/// Layers are `Send + Sync` (they hold plain tensors and scalars) so
+/// model replicas can cross `simpadv-runtime` worker boundaries,
 /// and [`Layer::clone_box`] produces those replicas from behind the trait
 /// object.
 pub trait Layer: std::fmt::Debug + Send + Sync {
@@ -118,8 +120,8 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
 
     /// An independent deep copy of this layer behind a fresh box.
     ///
-    /// Replicas carry the full layer state (parameters, buffers, rng
-    /// state) and share nothing with the original; data-parallel code
+    /// Replicas carry the full layer state (parameters, gradients and
+    /// caches) and share nothing with the original; data-parallel code
     /// clones a model per worker and discards the replicas afterwards.
     fn clone_box(&self) -> Box<dyn Layer>;
 
@@ -128,8 +130,7 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
         self.params().iter().map(|p| p.value.len()).sum()
     }
 
-    /// Serializable state: named tensors (parameters *and* buffers such as
-    /// batch-norm running statistics). Defaults to none.
+    /// Serializable state: the named parameter tensors. Defaults to none.
     fn state(&self) -> Vec<(String, Tensor)> {
         Vec::new()
     }

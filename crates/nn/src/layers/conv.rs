@@ -1,6 +1,6 @@
 //! 2-D convolution via `im2col` lowering.
 
-use crate::init::WeightInit;
+use crate::init::he_uniform;
 use crate::layer::{expect_state, Layer, Mode, ParamRef};
 use rand::Rng;
 use simpadv_tensor::{col2im, im2col, Conv2dGeometry, Tensor};
@@ -61,9 +61,8 @@ impl Conv2d {
         assert!(c_in > 0 && c_out > 0, "conv channels must be positive");
         let geom = Conv2dGeometry::new(in_h, in_w, kernel, kernel, stride, padding);
         let fan_in = c_in * kernel * kernel;
-        let fan_out = c_out * kernel * kernel;
         Conv2d {
-            weight: WeightInit::default().sample(rng, &[c_out, fan_in], fan_in, fan_out),
+            weight: he_uniform(rng, &[c_out, fan_in], fan_in),
             bias: Tensor::zeros(&[c_out]),
             grad_weight: Tensor::zeros(&[c_out, fan_in]),
             grad_bias: Tensor::zeros(&[c_out]),

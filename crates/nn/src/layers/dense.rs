@@ -1,6 +1,6 @@
 //! Fully connected (affine) layer.
 
-use crate::init::WeightInit;
+use crate::init::he_uniform;
 use crate::layer::{expect_state, Layer, Mode, ParamRef};
 use rand::Rng;
 use simpadv_tensor::Tensor;
@@ -33,24 +33,14 @@ pub struct Dense {
 
 impl Dense {
     /// Creates a dense layer with He-uniform weights and zero bias.
-    pub fn new<R: Rng + ?Sized>(in_features: usize, out_features: usize, rng: &mut R) -> Self {
-        Self::with_init(in_features, out_features, WeightInit::default(), rng)
-    }
-
-    /// Creates a dense layer with an explicit weight initializer.
     ///
     /// # Panics
     ///
     /// Panics if either dimension is zero.
-    pub fn with_init<R: Rng + ?Sized>(
-        in_features: usize,
-        out_features: usize,
-        init: WeightInit,
-        rng: &mut R,
-    ) -> Self {
+    pub fn new<R: Rng + ?Sized>(in_features: usize, out_features: usize, rng: &mut R) -> Self {
         assert!(in_features > 0 && out_features > 0, "dense dims must be positive");
         Dense {
-            weight: init.sample(rng, &[in_features, out_features], in_features, out_features),
+            weight: he_uniform(rng, &[in_features, out_features], in_features),
             bias: Tensor::zeros(&[out_features]),
             grad_weight: Tensor::zeros(&[in_features, out_features]),
             grad_bias: Tensor::zeros(&[out_features]),
@@ -180,7 +170,11 @@ mod tests {
     #[test]
     fn forward_known_values() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut l = Dense::with_init(2, 2, WeightInit::Constant(1.0), &mut rng);
+        let mut l = Dense::new(2, 2, &mut rng);
+        l.load_state(&[
+            ("weight".into(), Tensor::ones(&[2, 2])),
+            ("bias".into(), Tensor::zeros(&[2])),
+        ]);
         let y = l.forward(&Tensor::from_vec(vec![1.0, 2.0], &[1, 2]), Mode::Eval);
         assert_eq!(y.as_slice(), &[3.0, 3.0]);
     }

@@ -1,21 +1,17 @@
 //! Network building blocks: trainable layers, activations and containers.
 
 mod activation;
-mod batchnorm;
 mod conv;
 mod dense;
-mod dropout;
 mod flatten;
 mod pool;
 mod reshape;
 mod sequential;
 
-pub use activation::{Gelu, LeakyRelu, Relu, Sigmoid, Softmax, Softplus, Tanh};
-pub use batchnorm::BatchNorm1d;
+pub use activation::Relu;
 pub use conv::Conv2d;
 pub use dense::Dense;
-pub use dropout::Dropout;
 pub use flatten::Flatten;
-pub use pool::{AvgPool2d, MaxPool2d};
+pub use pool::MaxPool2d;
 pub use reshape::Reshape;
 pub use sequential::Sequential;

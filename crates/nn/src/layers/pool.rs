@@ -1,4 +1,4 @@
-//! Spatial pooling layers.
+//! Spatial max pooling.
 
 use crate::layer::{Layer, Mode};
 use simpadv_tensor::Tensor;
@@ -84,104 +84,10 @@ impl Layer for MaxPool2d {
     }
 }
 
-/// Average pooling over square windows of a `[n, c, h, w]` tensor.
-#[derive(Debug, Clone)]
-pub struct AvgPool2d {
-    kernel: usize,
-    stride: usize,
-    cached_in_shape: Vec<usize>,
-}
-
-impl AvgPool2d {
-    /// Creates an average-pool layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kernel` or `stride` is zero.
-    pub fn new(kernel: usize, stride: usize) -> Self {
-        assert!(kernel > 0 && stride > 0, "pool kernel and stride must be positive");
-        AvgPool2d { kernel, stride, cached_in_shape: Vec::new() }
-    }
-}
-
-impl Layer for AvgPool2d {
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
-        assert_eq!(input.rank(), 4, "avgpool expects [n, c, h, w], got {:?}", input.shape());
-        let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
-        assert!(h >= self.kernel && w >= self.kernel, "pool window larger than input");
-        let (oh, ow) = ((h - self.kernel) / self.stride + 1, (w - self.kernel) / self.stride + 1);
-        let norm = 1.0 / (self.kernel * self.kernel) as f32;
-        let mut out = vec![0.0f32; n * c * oh * ow];
-        let data = input.as_slice();
-        for b in 0..n {
-            for ch in 0..c {
-                let plane = (b * c + ch) * h * w;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut acc = 0.0;
-                        for ky in 0..self.kernel {
-                            for kx in 0..self.kernel {
-                                acc += data
-                                    [plane + (oy * self.stride + ky) * w + ox * self.stride + kx];
-                            }
-                        }
-                        out[((b * c + ch) * oh + oy) * ow + ox] = acc * norm;
-                    }
-                }
-            }
-        }
-        self.cached_in_shape = input.shape().to_vec();
-        Tensor::from_vec(out, &[n, c, oh, ow])
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        assert!(!self.cached_in_shape.is_empty(), "avgpool backward before forward");
-        let (n, c, h, w) = (
-            self.cached_in_shape[0],
-            self.cached_in_shape[1],
-            self.cached_in_shape[2],
-            self.cached_in_shape[3],
-        );
-        let (oh, ow) = ((h - self.kernel) / self.stride + 1, (w - self.kernel) / self.stride + 1);
-        assert_eq!(grad_output.shape(), &[n, c, oh, ow], "avgpool backward shape mismatch");
-        let norm = 1.0 / (self.kernel * self.kernel) as f32;
-        let mut gin = Tensor::zeros(&self.cached_in_shape);
-        let gslice = gin.as_mut_slice();
-        let g = grad_output.as_slice();
-        for b in 0..n {
-            for ch in 0..c {
-                let plane = (b * c + ch) * h * w;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let gv = g[((b * c + ch) * oh + oy) * ow + ox] * norm;
-                        for ky in 0..self.kernel {
-                            for kx in 0..self.kernel {
-                                gslice[plane
-                                    + (oy * self.stride + ky) * w
-                                    + ox * self.stride
-                                    + kx] += gv;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        gin
-    }
-
-    fn name(&self) -> &'static str {
-        "avgpool2d"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::check_layer_gradients;
+    use crate::testutil::check_layer_gradients_with_input;
 
     #[test]
     fn maxpool_forward_values() {
@@ -209,13 +115,7 @@ mod tests {
         // well-separated values keep finite differences away from argmax
         // switches
         let x = well_separated(&[2, 2, 4, 4], 0x51EE7);
-        crate::testutil::check_layer_gradients_with_input(
-            &mut MaxPool2d::new(2, 2),
-            &x,
-            1e-2,
-            7,
-            Mode::Train,
-        );
+        check_layer_gradients_with_input(&mut MaxPool2d::new(2, 2), &x, 1e-2, 7);
     }
 
     /// A tensor whose entries are a shuffled arithmetic progression with
@@ -230,32 +130,13 @@ mod tests {
     }
 
     #[test]
-    fn avgpool_forward_values() {
-        let mut l = AvgPool2d::new(2, 2);
-        let x = Tensor::arange(16).reshape(&[1, 1, 4, 4]);
-        let y = l.forward(&x, Mode::Eval);
-        assert_eq!(y.as_slice(), &[2.5, 4.5, 10.5, 12.5]);
-    }
-
-    #[test]
-    fn avgpool_gradcheck() {
-        check_layer_gradients(&mut AvgPool2d::new(2, 2), &[2, 1, 4, 4], 1e-2, 8);
-    }
-
-    #[test]
     fn overlapping_windows_supported() {
         let mut l = MaxPool2d::new(2, 1);
         let y = l.forward(&Tensor::arange(9).reshape(&[1, 1, 3, 3]), Mode::Eval);
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
         assert_eq!(y.as_slice(), &[4.0, 5.0, 7.0, 8.0]);
         let x = well_separated(&[1, 1, 4, 4], 0xABCD);
-        crate::testutil::check_layer_gradients_with_input(
-            &mut MaxPool2d::new(2, 1),
-            &x,
-            1e-2,
-            9,
-            Mode::Train,
-        );
+        check_layer_gradients_with_input(&mut MaxPool2d::new(2, 1), &x, 1e-2, 9);
     }
 
     #[test]

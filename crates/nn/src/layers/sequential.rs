@@ -139,6 +139,9 @@ impl Layer for Sequential {
         out
     }
 
+    /// Hands every layer the entries under its `{index}.` prefix, so a
+    /// layer with parameters and no entries panics like any other
+    /// missing entry.
     fn load_state(&mut self, state: &[(String, Tensor)]) {
         for (i, layer) in self.layers.iter_mut().enumerate() {
             let prefix = format!("{i}.");
@@ -147,9 +150,7 @@ impl Layer for Sequential {
                 .filter(|(k, _)| k.starts_with(&prefix))
                 .map(|(k, t)| (k[prefix.len()..].to_string(), t.clone()))
                 .collect();
-            if !sub.is_empty() {
-                layer.load_state(&sub);
-            }
+            layer.load_state(&sub);
         }
     }
 }
@@ -157,7 +158,7 @@ impl Layer for Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Dense, Relu, Tanh};
+    use crate::layers::{Dense, Relu};
     use crate::testutil::check_layer_gradients;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -190,7 +191,7 @@ mod tests {
     fn gradcheck_network_with_a_parameterless_first_layer() {
         let mut rng = StdRng::seed_from_u64(2);
         let mut net = Sequential::new(vec![
-            Box::new(Tanh::new()),
+            Box::new(Relu::new()),
             Box::new(Dense::new(4, 8, &mut rng)),
             Box::new(Relu::new()),
             Box::new(Dense::new(8, 3, &mut rng)),
@@ -262,6 +263,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let x = Tensor::rand_uniform(&mut rng, &[2, 4], -1.0, 1.0);
         assert_eq!(a.forward(&x, Mode::Eval), b.forward(&x, Mode::Eval));
+    }
+
+    #[test]
+    #[should_panic(expected = "state entry 'weight' missing")]
+    fn load_state_panics_when_a_layer_has_no_entries() {
+        let state: Vec<(String, Tensor)> =
+            mlp(0).state().into_iter().filter(|(k, _)| !k.starts_with("2.")).collect();
+        mlp(1).load_state(&state);
     }
 
     #[test]

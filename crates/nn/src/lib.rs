@@ -14,16 +14,17 @@
 //!   only for the half they read: [`Layer::backward_input`] computes no
 //!   weight gradients, [`Layer::backward_params`] no input gradient below
 //!   the first trained layer.
-//! * All randomness (init, dropout) is seeded; training runs are exactly
+//! * All randomness (weight init) is seeded; training runs are exactly
 //!   reproducible.
-//! * Optimizers operate on a flat, stable ordering of parameters exposed by
-//!   [`Layer::params`], so optimizer state never aliases the network.
+//! * The optimizer, [`Sgd`] with momentum, operates on a flat, stable
+//!   ordering of parameters exposed by [`Layer::params`], so its state
+//!   never aliases the network.
 //!
 //! ## Quickstart
 //!
 //! ```
 //! use rand::SeedableRng;
-//! use simpadv_nn::{Classifier, Dense, Relu, Sequential, Sgd, SoftmaxCrossEntropy};
+//! use simpadv_nn::{Classifier, Dense, Relu, Sequential, Sgd};
 //! use simpadv_tensor::Tensor;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
@@ -48,20 +49,14 @@ pub mod layers;
 mod loss;
 mod metrics;
 mod optim;
-mod schedule;
 mod serialize;
 #[cfg(test)]
 pub(crate) mod testutil;
 
 pub use classifier::{Classifier, GradientModel};
-pub use init::WeightInit;
 pub use layer::{Layer, Mode, ParamRef};
-pub use layers::{
-    AvgPool2d, BatchNorm1d, Conv2d, Dense, Dropout, Flatten, Gelu, LeakyRelu, MaxPool2d, Relu,
-    Reshape, Sequential, Sigmoid, Softmax, Softplus, Tanh,
-};
-pub use loss::{log_softmax, softmax, Loss, MseLoss, SoftmaxCrossEntropy};
-pub use metrics::{accuracy, accuracy_topk, confusion_matrix, ConfusionMatrix};
-pub use optim::{clip_grad_norm, AdaGrad, Adam, OptimState, Optimizer, RmsProp, Sgd};
-pub use schedule::{ConstantLr, CosineAnnealingLr, ExponentialDecayLr, LrSchedule, StepDecayLr};
+pub use layers::{Conv2d, Dense, Flatten, MaxPool2d, Relu, Reshape, Sequential};
+pub use loss::{log_softmax, softmax, SoftmaxCrossEntropy};
+pub use metrics::accuracy;
+pub use optim::{OptimState, Sgd};
 pub use serialize::{load_state_dict_json, save_state_dict_json, StateDict};

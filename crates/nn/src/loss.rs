@@ -1,4 +1,4 @@
-//! Loss functions and softmax helpers.
+//! The softmax cross-entropy loss and the softmax helpers.
 
 use simpadv_tensor::Tensor;
 
@@ -49,28 +49,16 @@ pub fn log_softmax(logits: &Tensor) -> Tensor {
     Tensor::from_vec(out, &[n, c])
 }
 
-/// A differentiable training criterion over `[n, c]` predictions.
-///
-/// `forward` returns the mean loss over the batch **and** the gradient of
-/// that mean loss with respect to the predictions, so trainers never pay a
-/// second pass.
-pub trait Loss: std::fmt::Debug {
-    /// Computes `(mean_loss, dloss/dpredictions)`.
-    fn forward(&self, predictions: &Tensor, targets: &[usize]) -> (f32, Tensor);
-
-    /// A short human-readable name.
-    fn name(&self) -> &'static str;
-}
-
 /// Fused softmax + cross-entropy over integer class labels.
 ///
-/// The fused gradient is the numerically exact `softmax(logits) - onehot`,
-/// scaled by `1/n` for the batch mean.
+/// The one training criterion in this crate. The fused gradient is the
+/// numerically exact `softmax(logits) - onehot`, scaled by `1/n` for the
+/// batch mean.
 ///
 /// # Example
 ///
 /// ```
-/// use simpadv_nn::{Loss, SoftmaxCrossEntropy};
+/// use simpadv_nn::SoftmaxCrossEntropy;
 /// use simpadv_tensor::Tensor;
 ///
 /// let loss = SoftmaxCrossEntropy::new();
@@ -87,14 +75,15 @@ impl SoftmaxCrossEntropy {
     pub fn new() -> Self {
         SoftmaxCrossEntropy
     }
-}
 
-impl Loss for SoftmaxCrossEntropy {
+    /// Computes `(mean_loss, dloss/dpredictions)` in one pass, so
+    /// trainers never pay a second one.
+    ///
     /// # Panics
     ///
     /// Panics if `predictions` is not `[n, c]`, `targets.len() != n`, or
     /// any label is out of range.
-    fn forward(&self, predictions: &Tensor, targets: &[usize]) -> (f32, Tensor) {
+    pub fn forward(&self, predictions: &Tensor, targets: &[usize]) -> (f32, Tensor) {
         assert_eq!(predictions.rank(), 2, "cross-entropy expects [n, c] logits");
         let (n, c) = (predictions.shape()[0], predictions.shape()[1]);
         assert_eq!(targets.len(), n, "label count {} != batch size {n}", targets.len());
@@ -111,48 +100,6 @@ impl Loss for SoftmaxCrossEntropy {
         }
         grad.scale_in_place(scale);
         (loss * scale, grad)
-    }
-
-    fn name(&self) -> &'static str {
-        "softmax_cross_entropy"
-    }
-}
-
-/// Mean squared error against one-hot targets.
-///
-/// Provided for completeness (regression-style baselines and tests);
-/// classifiers in this project train with [`SoftmaxCrossEntropy`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MseLoss;
-
-impl MseLoss {
-    /// Creates the loss.
-    pub fn new() -> Self {
-        MseLoss
-    }
-}
-
-impl Loss for MseLoss {
-    /// # Panics
-    ///
-    /// Panics on shape/label mismatches as for [`SoftmaxCrossEntropy`].
-    fn forward(&self, predictions: &Tensor, targets: &[usize]) -> (f32, Tensor) {
-        assert_eq!(predictions.rank(), 2, "mse expects [n, c] predictions");
-        let (n, c) = (predictions.shape()[0], predictions.shape()[1]);
-        assert_eq!(targets.len(), n, "label count {} != batch size {n}", targets.len());
-        let mut grad = predictions.clone();
-        let g = grad.as_mut_slice();
-        for (i, &t) in targets.iter().enumerate() {
-            assert!(t < c, "label {t} out of range for {c} classes");
-            g[i * c + t] -= 1.0;
-        }
-        let loss = g.iter().map(|&v| v * v).sum::<f32>() / (n * c) as f32;
-        grad.scale_in_place(2.0 / (n * c) as f32);
-        (loss, grad)
-    }
-
-    fn name(&self) -> &'static str {
-        "mse"
     }
 }
 
@@ -216,23 +163,6 @@ mod tests {
                 "grad[{i}] numeric {num} vs analytic {}",
                 grad.as_slice()[i]
             );
-        }
-    }
-
-    #[test]
-    fn mse_gradient_matches_finite_differences() {
-        let loss = MseLoss::new();
-        let preds = Tensor::from_vec(vec![0.2, 0.8, 0.5, 0.1], &[2, 2]);
-        let targets = [1usize, 0];
-        let (_, grad) = loss.forward(&preds, &targets);
-        let h = 1e-3;
-        for i in 0..preds.len() {
-            let mut pp = preds.clone();
-            pp.as_mut_slice()[i] += h;
-            let mut pm = preds.clone();
-            pm.as_mut_slice()[i] -= h;
-            let num = (loss.forward(&pp, &targets).0 - loss.forward(&pm, &targets).0) / (2.0 * h);
-            assert!((num - grad.as_slice()[i]).abs() < 1e-3);
         }
     }
 

@@ -1,4 +1,4 @@
-//! Classification metrics.
+//! Classification accuracy.
 
 use simpadv_tensor::Tensor;
 
@@ -28,139 +28,6 @@ pub fn accuracy(logits: &Tensor, labels: &[usize]) -> f32 {
     correct as f32 / labels.len() as f32
 }
 
-/// Fraction of rows whose label is among the `k` highest logits.
-///
-/// # Panics
-///
-/// Panics if `k == 0`, `logits` is not `[n, c]`, or label counts mismatch.
-pub fn accuracy_topk(logits: &Tensor, labels: &[usize], k: usize) -> f32 {
-    assert!(k > 0, "top-k needs k > 0");
-    assert_eq!(logits.rank(), 2, "accuracy_topk expects [n, c] logits");
-    assert_eq!(logits.shape()[0], labels.len(), "label count mismatch");
-    if labels.is_empty() {
-        return 0.0;
-    }
-    let c = logits.shape()[1];
-    let s = logits.as_slice();
-    let mut correct = 0usize;
-    for (i, &label) in labels.iter().enumerate() {
-        let row = &s[i * c..(i + 1) * c];
-        let target = row[label];
-        // rank = number of strictly larger entries
-        let rank = row.iter().filter(|&&v| v > target).count();
-        if rank < k {
-            correct += 1;
-        }
-    }
-    correct as f32 / labels.len() as f32
-}
-
-/// A `c × c` confusion matrix: `counts[true][predicted]`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfusionMatrix {
-    classes: usize,
-    counts: Vec<u64>,
-}
-
-impl ConfusionMatrix {
-    /// Creates an empty matrix over `classes` classes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `classes == 0`.
-    pub fn new(classes: usize) -> Self {
-        assert!(classes > 0, "need at least one class");
-        ConfusionMatrix { classes, counts: vec![0; classes * classes] }
-    }
-
-    /// Number of classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
-    /// Records one observation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn record(&mut self, truth: usize, predicted: usize) {
-        assert!(truth < self.classes && predicted < self.classes, "class index out of range");
-        self.counts[truth * self.classes + predicted] += 1;
-    }
-
-    /// The count at `(truth, predicted)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn count(&self, truth: usize, predicted: usize) -> u64 {
-        assert!(truth < self.classes && predicted < self.classes, "class index out of range");
-        self.counts[truth * self.classes + predicted]
-    }
-
-    /// Total observations recorded.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Overall accuracy (diagonal mass / total); 0 when empty.
-    pub fn accuracy(&self) -> f32 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let diag: u64 = (0..self.classes).map(|i| self.counts[i * self.classes + i]).sum();
-        diag as f32 / total as f32
-    }
-
-    /// Per-class recall: diagonal / row sum (`None` for unseen classes).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `class` is out of range for the matrix.
-    pub fn recall(&self, class: usize) -> Option<f32> {
-        assert!(class < self.classes, "class index out of range");
-        let row: u64 = (0..self.classes).map(|j| self.counts[class * self.classes + j]).sum();
-        if row == 0 {
-            None
-        } else {
-            Some(self.count(class, class) as f32 / row as f32)
-        }
-    }
-
-    /// Per-class precision: diagonal / column sum (`None` when never
-    /// predicted).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `class` is out of range for the matrix.
-    pub fn precision(&self, class: usize) -> Option<f32> {
-        assert!(class < self.classes, "class index out of range");
-        let col: u64 = (0..self.classes).map(|i| self.counts[i * self.classes + class]).sum();
-        if col == 0 {
-            None
-        } else {
-            Some(self.count(class, class) as f32 / col as f32)
-        }
-    }
-}
-
-/// Builds a confusion matrix from logits and labels.
-///
-/// # Panics
-///
-/// Panics on shape mismatches or labels outside `0..c`.
-pub fn confusion_matrix(logits: &Tensor, labels: &[usize]) -> ConfusionMatrix {
-    assert_eq!(logits.rank(), 2, "confusion_matrix expects [n, c] logits");
-    assert_eq!(logits.shape()[0], labels.len(), "label count mismatch");
-    let c = logits.shape()[1];
-    let mut m = ConfusionMatrix::new(c);
-    for (pred, &truth) in logits.argmax_rows().into_iter().zip(labels) {
-        m.record(truth, pred);
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,58 +37,5 @@ mod tests {
         let logits = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0, 1.0, 0.0], &[3, 2]);
         assert_eq!(accuracy(&logits, &[0, 1, 1]), 2.0 / 3.0);
         assert_eq!(accuracy(&Tensor::zeros(&[0, 2]), &[]), 0.0);
-    }
-
-    #[test]
-    fn topk_widens_with_k() {
-        let logits = Tensor::from_vec(vec![0.5, 0.9, 0.1, 0.8, 0.2, 0.6], &[2, 3]);
-        // labels: row0 true=0 (rank 2), row1 true=2 (rank 2)
-        assert_eq!(accuracy_topk(&logits, &[0, 2], 1), 0.0);
-        assert_eq!(accuracy_topk(&logits, &[0, 2], 2), 1.0);
-        // top-1 equals plain accuracy
-        assert_eq!(accuracy_topk(&logits, &[1, 0], 1), accuracy(&logits, &[1, 0]));
-        assert_eq!(accuracy_topk(&Tensor::zeros(&[0, 3]), &[], 1), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "k > 0")]
-    fn topk_rejects_zero_k() {
-        accuracy_topk(&Tensor::zeros(&[1, 2]), &[0], 0);
-    }
-
-    #[test]
-    fn confusion_matrix_diagonal() {
-        let logits = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]);
-        let m = confusion_matrix(&logits, &[0, 1]);
-        assert_eq!(m.count(0, 0), 1);
-        assert_eq!(m.count(1, 1), 1);
-        assert_eq!(m.accuracy(), 1.0);
-        assert_eq!(m.total(), 2);
-    }
-
-    #[test]
-    fn recall_and_precision() {
-        let mut m = ConfusionMatrix::new(2);
-        m.record(0, 0);
-        m.record(0, 1);
-        m.record(1, 1);
-        assert_eq!(m.recall(0), Some(0.5));
-        assert_eq!(m.recall(1), Some(1.0));
-        assert_eq!(m.precision(1), Some(0.5));
-        assert_eq!(m.precision(0), Some(1.0));
-    }
-
-    #[test]
-    fn unseen_class_has_no_recall() {
-        let m = ConfusionMatrix::new(3);
-        assert_eq!(m.recall(2), None);
-        assert_eq!(m.precision(2), None);
-        assert_eq!(m.accuracy(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn record_validates_indices() {
-        ConfusionMatrix::new(2).record(2, 0);
     }
 }

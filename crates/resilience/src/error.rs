@@ -65,6 +65,14 @@ pub enum PersistError {
         /// Name of the offending entry (layer parameter, aux batch, ...).
         name: String,
     },
+    /// A saved state dictionary does not fit the model it is restored
+    /// into: an entry is missing, extra, or shaped differently.
+    StateMismatch {
+        /// Name of the first offending entry (e.g. `"2.weight"`).
+        name: String,
+        /// What is wrong with it.
+        detail: String,
+    },
     /// A resumed snapshot does not match the live run configuration.
     Mismatch {
         /// Which field disagreed (`"trainer"`, `"config"`, `"data"`...).
@@ -97,6 +105,9 @@ impl fmt::Display for PersistError {
             }
             PersistError::NonFinite { name } => {
                 write!(f, "non-finite value in tensor {name:?}")
+            }
+            PersistError::StateMismatch { name, detail } => {
+                write!(f, "state entry {name:?} does not fit the model: {detail}")
             }
             PersistError::Mismatch { what, detail } => {
                 write!(f, "resume mismatch on {what}: {detail}")

@@ -54,14 +54,17 @@ impl ServedModel {
     /// Rebuilds the classifier this envelope describes.
     ///
     /// The seed only shapes the pre-restore initialization, which the
-    /// restored state overwrites entirely.
+    /// restored state overwrites entirely: the state must hold exactly
+    /// the spec's entries, with its shapes.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Persist`] when the stored weights contain NaN/Inf.
+    /// [`ServeError::Persist`] when the stored weights contain NaN/Inf or
+    /// do not fit the spec's network.
     pub fn restore(&self) -> Result<Classifier, ServeError> {
         self.state.validate_finite()?;
         let mut clf = self.spec.build(0);
+        self.state.validate_fits(clf.network())?;
         self.state.restore(clf.network_mut());
         Ok(clf)
     }
@@ -195,6 +198,35 @@ mod tests {
         let a = clf.logits(&x);
         let b = restored.logits(&x);
         assert_eq!(a.as_slice(), b.as_slice(), "restore must be bitwise");
+    }
+
+    /// The entry a failed restore names.
+    fn misfit(model: &ServedModel) -> String {
+        match model.restore() {
+            Err(ServeError::Persist(PersistError::StateMismatch { name, .. })) => name,
+            other => panic!("expected a state mismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_state_that_does_not_fit_the_spec() {
+        let spec = ModelSpec::default_mlp();
+        let mlp = ServedModel::capture(&spec, &spec.build(7), "mnist", "proposed");
+
+        // the MLP's weights under a CNN spec: the conv layer has none
+        let cnn = ServedModel { spec: ModelSpec::small_cnn(), ..mlp.clone() };
+        assert_eq!(misfit(&cnn), "1.weight");
+
+        // the output layer's entries dropped
+        let mut truncated = mlp.clone();
+        truncated.state.entries.retain(|(k, _)| !k.starts_with("2."));
+        assert_eq!(misfit(&truncated), "2.weight");
+
+        // an entry no layer has
+        let mut extended = mlp.clone();
+        let extra = simpadv_tensor::Tensor::zeros(&[1]);
+        extended.state.entries.push(("9.weight".to_string(), extra));
+        assert_eq!(misfit(&extended), "9.weight");
     }
 
     #[test]
