@@ -3,7 +3,8 @@
 //! A registry of the workspace's hot kernels at the shapes the real
 //! experiments run them — the default-MLP matmuls at batch 64, their
 //! `matmul_tn`/`matmul_nt` gradient forms (plus the input gradient of
-//! one craft chunk), the CNN's im2col lowering tiles and the forward
+//! one craft chunk), the four large ones again on operands as sparse as
+//! training's (`/masked`), the CNN's im2col lowering tiles and the forward
 //! GEMMs over them, the BIM/PGD craft-chunk attack steps, one training
 //! step on a clean+adversarial mixture, and the serve path's batched
 //! forward — swept two ways:
@@ -76,12 +77,20 @@ impl Workload {
     }
 }
 
+/// Zeros per thousand elements of a synthetic image batch (about 41 %).
+const IMAGE_ZEROS_PER_MILLE: u64 = 410;
+
+/// Zeros per thousand elements of a ReLU-masked gradient (about half).
+const DELTA_ZEROS_PER_MILLE: u64 = 500;
+
+/// Id suffix of the matmul rows whose operands run at training sparsity.
+const MASKED_SUFFIX: &str = "/masked";
+
 /// Deterministic pseudo-data in `[0, 1)`, one exact zero per thousand
 /// elements. The matmul kernels skip zero left-operand elements, so their
 /// wall cost depends on sparsity: these near-dense operands time the
-/// dense worst case, not the ReLU-masked (about half zero) gradients
-/// that training feeds the input-gradient products. Logical rows do not
-/// depend on the data.
+/// dense worst case, and [`masked`] operands the sparsity training feeds
+/// them. Logical rows do not depend on the data.
 fn pattern(len: usize, salt: u64) -> Vec<f32> {
     (0..len)
         .map(|i| (((i as u64).wrapping_mul(2_654_435_761).wrapping_add(salt * 97)) % 1000) as f32)
@@ -91,6 +100,39 @@ fn pattern(len: usize, salt: u64) -> Vec<f32> {
 
 fn tensor(shape: &[usize], salt: u64) -> Tensor {
     Tensor::from_vec(pattern(shape.iter().product(), salt), shape)
+}
+
+/// [`tensor`] with about `zeros_per_mille` elements in every thousand set
+/// to exact zero, chosen by a SplitMix64 hash of the element index: no
+/// pattern a branch predictor could learn, like a ReLU mask.
+fn masked(shape: &[usize], salt: u64, zeros_per_mille: u64) -> Tensor {
+    let mut data = pattern(shape.iter().product(), salt);
+    for (i, v) in data.iter_mut().enumerate() {
+        if simpadv_runtime::split_seed(salt, i as u64) % 1000 < zeros_per_mille {
+            *v = 0.0;
+        }
+    }
+    Tensor::from_vec(data, shape)
+}
+
+/// A matmul-group workload `{op}/{m}x{k}x{n}`: `run(&lhs, &rhs)`, an
+/// `[m, k] x [k, n]` product in whichever operand layout `run` takes.
+fn product(
+    op: &str,
+    [m, k, n]: [usize; 3],
+    run: fn(&Tensor, &Tensor) -> Tensor,
+    lhs: Tensor,
+    rhs: Tensor,
+) -> Workload {
+    Workload::new(
+        format!("{op}/{m}x{k}x{n}"),
+        "matmul",
+        &[m as u64, k as u64, n as u64],
+        matmul_bytes(m, k, n),
+        move || {
+            let _ = run(&lhs, &rhs);
+        },
+    )
 }
 
 fn labels(n: usize) -> Vec<usize> {
@@ -118,60 +160,81 @@ pub fn registry() -> Vec<Workload> {
     let batch = 64usize; // TrainConfig::default batch_size
     let mut workloads = Vec::new();
 
-    // -- matmul group: the default MLP's forward and gradient GEMMs.
-    let (x, w1) = (tensor(&[batch, px], 1), tensor(&[px, hidden], 2));
-    workloads.push(Workload::new(
-        format!("matmul/{batch}x{px}x{hidden}"),
-        "matmul",
-        &[batch as u64, px as u64, hidden as u64],
-        matmul_bytes(batch, px, hidden),
-        move || {
-            let _ = x.matmul(&w1);
-        },
-    ));
-    let (h, w2) = (tensor(&[batch, hidden], 3), tensor(&[hidden, classes], 4));
-    workloads.push(Workload::new(
-        format!("matmul/{batch}x{hidden}x{classes}"),
-        "matmul",
-        &[batch as u64, hidden as u64, classes as u64],
-        matmul_bytes(batch, hidden, classes),
-        move || {
-            let _ = h.matmul(&w2);
-        },
-    ));
-    // Weight gradient dW = xᵀ·δ — matmul_tn at [m=784, k=64, n=128].
-    let (xg, delta) = (tensor(&[batch, px], 5), tensor(&[batch, hidden], 6));
-    workloads.push(Workload::new(
-        format!("matmul_tn/{px}x{batch}x{hidden}"),
-        "matmul",
-        &[px as u64, batch as u64, hidden as u64],
-        matmul_bytes(px, batch, hidden),
-        move || {
-            let _ = xg.matmul_tn(&delta);
-        },
-    ));
-    // Input gradient dx = δ·Wᵀ — matmul_nt at [m=64, k=128, n=784].
-    let (dg, wg) = (tensor(&[batch, hidden], 7), tensor(&[px, hidden], 8));
-    workloads.push(Workload::new(
-        format!("matmul_nt/{batch}x{hidden}x{px}"),
-        "matmul",
-        &[batch as u64, hidden as u64, px as u64],
-        matmul_bytes(batch, hidden, px),
-        move || {
-            let _ = dg.matmul_nt(&wg);
-        },
-    ));
-    // The same input gradient for one BIM/PGD craft chunk.
-    let (dc, wc) = (tensor(&[CRAFT_CHUNK, hidden], 15), tensor(&[px, hidden], 16));
-    workloads.push(Workload::new(
-        format!("matmul_nt/{CRAFT_CHUNK}x{hidden}x{px}"),
-        "matmul",
-        &[CRAFT_CHUNK as u64, hidden as u64, px as u64],
-        matmul_bytes(CRAFT_CHUNK, hidden, px),
-        move || {
-            let _ = dc.matmul_nt(&wc);
-        },
-    ));
+    // -- matmul group: the default MLP's forward and gradient GEMMs on
+    // near-dense operands, the dense worst case for the zero skip.
+    let (fwd, dw, dx) = ([batch, px, hidden], [px, batch, hidden], [batch, hidden, px]);
+    let dx_chunk = [CRAFT_CHUNK, hidden, px];
+    workloads.extend([
+        // Forward x·W₁ and h·W₂.
+        product("matmul", fwd, Tensor::matmul, tensor(&[batch, px], 1), tensor(&[px, hidden], 2)),
+        product(
+            "matmul",
+            [batch, hidden, classes],
+            Tensor::matmul,
+            tensor(&[batch, hidden], 3),
+            tensor(&[hidden, classes], 4),
+        ),
+        // Weight gradient dW = xᵀ·δ.
+        product(
+            "matmul_tn",
+            dw,
+            Tensor::matmul_tn,
+            tensor(&[batch, px], 5),
+            tensor(&[batch, hidden], 6),
+        ),
+        // Input gradient dx = δ·Wᵀ, at batch 64 and for one BIM/PGD craft chunk.
+        product(
+            "matmul_nt",
+            dx,
+            Tensor::matmul_nt,
+            tensor(&[batch, hidden], 7),
+            tensor(&[px, hidden], 8),
+        ),
+        product(
+            "matmul_nt",
+            dx_chunk,
+            Tensor::matmul_nt,
+            tensor(&[CRAFT_CHUNK, hidden], 15),
+            tensor(&[px, hidden], 16),
+        ),
+    ]);
+    // The four large products again at the sparsity training feeds them:
+    // images on the left of the forward and the weight gradient, and
+    // ReLU-masked δ on the left of the input gradient.
+    let (image, delta) = (IMAGE_ZEROS_PER_MILLE, DELTA_ZEROS_PER_MILLE);
+    workloads.extend(
+        [
+            product(
+                "matmul",
+                fwd,
+                Tensor::matmul,
+                masked(&[batch, px], 1, image),
+                tensor(&[px, hidden], 2),
+            ),
+            product(
+                "matmul_tn",
+                dw,
+                Tensor::matmul_tn,
+                masked(&[batch, px], 5, image),
+                masked(&[batch, hidden], 6, delta),
+            ),
+            product(
+                "matmul_nt",
+                dx,
+                Tensor::matmul_nt,
+                masked(&[batch, hidden], 7, delta),
+                tensor(&[px, hidden], 8),
+            ),
+            product(
+                "matmul_nt",
+                dx_chunk,
+                Tensor::matmul_nt,
+                masked(&[CRAFT_CHUNK, hidden], 15, delta),
+                tensor(&[px, hidden], 16),
+            ),
+        ]
+        .map(|w| Workload { name: format!("{}{MASKED_SUFFIX}", w.name), ..w }),
+    );
 
     // -- conv group: the small CNN's im2col lowering tiles (3×3, s1, p1)
     // and the forward GEMMs over them, cols·Wᵀ.
@@ -556,6 +619,22 @@ mod tests {
         let mm = counters("matmul/64x784x128");
         assert_eq!(mm, [u(0), u(0), u(matmul_flops(64, 784, 128)), u(0)]);
 
+        // a masked twin differs from its near-dense row in operand data only
+        let twins: Vec<&str> =
+            artifact.rows.keys().filter_map(|id| id.strip_suffix(MASKED_SUFFIX)).collect();
+        assert_eq!(
+            twins,
+            [
+                "matmul/64x784x128",
+                "matmul_nt/16x128x784",
+                "matmul_nt/64x128x784",
+                "matmul_tn/784x64x128"
+            ]
+        );
+        for id in twins {
+            assert_eq!(artifact.rows[&format!("{id}{MASKED_SUFFIX}")], artifact.rows[id], "{id}");
+        }
+
         // the small CNN's first conv forward: 4·28·28 patches × 9 taps × 8 filters
         let conv = &artifact.rows["matmul_nt/3136x9x8"];
         assert_eq!(conv["group"], Value::String("conv".into()));
@@ -583,6 +662,18 @@ mod tests {
         let serve = counters("serve/predict/16x784");
         let flops = matmul_flops(16, 784, 128) + matmul_flops(16, 128, 10);
         assert_eq!([&serve[0], &serve[2]], [&u(1), &u(flops)]);
+    }
+
+    #[test]
+    fn masked_operands_run_at_training_sparsity() {
+        for (zeros, salt) in [(IMAGE_ZEROS_PER_MILLE, 1), (DELTA_ZEROS_PER_MILLE, 7)] {
+            let t = masked(&[64, 784], salt, zeros);
+            let fraction =
+                t.as_slice().iter().filter(|&&v| v == 0.0).count() as f64 / t.len() as f64;
+            let want = zeros as f64 / 1000.0;
+            assert!((fraction - want).abs() < 0.02, "{fraction} zeros, want about {want}");
+            assert_eq!(masked(&[64, 784], salt, zeros), t, "the mask is deterministic");
+        }
     }
 
     #[test]

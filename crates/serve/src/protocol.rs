@@ -15,6 +15,15 @@ use std::io::{BufRead, Read, Write};
 /// [`ServeError::BadRequest`] before buffering.
 pub const MAX_BODY_BYTES: usize = 1 << 20;
 
+/// Upper bound on one request, status or header line, its line ending
+/// included; a longer line is a [`ServeError::BadRequest`] once this
+/// many bytes are buffered.
+pub const MAX_LINE_BYTES: usize = 8 << 10;
+
+/// Upper bound on the header lines of one message; one more is a
+/// [`ServeError::BadRequest`].
+pub const MAX_HEADERS: usize = 64;
+
 /// One inference request: a flat pixel row plus optional ground truth.
 ///
 /// `label` lets the server maintain per-generation accuracy counters;
@@ -218,13 +227,25 @@ pub fn write_request_traced<W: Write>(
     writer.flush()
 }
 
-/// Reads one CRLF-terminated line; `None` on immediate end-of-stream.
+/// Reads one CRLF-terminated line of at most [`MAX_LINE_BYTES`]; `None`
+/// on immediate end-of-stream.
 fn read_line<R: BufRead>(reader: &mut R) -> Result<Option<String>, ServeError> {
-    let mut line = String::new();
-    let n = reader.read_line(&mut line).map_err(|e| ServeError::Io(format!("read: {e}")))?;
+    let mut bytes = Vec::new();
+    let n = reader
+        .by_ref()
+        .take(MAX_LINE_BYTES as u64)
+        .read_until(b'\n', &mut bytes)
+        .map_err(|e| ServeError::Io(format!("read: {e}")))?;
     if n == 0 {
         return Ok(None);
     }
+    if n == MAX_LINE_BYTES && !bytes.ends_with(b"\n") {
+        return Err(ServeError::BadRequest(format!(
+            "line exceeds the {MAX_LINE_BYTES}-byte limit"
+        )));
+    }
+    let mut line = String::from_utf8(bytes)
+        .map_err(|e| ServeError::BadRequest(format!("non-UTF-8 line: {e}")))?;
     while line.ends_with('\n') || line.ends_with('\r') {
         line.pop();
     }
@@ -237,17 +258,21 @@ struct Headers {
     traceparent: Option<String>,
 }
 
-/// Consumes header lines up to the blank separator, interpreting
-/// `Content-Length` (0 when absent) and [`TRACEPARENT_HEADER`].
+/// Consumes at most [`MAX_HEADERS`] header lines up to the blank
+/// separator, interpreting `Content-Length` (0 when absent) and
+/// [`TRACEPARENT_HEADER`].
 fn read_headers<R: BufRead>(reader: &mut R) -> Result<Headers, ServeError> {
     let mut headers = Headers { content_length: 0, traceparent: None };
-    loop {
+    for count in 0.. {
         let line = match read_line(reader)? {
             None => return Err(ServeError::BadRequest("truncated headers".to_string())),
             Some(line) => line,
         };
         if line.is_empty() {
-            return Ok(headers);
+            break;
+        }
+        if count == MAX_HEADERS {
+            return Err(ServeError::BadRequest(format!("more than {MAX_HEADERS} header lines")));
         }
         if let Some((name, value)) = line.split_once(':') {
             let name = name.trim();
@@ -260,6 +285,7 @@ fn read_headers<R: BufRead>(reader: &mut R) -> Result<Headers, ServeError> {
             }
         }
     }
+    Ok(headers)
 }
 
 /// Reads exactly `len` body bytes, bounded by [`MAX_BODY_BYTES`].
@@ -342,9 +368,10 @@ mod tests {
 
     #[test]
     fn malformed_request_line_is_a_bad_request() {
-        let mut reader = BufReader::new(&b"NOPE\r\n\r\n"[..]);
-        let err = read_request(&mut reader).unwrap_err();
-        assert!(matches!(err, ServeError::BadRequest(_)), "{err}");
+        for wire in [&b"NOPE\r\n\r\n"[..], b"GET /\xff HTTP/1.1\r\n\r\n"] {
+            let err = read_request(&mut BufReader::new(wire)).unwrap_err();
+            assert!(matches!(err, ServeError::BadRequest(_)), "{err}");
+        }
     }
 
     #[test]
@@ -354,5 +381,43 @@ mod tests {
         let mut reader = BufReader::new(wire.as_bytes());
         let err = read_request(&mut reader).unwrap_err();
         assert!(err.to_string().contains("exceeds"), "{err}");
+    }
+
+    /// A bodiless request whose request line and `headers` header lines
+    /// are each `line_bytes` long, CRLF included.
+    fn request_wire(line_bytes: usize, headers: usize) -> String {
+        let request_line = format!("GET /{} HTTP/1.1\r\n", "a".repeat(line_bytes - 16));
+        let header = format!("X-Pad: {}\r\n", "b".repeat(line_bytes - 9));
+        assert_eq!((request_line.len(), header.len()), (line_bytes, line_bytes));
+        format!("{request_line}{}\r\n", header.repeat(headers))
+    }
+
+    #[test]
+    fn request_line_over_the_cap_is_a_bad_request() {
+        assert!(read_request(&mut request_wire(MAX_LINE_BYTES, 0).as_bytes()).is_ok());
+        let wire = request_wire(MAX_LINE_BYTES + 1, 0);
+        let err = read_request(&mut wire.as_bytes()).unwrap_err();
+        assert!(matches!(&err, ServeError::BadRequest(d) if d.contains("exceeds")), "{err}");
+    }
+
+    #[test]
+    fn header_line_over_the_cap_is_a_bad_request() {
+        // The request line fits; its one header line does not.
+        let line = format!("X-Pad: {}\r\n", "b".repeat(MAX_LINE_BYTES));
+        let wire = format!("GET / HTTP/1.1\r\n{line}\r\n");
+        let err = read_request(&mut wire.as_bytes()).unwrap_err();
+        assert!(matches!(&err, ServeError::BadRequest(d) if d.contains("exceeds")), "{err}");
+        // A short line cut off by end-of-stream is truncation, not length.
+        let unterminated = "GET / HTTP/1.1\r\nX-Pad: bbb";
+        let err = read_request(&mut unterminated.as_bytes()).unwrap_err();
+        assert!(matches!(&err, ServeError::BadRequest(d) if d.contains("truncated")), "{err}");
+    }
+
+    #[test]
+    fn too_many_headers_are_a_bad_request() {
+        assert!(read_request(&mut request_wire(64, MAX_HEADERS).as_bytes()).is_ok());
+        let wire = request_wire(64, MAX_HEADERS + 1);
+        let err = read_request(&mut wire.as_bytes()).unwrap_err();
+        assert!(matches!(&err, ServeError::BadRequest(d) if d.contains("header lines")), "{err}");
     }
 }

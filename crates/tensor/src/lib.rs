@@ -12,7 +12,7 @@
 //! * 2-D matrix multiplication (with transpose variants) for dense layers,
 //! * `im2col`/`col2im` lowering for convolution layers,
 //! * axis and global reductions (`sum`, `mean`, `max`, `argmax`, ...),
-//! * seeded random constructors (uniform and Box–Muller normal).
+//! * a seeded uniform constructor and a Box–Muller normal sampler.
 //!
 //! Everything is deterministic under a caller-provided RNG; the crate never
 //! touches a global random source.
@@ -49,7 +49,7 @@ mod tensor;
 pub use conv::{col2im, im2col, Conv2dGeometry};
 pub use error::TensorError;
 pub use linalg::{matmul_bytes, matmul_flops};
-pub use rng::{normal_f32, shuffled_indices, NormalSampler};
+pub use rng::{shuffled_indices, NormalSampler};
 pub use shape::{broadcast_shapes, Shape};
 pub use tensor::Tensor;
 

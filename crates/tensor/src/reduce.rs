@@ -95,15 +95,6 @@ impl Tensor {
         self.as_slice().iter().map(|&v| (v - m) * (v - m)).sum::<f32>() / self.len() as f32
     }
 
-    /// Population standard deviation of all elements.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty tensor.
-    pub fn std_dev(&self) -> f32 {
-        self.variance().sqrt()
-    }
-
     // ------------------------------------------------------------------
     // Axis reductions
     // ------------------------------------------------------------------

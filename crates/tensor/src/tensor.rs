@@ -1,7 +1,6 @@
 //! The [`Tensor`] type: storage, constructors, shape manipulation, slicing.
 
 use crate::error::TensorError;
-use crate::rng::NormalSampler;
 use crate::shape::row_major_strides;
 use rand::{Rng, RngExt};
 use serde::{Deserialize, Serialize};
@@ -121,20 +120,6 @@ impl Tensor {
     pub fn rand_uniform<R: Rng + ?Sized>(rng: &mut R, shape: &[usize], lo: f32, hi: f32) -> Self {
         let len: usize = shape.iter().product();
         let data = (0..len).map(|_| rng.random_range(lo..hi)).collect();
-        Tensor { data, shape: shape.to_vec() }
-    }
-
-    /// Tensor of i.i.d. normal samples with the given mean and standard
-    /// deviation (Box–Muller).
-    pub fn rand_normal<R: Rng + ?Sized>(
-        rng: &mut R,
-        shape: &[usize],
-        mean: f32,
-        std_dev: f32,
-    ) -> Self {
-        let len: usize = shape.iter().product();
-        let mut sampler = NormalSampler::new(mean, std_dev);
-        let data = (0..len).map(|_| sampler.sample(rng)).collect();
         Tensor { data, shape: shape.to_vec() }
     }
 
@@ -631,16 +616,6 @@ mod tests {
         let b = Tensor::rand_uniform(&mut r2, &[16], 0.0, 1.0);
         assert_eq!(a, b);
         assert!(a.as_slice().iter().all(|&v| (0.0..1.0).contains(&v)));
-    }
-
-    #[test]
-    fn rand_normal_moments() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let t = Tensor::rand_normal(&mut rng, &[20_000], 1.0, 2.0);
-        let mean = t.mean();
-        let var = t.as_slice().iter().map(|v| (v - mean).powi(2)).sum::<f32>() / t.len() as f32;
-        assert!((mean - 1.0).abs() < 0.05, "mean {mean}");
-        assert!((var - 4.0).abs() < 0.2, "var {var}");
     }
 
     #[test]
