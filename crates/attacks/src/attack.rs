@@ -53,6 +53,21 @@ pub(crate) mod testmodel {
         Classifier::new(Sequential::new(vec![Box::new(dense)]), 2)
     }
 
+    /// A small seeded ReLU MLP (6 → 8 → 3) and a `rows`-row batch of
+    /// uniform pixels in `[0, 1]` with labels cycling through the classes.
+    pub fn mlp_and_batch(rows: usize) -> (Classifier, Tensor, Vec<usize>) {
+        use simpadv_nn::Relu;
+        let mut rng = StdRng::seed_from_u64(11);
+        let net = Sequential::new(vec![
+            Box::new(Dense::new(6, 8, &mut rng)),
+            Box::new(Relu::new()),
+            Box::new(Dense::new(8, 3, &mut rng)),
+        ]);
+        let x = Tensor::rand_uniform(&mut rng, &[rows, 6], 0.0, 1.0);
+        let y = (0..rows).map(|i| i % 3).collect();
+        (Classifier::new(net, 3), x, y)
+    }
+
     /// A batch centred in the pixel range so ε-balls do not clip at 0/1.
     pub fn centred_batch(n: usize) -> (Tensor, Vec<usize>) {
         let x = Tensor::full(&[n, 4], 0.5);

@@ -8,7 +8,7 @@
 //! than the paper's BIM battery.
 
 use crate::attack::Attack;
-use crate::projection::project_ball;
+use crate::projection::step_and_project;
 use simpadv_nn::GradientModel;
 use simpadv_tensor::Tensor;
 
@@ -72,8 +72,7 @@ impl Attack for MarginPgd {
             let labels = y.to_vec();
             let grad_x =
                 model.custom_input_grad(&cur, &mut |logits| Self::margin_grad(logits, &labels));
-            let stepped = cur.add(&grad_x.sign().mul_scalar(self.step));
-            cur = project_ball(&stepped, x, self.epsilon);
+            cur = step_and_project(&cur, &grad_x, x, self.step, self.epsilon);
         }
         cur
     }
@@ -91,7 +90,7 @@ impl Attack for MarginPgd {
 mod tests {
     use super::*;
     use crate::attack::testmodel::{centred_batch, linear_model};
-    use crate::projection::linf_distance;
+    use crate::projection::{linf_distance, reference};
     use simpadv_nn::GradientModel;
 
     #[test]
@@ -127,6 +126,19 @@ mod tests {
         let adv = MarginPgd::new(0.25, 6).perturb(&mut m, &x, &y);
         let after = margin(&mut m, &adv);
         assert!(after < before, "margin should shrink: {before} -> {after}");
+    }
+
+    #[test]
+    fn matches_the_multi_pass_update_bitwise() {
+        let (mut m, x, y) = crate::attack::testmodel::mlp_and_batch(5);
+        let (eps, iterations) = (0.2, 3);
+        let mut cur = x.clone();
+        for _ in 0..iterations {
+            let grad = m.custom_input_grad(&cur, &mut |l| MarginPgd::margin_grad(l, &y));
+            cur = reference::ascend(&cur, &grad, &x, 2.0 * eps / iterations as f32, eps);
+        }
+        let got = MarginPgd::new(eps, iterations).perturb(&mut m, &x, &y);
+        assert_eq!(reference::bits(&got), reference::bits(&cur));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The momentum iterative method.
 
 use crate::attack::Attack;
-use crate::projection::project_ball;
+use crate::projection::step_and_project;
 use simpadv_nn::GradientModel;
 use simpadv_tensor::Tensor;
 
@@ -51,8 +51,7 @@ impl Attack for Mim {
             let (_, grad) = model.loss_and_input_grad(&cur, y);
             let l1 = grad.abs().sum().max(1e-12);
             momentum = momentum.mul_scalar(self.decay).add(&grad.mul_scalar(1.0 / l1));
-            let stepped = cur.add(&momentum.sign().mul_scalar(self.step));
-            cur = project_ball(&stepped, x, self.epsilon);
+            cur = step_and_project(&cur, &momentum, x, self.step, self.epsilon);
         }
         cur
     }
@@ -71,7 +70,7 @@ mod tests {
     use super::*;
     use crate::attack::testmodel::{centred_batch, linear_model};
     use crate::bim::Bim;
-    use crate::projection::linf_distance;
+    use crate::projection::{linf_distance, reference};
     use simpadv_nn::GradientModel;
 
     #[test]
@@ -102,6 +101,22 @@ mod tests {
         let a = Mim::new(0.2, 4, 0.0).perturb(&mut m, &x, &y);
         let b = Bim::new(0.2, 4).perturb(&mut m, &x, &y);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn matches_the_multi_pass_update_bitwise() {
+        let (mut m, x, y) = crate::attack::testmodel::mlp_and_batch(5);
+        let (eps, iterations, decay) = (0.2, 4, 0.9);
+        let mut cur = x.clone();
+        let mut momentum = Tensor::zeros(x.shape());
+        for _ in 0..iterations {
+            let (_, grad) = m.loss_and_input_grad(&cur, &y);
+            let l1 = grad.abs().sum().max(1e-12);
+            momentum = momentum.mul_scalar(decay).add(&grad.mul_scalar(1.0 / l1));
+            cur = reference::ascend(&cur, &momentum, &x, eps / iterations as f32, eps);
+        }
+        let got = Mim::new(eps, iterations, decay).perturb(&mut m, &x, &y);
+        assert_eq!(reference::bits(&got), reference::bits(&cur));
     }
 
     #[test]

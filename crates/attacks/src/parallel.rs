@@ -5,9 +5,12 @@
 //! naive split would tie the numerics to the worker count. The functions
 //! here instead define **chunked crafting semantics**: the batch is cut
 //! into fixed chunks of [`CRAFT_CHUNK`] examples (independent of the
-//! thread count), each chunk is perturbed on its own model replica, and
-//! the chunks are reassembled in order. The crafted batch is therefore
-//! bitwise identical for 1..N threads.
+//! thread count), each worker perturbs its chunks on its own model
+//! replica, and the chunks are reassembled in order. A replica is cloned
+//! once per worker per call, not once per chunk: a chunk's result does not
+//! depend on the chunks the replica ran before, because every pass
+//! overwrites the replica's caches and the weights never change. The
+//! crafted batch is therefore bitwise identical for 1..N threads.
 //!
 //! Chunked crafting differs from whole-batch crafting only through the
 //! mean-loss normalization (gradients are averaged over the chunk rather
@@ -63,8 +66,9 @@ pub const CRAFT_CHUNK: usize = 16;
 /// first example has batch index `first`; deterministic attacks (FGSM,
 /// BIM) ignore the index, stochastic ones should derive their seed from
 /// it with [`simpadv_runtime::split_seed`] (see the module docs). Each
-/// chunk perturbs a fresh clone of `model`, so the caller's model — and
-/// its pass counters — are untouched; credit the work explicitly via
+/// worker clones `model` once and perturbs all its chunks on that
+/// replica, so the caller's model — and its pass counters — are
+/// untouched; credit the work explicitly via
 /// `Classifier::credit_external_passes` where cost accounting matters.
 ///
 /// # Panics
@@ -86,11 +90,12 @@ where
     }
     let _span =
         simpadv_trace::span!("craft", batch = y.len(), chunks = y.len().div_ceil(CRAFT_CHUNK));
-    let parts = rt.par_chunks(y.len(), CRAFT_CHUNK, |r| {
-        let mut replica = model.clone();
-        let mut attack = make_attack(r.start);
-        attack.perturb(&mut replica, &x.rows(r.clone()), &y[r])
-    });
+    let parts = rt.par_chunks_with(
+        y.len(),
+        CRAFT_CHUNK,
+        || model.clone(),
+        |replica, r| make_attack(r.start).perturb(replica, &x.rows(r.clone()), &y[r]),
+    );
     let refs: Vec<&Tensor> = parts.iter().collect();
     Tensor::concat_rows(&refs)
 }
@@ -100,9 +105,10 @@ where
 ///
 /// This is the hot operation of the paper's Proposed trainer (one step
 /// per batch per epoch from a carried starting point). Chunks of
-/// [`CRAFT_CHUNK`] examples advance on independent model replicas and
-/// reassemble in order; for `y.len() <= CRAFT_CHUNK` this is exactly one
-/// chunk and hence identical to the serial [`signed_step`].
+/// [`CRAFT_CHUNK`] examples advance on one model replica per worker, as
+/// in [`craft_parallel`], and reassemble in order; for
+/// `y.len() <= CRAFT_CHUNK` this is exactly one chunk and hence identical
+/// to the serial [`signed_step`].
 ///
 /// # Panics
 ///
@@ -130,10 +136,14 @@ where
         batch = y.len(),
         chunks = y.len().div_ceil(CRAFT_CHUNK)
     );
-    let parts = rt.par_chunks(y.len(), CRAFT_CHUNK, |r| {
-        let mut replica = model.clone();
-        signed_step(&mut replica, &x.rows(r.clone()), &origin.rows(r.clone()), &y[r], step, eps)
-    });
+    let parts = rt.par_chunks_with(
+        y.len(),
+        CRAFT_CHUNK,
+        || model.clone(),
+        |replica, r| {
+            signed_step(replica, &x.rows(r.clone()), &origin.rows(r.clone()), &y[r], step, eps)
+        },
+    );
     let refs: Vec<&Tensor> = parts.iter().collect();
     Tensor::concat_rows(&refs)
 }
@@ -141,9 +151,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attack::testmodel::{centred_batch, linear_model};
+    use crate::attack::testmodel::{centred_batch, linear_model, mlp_and_batch};
     use crate::projection::linf_distance;
     use crate::{Bim, Fgsm, Pgd};
+    use simpadv_nn::Classifier;
     use simpadv_runtime::split_seed;
 
     #[test]
@@ -208,6 +219,48 @@ mod tests {
         let four = signed_step_parallel(&Runtime::new(4), &model, &x, &x, &y, 0.05, 0.1);
         assert_eq!(one, four);
         assert!(linf_distance(&one, &x) <= 0.1 + 1e-6);
+    }
+
+    /// What the parallel entry points computed before replicas were kept
+    /// per worker: every chunk on a fresh clone of the model, in order.
+    fn fresh_replica_per_chunk(
+        model: &Classifier,
+        len: usize,
+        per_chunk: impl Fn(&mut Classifier, std::ops::Range<usize>) -> Tensor,
+    ) -> Tensor {
+        let parts: Vec<Tensor> = (0..len)
+            .step_by(CRAFT_CHUNK)
+            .map(|start| per_chunk(&mut model.clone(), start..(start + CRAFT_CHUNK).min(len)))
+            .collect();
+        Tensor::concat_rows(&parts.iter().collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn per_worker_replicas_match_a_fresh_replica_per_chunk() {
+        // The replica's cached activations and packed `Wᵀ` carry over from
+        // chunk to chunk of a worker.
+        let (model, x, y) = mlp_and_batch(37);
+        let origin = x.map(|v| (v + 0.05).min(1.0));
+        let bim = fresh_replica_per_chunk(&model, y.len(), |m, r| {
+            Bim::new(0.1, 5).perturb(m, &x.rows(r.clone()), &y[r])
+        });
+        let pgd = fresh_replica_per_chunk(&model, y.len(), |m, r| {
+            Pgd::new(0.1, 3, split_seed(7, r.start as u64)).perturb(m, &x.rows(r.clone()), &y[r])
+        });
+        let step = fresh_replica_per_chunk(&model, y.len(), |m, r| {
+            signed_step(m, &x.rows(r.clone()), &origin.rows(r.clone()), &y[r], 0.03, 0.1)
+        });
+        for threads in [1, 2, 4] {
+            let rt = Runtime::new(threads);
+            let got = craft_parallel(&rt, &model, &|_| Box::new(Bim::new(0.1, 5)), &x, &y);
+            assert_eq!(got, bim, "bim, threads={threads}");
+            let make_pgd = |first: usize| -> Box<dyn Attack> {
+                Box::new(Pgd::new(0.1, 3, split_seed(7, first as u64)))
+            };
+            assert_eq!(craft_parallel(&rt, &model, &make_pgd, &x, &y), pgd, "pgd, {threads}");
+            let got = signed_step_parallel(&rt, &model, &x, &origin, &y, 0.03, 0.1);
+            assert_eq!(got, step, "signed step, threads={threads}");
+        }
     }
 
     #[test]

@@ -15,9 +15,56 @@ use simpadv_tensor::Tensor;
 pub fn project_ball(x: &Tensor, origin: &Tensor, eps: f32) -> Tensor {
     assert_eq!(x.shape(), origin.shape(), "project_ball shape mismatch");
     assert!(eps >= 0.0, "epsilon must be non-negative");
-    let lo = origin.add_scalar(-eps).clamp(0.0, 1.0);
-    let hi = origin.add_scalar(eps).clamp(0.0, 1.0);
-    x.maximum(&lo).minimum(&hi)
+    let data = x.as_slice().iter().zip(origin.as_slice()).map(|(&v, &o)| clip(v, o, eps)).collect();
+    Tensor::from_vec(data, x.shape())
+}
+
+/// One pixel of [`project_ball`]: `v` clipped to `[o − ε, o + ε]`, with
+/// both bounds first clamped into `[0, 1]`. `f32::max` and `f32::min`
+/// return the bound when `v` is NaN.
+fn clip(v: f32, o: f32, eps: f32) -> f32 {
+    let lo = (o + -eps).clamp(0.0, 1.0);
+    let hi = (o + eps).clamp(0.0, 1.0);
+    v.max(lo).min(hi)
+}
+
+/// `x + step · sign(direction)`, projected onto the `eps`-ball around
+/// `origin` and `[0, 1]` in the same pass: the update of every signed
+/// l∞ attack. A negative `step` descends. `sign` maps `±0.0` and NaN to
+/// `0.0`, so such a pixel only moves by the projection.
+///
+/// # Panics
+///
+/// Panics if shapes differ or `eps` is negative.
+pub(crate) fn step_and_project(
+    x: &Tensor,
+    direction: &Tensor,
+    origin: &Tensor,
+    step: f32,
+    eps: f32,
+) -> Tensor {
+    assert_eq!(x.shape(), direction.shape(), "step_and_project direction shape mismatch");
+    assert_eq!(x.shape(), origin.shape(), "step_and_project origin shape mismatch");
+    assert!(eps >= 0.0, "epsilon must be non-negative");
+    let data = x
+        .as_slice()
+        .iter()
+        .zip(direction.as_slice())
+        .zip(origin.as_slice())
+        .map(|((&v, &d), &o)| clip(v + sign(d) * step, o, eps))
+        .collect();
+    Tensor::from_vec(data, x.shape())
+}
+
+/// [`Tensor::sign`] of one element: `±1.0`, or `0.0` for `±0.0` and NaN.
+fn sign(v: f32) -> f32 {
+    if v > 0.0 {
+        1.0
+    } else if v < 0.0 {
+        -1.0
+    } else {
+        0.0
+    }
 }
 
 /// Logical bytes one [`project_ball`] call moves over `elems` pixels:
@@ -70,14 +117,90 @@ pub fn signed_step(
     assert!(step >= 0.0, "step must be non-negative");
     simpadv_trace::clock::tick_attack_steps(1);
     let (_, grad) = model.loss_and_input_grad(x, y);
-    let stepped = x.add(&grad.sign().mul_scalar(step));
-    project_ball(&stepped, origin, eps)
+    step_and_project(x, &grad, origin, step, eps)
+}
+
+/// The multi-pass step and projection every attack ran before the
+/// one-pass [`step_and_project`]: the bitwise reference its tests hold
+/// it to.
+#[cfg(test)]
+pub(crate) mod reference {
+    use simpadv_tensor::Tensor;
+
+    /// `max(x, lo)` then `min(·, hi)`, one temporary per operation.
+    pub fn project_ball(x: &Tensor, origin: &Tensor, eps: f32) -> Tensor {
+        let lo = origin.add_scalar(-eps).clamp(0.0, 1.0);
+        let hi = origin.add_scalar(eps).clamp(0.0, 1.0);
+        x.zip_map(&lo, f32::max).zip_map(&hi, f32::min)
+    }
+
+    /// `x + step · sign(d)`, projected.
+    pub fn ascend(x: &Tensor, d: &Tensor, origin: &Tensor, step: f32, eps: f32) -> Tensor {
+        project_ball(&x.add(&d.sign().mul_scalar(step)), origin, eps)
+    }
+
+    /// `x − step · sign(d)`, projected: least-likely-class FGSM's form.
+    pub fn descend(x: &Tensor, d: &Tensor, origin: &Tensor, step: f32, eps: f32) -> Tensor {
+        project_ball(&x.sub(&d.sign().mul_scalar(step)), origin, eps)
+    }
+
+    /// The bit patterns of a tensor's elements, so `NaN` and `±0.0`
+    /// compare exactly.
+    pub fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::{self, bits};
     use super::*;
     use crate::attack::testmodel::{centred_batch, linear_model};
+
+    #[test]
+    fn one_pass_forms_match_the_multi_pass_reference_bitwise() {
+        let inf = f32::INFINITY;
+        let pixels = [0.0, -0.0, 1.0, 0.5, 0.02, 0.98, 0.3, 0.7, f32::NAN];
+        let directions = [0.0, -0.0, f32::NAN, inf, -inf, 1e-38, -2.5, 3.0];
+        let origins = [0.0, 1.0, 0.05, 0.95, 0.299, 0.701, 0.5];
+        let mut cells = Vec::new();
+        for &p in &pixels {
+            for &d in &directions {
+                for &o in &origins {
+                    cells.push((p, d, o));
+                }
+            }
+        }
+        let column = |f: fn(&(f32, f32, f32)) -> f32| {
+            Tensor::from_vec(cells.iter().map(f).collect(), &[cells.len()])
+        };
+        let (x, d, o) = (column(|c| c.0), column(|c| c.1), column(|c| c.2));
+        for eps in [0.0, 0.1, 0.3] {
+            assert_eq!(
+                bits(&project_ball(&x, &o, eps)),
+                bits(&reference::project_ball(&x, &o, eps))
+            );
+            for step in [0.0, 0.03, 0.3] {
+                let up = step_and_project(&x, &d, &o, step, eps);
+                assert_eq!(
+                    bits(&up),
+                    bits(&reference::ascend(&x, &d, &o, step, eps)),
+                    "{step} {eps}"
+                );
+                let down = step_and_project(&x, &d, &o, -step, eps);
+                assert_eq!(bits(&down), bits(&reference::descend(&x, &d, &o, step, eps)));
+            }
+        }
+    }
+
+    #[test]
+    fn signed_step_matches_the_multi_pass_reference() {
+        let (mut m, x, y) = crate::attack::testmodel::mlp_and_batch(5);
+        let origin = x.map(|v| (v - 0.05).max(0.0));
+        let (_, grad) = m.loss_and_input_grad(&x, &y);
+        let want = reference::ascend(&x, &grad, &origin, 0.03, 0.1);
+        assert_eq!(bits(&signed_step(&mut m, &x, &origin, &y, 0.03, 0.1)), bits(&want));
+    }
 
     #[test]
     fn projection_is_identity_inside_ball() {

@@ -1,7 +1,7 @@
 //! Targeted single-step attacks.
 
 use crate::attack::Attack;
-use crate::projection::project_ball;
+use crate::projection::step_and_project;
 use simpadv_nn::GradientModel;
 use simpadv_tensor::Tensor;
 
@@ -54,8 +54,7 @@ impl Attack for LeastLikelyFgsm {
         let targets = Self::least_likely(&logits);
         let (_, grad) = model.loss_and_input_grad(x, &targets);
         // descend: make the least-likely class more likely
-        let stepped = x.sub(&grad.sign().mul_scalar(self.epsilon));
-        project_ball(&stepped, x, self.epsilon)
+        step_and_project(x, &grad, x, -self.epsilon, self.epsilon)
     }
 
     fn epsilon(&self) -> f32 {
@@ -71,7 +70,7 @@ impl Attack for LeastLikelyFgsm {
 mod tests {
     use super::*;
     use crate::attack::testmodel::{centred_batch, linear_model};
-    use crate::projection::linf_distance;
+    use crate::projection::{linf_distance, reference};
     use simpadv_nn::GradientModel;
 
     #[test]
@@ -96,6 +95,16 @@ mod tests {
             let after = logits1.at(&[i, target]);
             assert!(after > before, "row {i}: target logit {before} -> {after}");
         }
+    }
+
+    #[test]
+    fn matches_the_multi_pass_update_bitwise() {
+        let (mut m, x, y) = crate::attack::testmodel::mlp_and_batch(5);
+        let targets = LeastLikelyFgsm::least_likely(&m.logits(&x));
+        let (_, grad) = m.loss_and_input_grad(&x, &targets);
+        let want = reference::descend(&x, &grad, &x, 0.2, 0.2);
+        let got = LeastLikelyFgsm::new(0.2).perturb(&mut m, &x, &y);
+        assert_eq!(reference::bits(&got), reference::bits(&want));
     }
 
     #[test]

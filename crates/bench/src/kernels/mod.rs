@@ -6,8 +6,9 @@
 //! one craft chunk), the four large ones again on operands as sparse as
 //! training's (`/masked`), the CNN's im2col lowering tiles and the forward
 //! GEMMs over them, the BIM/PGD craft-chunk attack steps, one training
-//! step on a clean+adversarial mixture, and the serve path's batched
-//! forward — swept two ways:
+//! step on a clean+adversarial mixture, one whole BIM(10)-Adv and one
+//! Proposed training batch (craft plus step), and the serve path's
+//! batched forward — swept two ways:
 //!
 //! 1. **Logical sweep** (gateable): one iteration per workload under
 //!    an in-memory trace. Per-iteration forward/backward/flop/attack
@@ -33,6 +34,8 @@ mod calibrate;
 use crate::WallStats;
 use serde::{Serialize, Value};
 use simpadv::ModelSpec;
+use simpadv_attacks::parallel::signed_step_parallel;
+use simpadv_attacks::{Attack, Bim};
 use simpadv_obs::{Artifact, FlameWeight};
 use simpadv_tensor::{im2col, matmul_bytes, Conv2dGeometry, Tensor};
 use simpadv_trace::{clock, span, Event};
@@ -149,6 +152,17 @@ fn train_step_bytes(rows: usize, px: usize, hidden: usize, classes: usize) -> u6
         + matmul_bytes(hidden, rows, classes)
         + matmul_bytes(rows, classes, hidden)
         + matmul_bytes(px, rows, hidden)
+}
+
+/// Logical bytes of one signed attack step on `rows` inputs of the same
+/// MLP: the forward's two GEMMs, the input gradient's two (no weight
+/// gradients), and the step's own traffic.
+fn attack_step_bytes(rows: usize, px: usize, hidden: usize, classes: usize) -> u64 {
+    matmul_bytes(rows, px, hidden)
+        + matmul_bytes(rows, hidden, classes)
+        + matmul_bytes(rows, classes, hidden)
+        + matmul_bytes(rows, hidden, px)
+        + simpadv_attacks::signed_step_bytes(rows * px)
 }
 
 /// Builds the workload registry: every hot kernel at the shapes the
@@ -313,6 +327,58 @@ pub fn registry() -> Vec<Workload> {
         train_step_bytes(rows, px, hidden, classes),
         move || {
             let _ = stepped.train_batch(&mixture, &mixture_labels, &mut opt);
+        },
+    ));
+
+    // One training batch of each claimed path, crafting included: BIM(10)
+    // at ε = 0.3 on the 64 rows (the BIM(10)-Adv trainer's serial craft),
+    // or one 0.03 signed step over four 16-row chunks (the Proposed
+    // trainer's), then the `train/step` update on the 128-row mixture.
+    // The update gives every iteration a new weight version, as training
+    // does, so each one pays the replica clone and the `Wᵀ` pack the
+    // craft needs.
+    let (eps, bim_iterations, proposed_step) = (0.3, 10, 0.03);
+    let mut bim_clf = ModelSpec::default_mlp().build(7);
+    let mut bim_opt = simpadv_nn::Sgd::new(1e-4).with_momentum(0.9);
+    let (bim_x, bim_y) = (tensor(&[batch, px], 19), labels(batch));
+    let bim_mixture_y = bim_y.repeat(2);
+    workloads.push(Workload::new(
+        format!("train/bim{bim_iterations}_batch/{batch}x{px}"),
+        "train",
+        &[batch as u64, px as u64],
+        bim_iterations as u64 * attack_step_bytes(batch, px, hidden, classes)
+            + train_step_bytes(rows, px, hidden, classes),
+        move || {
+            let adv = Bim::new(eps, bim_iterations).perturb(&mut bim_clf, &bim_x, &bim_y);
+            let mixture = Tensor::concat_rows(&[&bim_x, &adv]);
+            let _ = bim_clf.train_batch(&mixture, &bim_mixture_y, &mut bim_opt);
+        },
+    ));
+    let mut proposed_clf = ModelSpec::default_mlp().build(7);
+    let mut proposed_opt = simpadv_nn::Sgd::new(1e-4).with_momentum(0.9);
+    let origin = tensor(&[batch, px], 20);
+    let carried =
+        origin.add(&tensor(&[batch, px], 21).add_scalar(-0.5).mul_scalar(0.2)).clamp(0.0, 1.0);
+    let proposed_y = labels(batch);
+    let proposed_mixture_y = proposed_y.repeat(2);
+    workloads.push(Workload::new(
+        format!("train/proposed_batch/{batch}x{px}"),
+        "train",
+        &[batch as u64, px as u64],
+        (batch / CRAFT_CHUNK) as u64 * attack_step_bytes(CRAFT_CHUNK, px, hidden, classes)
+            + train_step_bytes(rows, px, hidden, classes),
+        move || {
+            let adv = signed_step_parallel(
+                &simpadv_runtime::Runtime::global(),
+                &proposed_clf,
+                &carried,
+                &origin,
+                &proposed_y,
+                proposed_step,
+                eps,
+            );
+            let mixture = Tensor::concat_rows(&[&origin, &adv]);
+            let _ = proposed_clf.train_batch(&mixture, &proposed_mixture_y, &mut proposed_opt);
         },
     ));
 
@@ -654,6 +720,16 @@ mod tests {
         assert_eq!(forward + layer2 + matmul_flops(784, 128, 128), 26_181_632);
         assert_eq!(train, [u(1), u(1), u(26_181_632), u(0)]);
         assert_eq!(artifact.rows["train/step/128x784"]["group"], Value::String("train".into()));
+
+        // one BIM(10)-Adv batch: ten 64-row attack steps, then that step;
+        // one Proposed batch: four 16-row steps, as many flops as one
+        // 64-row step, then the same training step
+        let attack_step = 2 * (matmul_flops(64, 784, 128) + matmul_flops(64, 128, 10));
+        assert_eq!(4 * 3_252_224, attack_step);
+        let bim = counters("train/bim10_batch/64x784");
+        assert_eq!(bim, [u(11), u(11), u(10 * attack_step + 26_181_632), u(10)]);
+        let proposed = counters("train/proposed_batch/64x784");
+        assert_eq!(proposed, [u(5), u(5), u(attack_step + 26_181_632), u(4)]);
 
         let ball = "attack/project_ball/16x784";
         assert_eq!(counters(ball), [u(0), u(0), u(0), u(0)]);

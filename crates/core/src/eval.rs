@@ -3,9 +3,11 @@
 //! Evaluation is embarrassingly parallel across test batches, so the
 //! batch loops here run on the global [`Runtime`]: the test set is cut
 //! into fixed [`EVAL_BATCH`]-example batches (boundaries never depend on
-//! the thread count), each batch is scored on its own model replica, and
-//! the per-batch *integer* correct counts are reduced in batch order.
-//! Accuracies are therefore bitwise identical for 1..N threads, and the
+//! the thread count), each worker scores its batches on one model replica
+//! cloned for it, and the per-batch *integer* correct counts are reduced
+//! in batch order. A batch's score does not depend on the batches the
+//! replica scored before (every pass overwrites its caches), so
+//! accuracies are bitwise identical for 1..N threads, and the
 //! forward/backward passes spent on replicas are credited back to the
 //! caller's classifier so Table I cost accounting stays thread-count
 //! independent.
@@ -27,18 +29,22 @@ pub(crate) const EVAL_BATCH: usize = 100;
 
 /// Clean test accuracy of a classifier.
 ///
-/// Batches are scored in parallel on model replicas; the replicas'
-/// forward passes are credited back to `clf` (one per batch, exactly
-/// what the serial loop would have counted).
+/// Batches are scored in parallel, on one model replica per worker; the
+/// replicas' forward passes are credited back to `clf` (one per batch,
+/// exactly what the serial loop would have counted).
 pub fn evaluate_clean(clf: &mut Classifier, data: &Dataset) -> f32 {
     let _span = simpadv_trace::span!("eval", attack = "original", examples = data.len());
     let shared: &Classifier = clf;
-    let counts = Runtime::global().par_chunks(data.len(), EVAL_BATCH, |r| {
-        let mut replica = shared.clone();
-        let logits = replica.logits(&data.images().rows(r.clone()));
-        let y = &data.labels()[r];
-        (accuracy(&logits, y) * y.len() as f32).round() as usize
-    });
+    let counts = Runtime::global().par_chunks_with(
+        data.len(),
+        EVAL_BATCH,
+        || shared.clone(),
+        |replica, r| {
+            let logits = replica.logits(&data.images().rows(r.clone()));
+            let y = &data.labels()[r];
+            (accuracy(&logits, y) * y.len() as f32).round() as usize
+        },
+    );
     let batches = counts.len() as u64;
     clf.credit_external_passes(batches, 0);
     let acc = counts.into_iter().sum::<usize>() as f32 / data.len().max(1) as f32;
@@ -72,9 +78,10 @@ pub fn evaluate_accuracy(clf: &mut Classifier, data: &Dataset, attack: &mut dyn 
 /// example has index `first`; deterministic attacks (FGSM, BIM) ignore
 /// the index, stochastic ones should derive their seed from it with
 /// [`simpadv_runtime::split_seed`] so the random stream is keyed to data
-/// position, not thread. Each batch perturbs a fresh replica of `clf`;
-/// the replicas' passes are credited back to `clf` afterwards, so the
-/// counters match the serial [`evaluate_accuracy`] loop exactly.
+/// position, not thread. Each worker perturbs its batches on one replica
+/// of `clf`; the passes each batch spends are credited back to `clf`
+/// afterwards, so the counters match the serial [`evaluate_accuracy`]
+/// loop exactly.
 pub fn evaluate_accuracy_parallel(
     clf: &mut Classifier,
     data: &Dataset,
@@ -82,17 +89,21 @@ pub fn evaluate_accuracy_parallel(
 ) -> f32 {
     let _span = simpadv_trace::span!("eval", attack = make_attack(0).id(), examples = data.len());
     let shared: &Classifier = clf;
-    let per_batch = Runtime::global().par_chunks(data.len(), EVAL_BATCH, |r| {
-        let mut replica = shared.clone();
-        let (f0, b0) = (replica.forward_passes(), replica.backward_passes());
-        let mut attack = make_attack(r.start);
-        let x = data.images().rows(r.clone());
-        let y = &data.labels()[r];
-        let adv = attack.perturb(&mut replica, &x, y);
-        let logits = replica.logits(&adv);
-        let correct = (accuracy(&logits, y) * y.len() as f32).round() as usize;
-        (correct, replica.forward_passes() - f0, replica.backward_passes() - b0)
-    });
+    let per_batch = Runtime::global().par_chunks_with(
+        data.len(),
+        EVAL_BATCH,
+        || shared.clone(),
+        |replica, r| {
+            let (f0, b0) = (replica.forward_passes(), replica.backward_passes());
+            let mut attack = make_attack(r.start);
+            let x = data.images().rows(r.clone());
+            let y = &data.labels()[r];
+            let adv = attack.perturb(replica, &x, y);
+            let logits = replica.logits(&adv);
+            let correct = (accuracy(&logits, y) * y.len() as f32).round() as usize;
+            (correct, replica.forward_passes() - f0, replica.backward_passes() - b0)
+        },
+    );
     let (mut correct, mut fwd, mut bwd) = (0usize, 0u64, 0u64);
     for (c, f, b) in per_batch {
         correct += c;

@@ -135,9 +135,9 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "S3",
-        summary: "closures passed to par_map/par_chunks/par_join must not reduce \
-                  through unordered combinators (atomics, locks, hash containers); \
-                  fold the runtime's ordered per-chunk results instead",
+        summary: "closures passed to par_map/par_chunks/par_chunks_with/par_join must \
+                  not reduce through unordered combinators (atomics, locks, hash \
+                  containers); fold the runtime's ordered per-chunk results instead",
         check: Check::Semantic(semrules::s3_parallel_reduction),
     },
     Rule {

@@ -260,9 +260,11 @@ pub fn s2_determinism_taint(ctx: &SemanticCtx) -> Vec<Diagnostic> {
 // S3: parallel-reduction ordering
 // ---------------------------------------------------------------------
 
-/// Parallel-dispatch methods whose closure arguments S3 inspects.
+/// Parallel-dispatch methods whose closure arguments S3 inspects: every
+/// closure in the argument list, so both `par_chunks_with`'s per-worker
+/// `init` and its chunk closure.
 const PAR_ENTRY_POINTS: &[&str] =
-    &["par_map", "par_chunks", "par_join", "try_par_map", "try_par_chunks"];
+    &["par_map", "par_chunks", "par_chunks_with", "par_join", "try_par_map", "try_par_chunks"];
 
 /// Method calls that combine values in an order the scheduler picks.
 const UNORDERED_COMBINATORS: &[&str] = &[
@@ -823,6 +825,21 @@ pub fn wrapped(&self) -> f32 { self.try_get().unwrap_or_else(|e| panic!("{e}")) 
         let d = ctx_run(s3_parallel_reduction, &files, "");
         assert_eq!(d.len(), 1);
         assert!(d[0].message.contains("fetch_add"));
+    }
+
+    #[test]
+    fn s3_inspects_both_closures_of_par_chunks_with() {
+        for (init, f) in [
+            ("|| total.fetch_add(1, Ordering::Relaxed)", "|s, r| r.len()"),
+            ("|| 0u64", "|s, r| total.fetch_add(r.len() as u64, Ordering::Relaxed)"),
+        ] {
+            let src = format!(
+                "pub fn reduce(rt: &Runtime, total: &AtomicU64) {{ rt.par_chunks_with(100, 10, {init}, {f}); }}"
+            );
+            let d = ctx_run(s3_parallel_reduction, &[("crates/nn/src/batch.rs", &src)], "");
+            assert_eq!(d.len(), 1, "{src}");
+            assert!(d[0].message.contains("par_chunks_with") && d[0].message.contains("fetch_add"));
+        }
     }
 
     #[test]

