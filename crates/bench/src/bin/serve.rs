@@ -32,7 +32,6 @@ struct ServeBenchOpts {
     samples: usize,
     dataset: SynthDataset,
     batch_max: usize,
-    batch_timeout_us: u64,
     queue_cap: Option<usize>,
     threads: Option<usize>,
     trace: Option<std::path::PathBuf>,
@@ -42,7 +41,7 @@ struct ServeBenchOpts {
 
 const USAGE: &str = "usage: serve --model-dir DIR [--requests N] [--clients N] \
 [--adv-fraction F] [--attack pgd|bim] [--samples N] [--dataset mnist|fashion] \
-[--batch-max N] [--batch-timeout-us N] [--queue-cap N] [--threads N] [--trace FILE] \
+[--batch-max N] [--queue-cap N] [--threads N] [--trace FILE] \
 [--seed N] [--out FILE]";
 
 fn next_usize(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<usize, String> {
@@ -62,7 +61,6 @@ fn parse_args(args: &[String]) -> Result<ServeBenchOpts, String> {
         samples: 64,
         dataset: SynthDataset::Mnist,
         batch_max: 16,
-        batch_timeout_us: 500,
         queue_cap: None,
         threads: None,
         trace: None,
@@ -99,9 +97,6 @@ fn parse_args(args: &[String]) -> Result<ServeBenchOpts, String> {
                 _ => return Err("--dataset needs mnist or fashion".to_string()),
             },
             "--batch-max" => opts.batch_max = next_usize(&mut it, "--batch-max")?,
-            "--batch-timeout-us" => {
-                opts.batch_timeout_us = next_usize(&mut it, "--batch-timeout-us")? as u64
-            }
             "--queue-cap" => opts.queue_cap = Some(next_usize(&mut it, "--queue-cap")?),
             "--threads" => opts.threads = Some(next_usize(&mut it, "--threads")?),
             "--trace" => match it.next() {
@@ -198,7 +193,6 @@ fn main() {
     let mut cfg = ServeConfig::for_dir(&opts.model_dir);
     cfg.batch = BatchConfig {
         batch_max: opts.batch_max,
-        batch_timeout_us: opts.batch_timeout_us,
         queue_cap: opts.queue_cap.unwrap_or_else(|| opts.clients.max(64)),
     };
     let queue_cap = cfg.batch.queue_cap;

@@ -8,7 +8,7 @@
 //! GEMMs over them, the BIM/PGD craft-chunk attack steps, one training
 //! step on a clean+adversarial mixture, one whole BIM(10)-Adv and one
 //! Proposed training batch (craft plus step), and the serve path's
-//! batched forward — swept two ways:
+//! batched forward and request codec — swept two ways:
 //!
 //! 1. **Logical sweep** (gateable): one iteration per workload under
 //!    an in-memory trace. Per-iteration forward/backward/flop/attack
@@ -382,7 +382,8 @@ pub fn registry() -> Vec<Workload> {
         },
     ));
 
-    // -- serve group: the batched forward behind one dispatch.
+    // -- serve group: the batched forward behind one dispatch, and the
+    // request codec around it.
     let mut served = ModelSpec::default_mlp().build(7);
     let sx = tensor(&[SERVE_BATCH, px], 14);
     workloads.push(Workload::new(
@@ -392,6 +393,29 @@ pub fn registry() -> Vec<Workload> {
         4 * (SERVE_BATCH * px + SERVE_BATCH * classes) as u64,
         move || {
             let _ = served.predict(&sx);
+        },
+    ));
+    // The `/predict` codec: one 784-pixel request body encoded and parsed
+    // back, as the client and the server each do once per request. Its
+    // bytes count the text both ways, so a change to the wire text
+    // changes the row.
+    let image =
+        simpadv_data::SynthDataset::Mnist.generate(&simpadv_data::SynthConfig::new(1, 2019));
+    let codec_request = simpadv_serve::PredictRequest {
+        pixels: image.images().row(0).into_vec(),
+        label: Some(image.labels()[0]),
+        adversarial: false,
+    };
+    let encoded_len = serde_json::to_string(&codec_request).map_or(0, |text| text.len());
+    workloads.push(Workload::new(
+        format!("serve/json/predict_request/{px}"),
+        "serve",
+        &[px as u64],
+        2 * encoded_len as u64,
+        move || {
+            if let Ok(text) = serde_json::to_string(&codec_request) {
+                let _ = serde_json::from_str::<simpadv_serve::PredictRequest>(&text);
+            }
         },
     ));
     workloads
@@ -738,6 +762,13 @@ mod tests {
         let serve = counters("serve/predict/16x784");
         let flops = matmul_flops(16, 784, 128) + matmul_flops(16, 128, 10);
         assert_eq!([&serve[0], &serve[2]], [&u(1), &u(flops)]);
+
+        // the request codec runs no model; its bytes are the body's text
+        // written and read back
+        let codec = "serve/json/predict_request/784";
+        assert_eq!(counters(codec), [u(0), u(0), u(0), u(0)]);
+        let Value::U64(bytes) = artifact.rows[codec]["bytes"] else { panic!("bytes is a count") };
+        assert!(bytes % 2 == 0 && bytes > 2 * 784 * 2, "{bytes} bytes");
     }
 
     #[test]

@@ -80,12 +80,13 @@ COMMANDS
   attack    --model FILE --dataset mnist|fashion [--attack A] [--index I]
             attacks: noise fgsm llfgsm bim10 bim30 pgd10 mim10 fgml2 pgdl2
   serve     --model-dir DIR [--addr HOST:PORT] [--batch-max N]
-            [--batch-timeout-us N] [--queue-cap N]
-            [--watch-interval-us N] [--requests N] [--addr-file FILE]
+            [--queue-cap N] [--watch-interval-us N] [--requests N]
+            [--addr-file FILE]
             batched inference over HTTP with hot-swap: serves the newest
-            valid generation in DIR, coalescing up to N requests (or the
-            batch timeout) per forward pass, shedding load with 503 when
-            the queue is full, and atomically swapping in new checkpoint
+            valid generation in DIR, running whatever is queued (up to
+            --batch-max N) as one forward pass without waiting for more,
+            keeping connections alive, shedding load with 503 when the
+            queue is full, and atomically swapping in new checkpoint
             generations as they appear; --requests N exits after N
             answers (absent or 0: serve until killed), --addr-file
             writes the bound address (useful with an ephemeral port 0)
@@ -475,7 +476,6 @@ fn cmd_serve<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         "model-dir",
         "addr",
         "batch-max",
-        "batch-timeout-us",
         "queue-cap",
         "watch-interval-us",
         "requests",
@@ -490,7 +490,6 @@ fn cmd_serve<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         model_dir: std::path::PathBuf::from(model_dir),
         batch: simpadv_serve::BatchConfig {
             batch_max: args.get_num("batch-max", 16usize)?,
-            batch_timeout_us: args.get_num("batch-timeout-us", 500u64)?,
             queue_cap: args.get_num("queue-cap", 64usize)?,
         },
         watch_interval_us: args.get_num("watch-interval-us", 200_000u64)?,

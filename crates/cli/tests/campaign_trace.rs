@@ -215,7 +215,7 @@ fn serve_requests_stitch_under_the_clients_span() {
     ServedModel::capture(&spec, &clf, "mnist", "test").publish(&store).unwrap();
 
     let mut cfg = ServeConfig::for_dir(&models);
-    cfg.batch = BatchConfig { batch_max: 4, batch_timeout_us: 200, queue_cap: 32 };
+    cfg.batch = BatchConfig { batch_max: 4, queue_cap: 32 };
     let server = Server::start(cfg).unwrap();
     let addr = server.local_addr();
     client::wait_ready(&addr, 5_000_000).unwrap();

@@ -1,11 +1,14 @@
 //! Dynamic request batching with backpressure and hot-swap.
 //!
-//! Requests land on a bounded queue. A single dispatcher coalesces up to
-//! `batch_max` of them (or waits at most `batch_timeout_us` from the
-//! first dequeue), then runs ONE batched forward pass and fans the rows
-//! back out to the waiting callers. The MLP/CNN forward in eval mode is
-//! row-independent, so each row of the batched logits is bitwise equal
-//! to a single-input forward — the determinism suite asserts this.
+//! Requests land on a bounded queue. A single dispatcher takes the
+//! oldest one plus whatever else is queued at that moment, up to
+//! `batch_max`, runs ONE batched forward pass over them, and fans the
+//! rows back out to the waiting callers. Dispatch is work-conserving: a
+//! lone request never waits for company, and under load the requests
+//! that queued during one forward form the next batch. The MLP/CNN
+//! forward in eval mode is row-independent, so each row of the batched
+//! logits is bitwise equal to a single-input forward — the determinism
+//! suite asserts this.
 //!
 //! Hot-swap: the serving `(generation, Classifier)` pair sits behind a
 //! mutex the dispatcher holds for the duration of one batch. A
@@ -39,16 +42,13 @@ use std::time::Duration;
 pub struct BatchConfig {
     /// Largest coalesced batch.
     pub batch_max: usize,
-    /// Longest the dispatcher waits (µs) to fill a batch once the first
-    /// request of the batch has been dequeued.
-    pub batch_timeout_us: u64,
     /// Bounded queue capacity; submissions beyond it are rejected.
     pub queue_cap: usize,
 }
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        BatchConfig { batch_max: 16, batch_timeout_us: 500, queue_cap: 64 }
+        BatchConfig { batch_max: 16, queue_cap: 64 }
     }
 }
 
@@ -78,9 +78,10 @@ struct Pending {
     remote: Option<TraceContext>,
 }
 
-/// Locks a mutex, recovering from poisoning: the engine's shared state
-/// is monotonic counters and a replaceable model, both safe to reuse.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Locks a mutex, recovering from poisoning: what the serve crate locks
+/// (the engine's counters and replaceable model, the server's
+/// connection map) is valid after every single update, so safe to reuse.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
@@ -371,30 +372,14 @@ impl Engine {
         Ok(())
     }
 
-    /// Pulls more work until the batch is full or the timeout from the
-    /// first dequeue expires.
+    /// Joins whatever is queued behind `first`, oldest first, up to
+    /// `batch_max` in all, without waiting for more to arrive.
     fn coalesce(&self, first: Pending) -> Vec<Pending> {
-        let window = WallTimer::start();
-        let mut batch = vec![first];
         let mut q = lock(&self.queue);
-        while batch.len() < self.cfg.batch_max {
-            if let Some(p) = q.pop_front() {
-                batch.push(p);
-                continue;
-            }
-            if self.stopping() {
-                break;
-            }
-            let elapsed = window.elapsed_us();
-            if elapsed >= self.cfg.batch_timeout_us {
-                break;
-            }
-            let remaining = Duration::from_micros(self.cfg.batch_timeout_us - elapsed);
-            q = match self.queue_cv.wait_timeout(q, remaining) {
-                Ok((g, _)) => g,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
-        }
+        let more = q.len().min(self.cfg.batch_max.saturating_sub(1));
+        let mut batch = Vec::with_capacity(1 + more);
+        batch.push(first);
+        batch.extend(q.drain(..more));
         batch
     }
 
@@ -512,6 +497,41 @@ mod tests {
             .map(|i| (((i as u64 * 31 + seed * 7) % 255) as f32) / 255.0)
             .collect();
         PredictRequest { pixels, label: Some((seed % 10) as usize), adversarial: false }
+    }
+
+    /// A queued request numbered by its label.
+    fn pending(n: usize) -> Pending {
+        Pending {
+            request: PredictRequest { pixels: Vec::new(), label: Some(n), adversarial: false },
+            timer: WallTimer::start(),
+            slot: std::sync::Arc::new(ResponseSlot {
+                result: Mutex::new(None),
+                ready: Condvar::new(),
+            }),
+            remote: None,
+        }
+    }
+
+    fn numbers<'a>(batch: impl IntoIterator<Item = &'a Pending>) -> Vec<usize> {
+        batch.into_iter().map(|p| p.request.label.unwrap()).collect()
+    }
+
+    #[test]
+    fn coalesce_takes_what_is_queued_and_never_waits() {
+        let store = temp_store("coalesce");
+        publish_tiny(&store, 6);
+        let engine = Engine::new(store, BatchConfig { batch_max: 4, queue_cap: 16 }).unwrap();
+        // Nothing else queues or signals here, so a wait for company would
+        // never end: the first request has to go alone, at once.
+        assert_eq!(numbers(&engine.coalesce(pending(0))), [0]);
+        for k in 1..=6 {
+            lock(&engine.queue).extend((1..=k).map(pending));
+            let taken = (k + 1).min(4);
+            assert_eq!(numbers(&engine.coalesce(pending(0))), (0..taken).collect::<Vec<_>>());
+            // The rest stay queued, in arrival order.
+            let left: Vec<Pending> = lock(&engine.queue).drain(..).collect();
+            assert_eq!(numbers(&left), (taken..=k).collect::<Vec<_>>(), "{k} queued");
+        }
     }
 
     #[test]

@@ -3,14 +3,18 @@
 //! The paper argues for a *cheap, deployable* single-step defense; this
 //! crate is the deployment half of that claim. It serves a trained
 //! classifier over plain TCP/HTTP (`std::net`, no external
-//! dependencies) with three production-shaped behaviors layered on the
+//! dependencies) with four production-shaped behaviors layered on the
 //! existing subsystems:
 //!
-//! * **Dynamic batching** ([`batcher`]) — requests coalesce on a
-//!   bounded queue up to `batch_max` or `batch_timeout_us`, then run as
-//!   ONE forward pass. Eval-mode forwards are row-independent, so the
-//!   batched rows are bitwise identical to single-input inference (the
-//!   determinism suite asserts it).
+//! * **Dynamic batching** ([`batcher`]) — the dispatcher takes every
+//!   request queued when it comes free, up to `batch_max`, and runs them
+//!   as ONE forward pass; a lone request never waits for company.
+//!   Eval-mode forwards are row-independent, so the batched rows are
+//!   bitwise identical to single-input inference (the determinism suite
+//!   asserts it).
+//! * **Kept-alive connections** ([`server`], [`client`]) — a client
+//!   thread keeps one connection open, each message goes out in one
+//!   write, and shutdown closes every connection it accepted.
 //! * **Backpressure** — a full queue rejects loudly (HTTP 503 with a
 //!   typed body), never silently drops.
 //! * **Hot-swap** — the server watches a

@@ -172,6 +172,9 @@ pub fn write_response<W: Write>(
 /// `/metrics` exposition uses this with `text/plain; version=0.0.4`;
 /// every JSON route goes through [`write_response`].
 ///
+/// Head and body go out in one `write_all`: formatting straight into
+/// an unbuffered socket would send one write per formatted piece.
+///
 /// # Errors
 ///
 /// Propagates socket write failures.
@@ -182,12 +185,14 @@ pub fn write_response_with_type<W: Write>(
     content_type: &str,
     body: &[u8],
 ) -> std::io::Result<()> {
+    let mut message = Vec::with_capacity(96 + body.len());
     write!(
-        writer,
+        message,
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n\r\n",
         body.len()
     )?;
-    writer.write_all(body)?;
+    message.extend_from_slice(body);
+    writer.write_all(&message)?;
     writer.flush()
 }
 
@@ -206,7 +211,8 @@ pub fn write_request<W: Write>(
 }
 
 /// [`write_request`] with an optional [`TRACEPARENT_HEADER`] carrying
-/// the caller's trace context to the server.
+/// the caller's trace context to the server. Like the response writer,
+/// it sends head and body in one `write_all`.
 ///
 /// # Errors
 ///
@@ -218,12 +224,14 @@ pub fn write_request_traced<W: Write>(
     traceparent: Option<&str>,
     body: &[u8],
 ) -> std::io::Result<()> {
-    write!(writer, "{method} {path} HTTP/1.1\r\nHost: simpadv\r\n")?;
+    let mut message = Vec::with_capacity(160 + body.len());
+    write!(message, "{method} {path} HTTP/1.1\r\nHost: simpadv\r\n")?;
     if let Some(value) = traceparent {
-        write!(writer, "{TRACEPARENT_HEADER}: {value}\r\n")?;
+        write!(message, "{TRACEPARENT_HEADER}: {value}\r\n")?;
     }
-    write!(writer, "Content-Type: application/json\r\nContent-Length: {}\r\n\r\n", body.len())?;
-    writer.write_all(body)?;
+    write!(message, "Content-Type: application/json\r\nContent-Length: {}\r\n\r\n", body.len())?;
+    message.extend_from_slice(body);
+    writer.write_all(&message)?;
     writer.flush()
 }
 
@@ -390,6 +398,42 @@ mod tests {
         write_request(&mut wire, "GET", "/healthz", b"").unwrap();
         let parsed = read_request(&mut BufReader::new(wire.as_slice())).unwrap().unwrap();
         assert_eq!(parsed.traceparent, None);
+    }
+
+    /// A `Write` that keeps each `write` call's bytes apart.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_message_is_one_write_of_unchanged_bytes() {
+        let mut writes = Writes::default();
+        write_request_traced(&mut writes, "POST", "/predict", Some("00-ab-cd-01"), b"{}").unwrap();
+        write_request(&mut writes, "GET", "/healthz", b"").unwrap();
+        write_response(&mut writes, 503, "Service Unavailable", b"{\"error\":\"x\"}").unwrap();
+        write_response_with_type(&mut writes, 200, "OK", "text/plain; version=0.0.4", b"a 1\n")
+            .unwrap();
+        let want: [&[u8]; 4] = [
+            b"POST /predict HTTP/1.1\r\nHost: simpadv\r\nX-Simpadv-Traceparent: 00-ab-cd-01\r\n\
+              Content-Type: application/json\r\nContent-Length: 2\r\n\r\n{}",
+            b"GET /healthz HTTP/1.1\r\nHost: simpadv\r\n\
+              Content-Type: application/json\r\nContent-Length: 0\r\n\r\n",
+            b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+              Content-Length: 13\r\n\r\n{\"error\":\"x\"}",
+            b"HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
+              Content-Length: 4\r\n\r\na 1\n",
+        ];
+        assert_eq!(writes.0, want.map(<[u8]>::to_vec));
     }
 
     #[test]

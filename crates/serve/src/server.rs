@@ -7,6 +7,11 @@
 //! not data parallelism — the batched forward itself still runs through
 //! the deterministic runtime pool via the tensor kernels.
 //!
+//! Connections are kept alive: a handler answers requests in order until
+//! the peer closes, and [`Server::shutdown`] half-closes every open
+//! connection and joins its handler, so no handler outlives the server
+//! and a client's idle connection cannot stall the shutdown.
+//!
 //! Routes:
 //!
 //! | route           | method | answer                                   |
@@ -17,17 +22,19 @@
 //! | `/metrics`      | GET    | 200 Prometheus text exposition           |
 //! | `/rescan`       | POST   | 200 [`crate::batcher::SwapReport`]       |
 
-use crate::batcher::{BatchConfig, Engine, SwapReport};
+use crate::batcher::{lock, BatchConfig, Engine, SwapReport};
 use crate::error::ServeError;
 use crate::protocol::{
     read_request, write_response, write_response_with_type, ErrorBody, HealthBody, HttpRequest,
     PredictRequest, RejectBody,
 };
 use crate::stats::StatsSnapshot;
+use std::collections::BTreeMap;
 use std::io::BufReader;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Server configuration.
@@ -64,7 +71,11 @@ impl ServeConfig {
 pub struct Server {
     engine: Arc<Engine>,
     addr: std::net::SocketAddr,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    connections: Arc<Connections>,
+    /// The accept loop; it returns the handler threads still running.
+    acceptor: JoinHandle<Vec<JoinHandle<()>>>,
+    /// The dispatcher and, when configured, the checkpoint watcher.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl Server {
@@ -86,8 +97,10 @@ impl Server {
         let dispatch_engine = Arc::clone(&engine);
         threads.push(std::thread::spawn(move || dispatch_engine.run_dispatch()));
 
-        let accept_engine = Arc::clone(&engine);
-        threads.push(std::thread::spawn(move || accept_loop(&listener, &accept_engine)));
+        let connections = Arc::new(Connections::default());
+        let (accept_engine, accept_connections) = (Arc::clone(&engine), Arc::clone(&connections));
+        let acceptor =
+            std::thread::spawn(move || accept_loop(&listener, &accept_engine, &accept_connections));
 
         if cfg.watch_interval_us > 0 {
             let watch_engine = Arc::clone(&engine);
@@ -95,7 +108,7 @@ impl Server {
             threads.push(std::thread::spawn(move || watch_loop(&watch_engine, interval)));
         }
 
-        Ok(Server { engine, addr, threads })
+        Ok(Server { engine, addr, connections, acceptor, threads })
     }
 
     /// The bound address, e.g. `127.0.0.1:41347`.
@@ -127,38 +140,60 @@ impl Server {
         self.engine.wait_served(target);
     }
 
-    /// Drains the queue, stops every background thread, and returns the
-    /// final statistics snapshot.
+    /// Drains the queue, closes every connection, stops every background
+    /// thread, and returns the final statistics snapshot.
     pub fn shutdown(self) -> StatsSnapshot {
         self.engine.shutdown();
         // The accept loop blocks in accept(); a throwaway connection
         // wakes it so it can observe the stop flag.
         let _ = TcpStream::connect(self.addr);
-        for handle in self.threads {
+        let handlers = self.acceptor.join().unwrap_or_default();
+        // No connection opens from here on. Half-closing the rest ends
+        // every handler's wait for a next request, while an answer being
+        // written still goes out.
+        for stream in lock(&self.connections).values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        for handle in handlers.into_iter().chain(self.threads) {
             let _ = handle.join();
         }
         self.engine.stats()
     }
 }
 
-/// Accepts connections until shutdown, one handler thread each.
-fn accept_loop(listener: &TcpListener, engine: &Arc<Engine>) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if engine.stopping() {
-                    return;
-                }
-                let engine = Arc::clone(engine);
-                let _ = std::thread::spawn(move || handle_connection(stream, &engine));
-            }
-            Err(_) => {
-                if engine.stopping() {
-                    return;
-                }
-            }
+/// The open connections, by accept order, so [`Server::shutdown`] can
+/// end their handlers' reads: each entry is a second handle on the
+/// handler's socket, dropped when the handler finishes.
+type Connections = Mutex<BTreeMap<u64, TcpStream>>;
+
+/// Accepts connections until shutdown, one handler thread each, and
+/// returns the handlers still running.
+fn accept_loop(
+    listener: &TcpListener,
+    engine: &Arc<Engine>,
+    connections: &Arc<Connections>,
+) -> Vec<JoinHandle<()>> {
+    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
+    for id in 0u64.. {
+        let stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(_) if engine.stopping() => break,
+            Err(_) => continue,
+        };
+        if engine.stopping() {
+            break;
         }
+        let Ok(handle) = stream.try_clone() else { continue };
+        let _ = stream.set_nodelay(true);
+        lock(connections).insert(id, handle);
+        handlers.retain(|h| !h.is_finished());
+        let (engine, connections) = (Arc::clone(engine), Arc::clone(connections));
+        handlers.push(std::thread::spawn(move || {
+            handle_connection(stream, &engine);
+            lock(&connections).remove(&id);
+        }));
     }
+    handlers
 }
 
 /// Polls the checkpoint store for new generations until shutdown.
@@ -182,24 +217,21 @@ fn watch_loop(engine: &Arc<Engine>, interval_us: u64) {
     }
 }
 
-/// Serves one keep-alive connection until the peer closes it.
+/// Serves one keep-alive connection until the peer closes it (or
+/// shutdown half-closes it).
 fn handle_connection(stream: TcpStream, engine: &Arc<Engine>) {
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
     let mut reader = BufReader::new(stream);
     loop {
         match read_request(&mut reader) {
             Ok(None) => return,
             Ok(Some(request)) => {
-                let keep_going = respond(&mut writer, engine, &request);
+                let keep_going = respond(reader.get_mut(), engine, &request);
                 if !keep_going {
                     return;
                 }
             }
             Err(ServeError::BadRequest(detail)) => {
-                let _ = send_error(&mut writer, 400, "Bad Request", &detail);
+                let _ = send_error(reader.get_mut(), 400, "Bad Request", &detail);
                 return;
             }
             Err(_) => return,

@@ -43,7 +43,7 @@ fn corrupted_generation_is_skipped_and_serving_continues() {
     publish(&store, 1);
 
     let mut cfg = ServeConfig::for_dir(&dir);
-    cfg.batch = BatchConfig { batch_max: 4, batch_timeout_us: 200, queue_cap: 32 };
+    cfg.batch = BatchConfig { batch_max: 4, queue_cap: 32 };
     let server = Server::start(cfg).unwrap();
     let addr = server.local_addr();
     client::wait_ready(&addr, 5_000_000).unwrap();

@@ -7,7 +7,7 @@
 
 #![forbid(unsafe_code)]
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::{Read, Write};
 
 use serde::{Deserialize, Serialize, Value};
@@ -61,7 +61,7 @@ fn escape_into(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -69,14 +69,16 @@ fn escape_into(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Appends `f` to `out`. Numbers are formatted straight into `out`
+/// (writing to a `String` cannot fail), with no `String` per number.
 fn render_f64(f: f64, out: &mut String) {
     if f.is_finite() {
         // Ryū-style shortest form is unavailable; `{}` on f64 is already
         // round-trippable in Rust.
         if f == f.trunc() && f.abs() < 1e15 {
-            out.push_str(&format!("{:.1}", f));
+            let _ = write!(out, "{f:.1}");
         } else {
-            out.push_str(&format!("{}", f));
+            let _ = write!(out, "{f}");
         }
     } else {
         // Real serde_json errors on non-finite floats; reports in this
@@ -97,8 +99,12 @@ fn render(value: &Value, pretty: bool, indent: usize, out: &mut String) {
     match value {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::U64(u) => out.push_str(&u.to_string()),
-        Value::I64(i) => out.push_str(&i.to_string()),
+        Value::U64(u) => {
+            let _ = write!(out, "{u}");
+        }
+        Value::I64(i) => {
+            let _ = write!(out, "{i}");
+        }
         Value::F64(f) => render_f64(*f, out),
         Value::String(s) => escape_into(s, out),
         Value::Array(items) => {
@@ -446,6 +452,38 @@ mod tests {
             render_f64(f, &mut out);
             assert_eq!(out.parse::<f64>().unwrap(), f, "render {f} -> {out}");
         }
+    }
+
+    #[test]
+    fn number_text_is_pinned() {
+        let cases: [(f64, String); 16] = [
+            (0.0, "0.0".into()),
+            (3.0, "3.0".into()),
+            (-7.0, "-7.0".into()),
+            (999_999_999_999_999.0, "999999999999999.0".into()),
+            (1e15, "1000000000000000".into()),
+            (-2.5e20, "-250000000000000000000".into()),
+            (-0.0, "-0.0".into()),
+            (f64::from_bits(1), format!("0.{}5", "0".repeat(323))),
+            (f64::from(f32::from_bits(1)), format!("0.{}1401298464324817", "0".repeat(44))),
+            (f64::from(0.1f32), "0.10000000149011612".into()),
+            (f64::from(200.0f32 / 255.0), "0.7843137383460999".into()),
+            (1e-7, "0.0000001".into()),
+            (123.456, "123.456".into()),
+            (f64::NAN, "null".into()),
+            (f64::INFINITY, "null".into()),
+            (f64::NEG_INFINITY, "null".into()),
+        ];
+        for (value, text) in &cases {
+            assert_eq!(&to_string(value).unwrap(), text, "{value:?}");
+        }
+        // f32 pixels are widened to f64 before rendering.
+        let pixels = vec![0.1f32, 200.0 / 255.0, 0.5, 0.0];
+        let text = "[0.10000000149011612,0.7843137383460999,0.5,0.0]";
+        assert_eq!(to_string(&pixels).unwrap(), text);
+        assert_eq!(to_string(&u64::MAX).unwrap(), "18446744073709551615");
+        assert_eq!(to_string(&i64::MIN).unwrap(), "-9223372036854775808");
+        assert_eq!(to_string(&"\u{1}").unwrap(), "\"\\u0001\"");
     }
 
     #[test]

@@ -86,9 +86,7 @@ fn thread_count_never_changes_results() {
         let spec = ModelSpec::small_mlp();
         ServedModel::capture(&spec, &spec.build(5), "mnist", "test").publish(&store).unwrap();
         // batch_max 4 over 10 requests: coalesced chunks of 4/4/2
-        let engine =
-            Engine::new(store, BatchConfig { batch_max: 4, batch_timeout_us: 100, queue_cap: 16 })
-                .unwrap();
+        let engine = Engine::new(store, BatchConfig { batch_max: 4, queue_cap: 16 }).unwrap();
         let batched: Vec<Vec<u32>> =
             engine.infer_batch(&requests).unwrap().iter().map(|r| bits(&r.logits)).collect();
         let singles: Vec<Vec<u32>> = requests

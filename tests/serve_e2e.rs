@@ -72,7 +72,7 @@ fn hot_swap_under_concurrent_adversarial_traffic() {
     let adv_g2 = logits_matrix(&mut model_g2, &adv);
 
     let mut cfg = ServeConfig::for_dir(&dir);
-    cfg.batch = BatchConfig { batch_max: 4, batch_timeout_us: 300, queue_cap: 64 };
+    cfg.batch = BatchConfig { batch_max: 4, queue_cap: 64 };
     cfg.watch_interval_us = 2_000; // the server watches the directory itself
     let server = Server::start(cfg).unwrap();
     let addr = server.local_addr();

@@ -36,9 +36,7 @@ fn logical_trace_stream_is_thread_invariant() {
         let store = simpadv_resilience::CheckpointStore::open(&dir).unwrap();
         let spec = ModelSpec::small_mlp();
         ServedModel::capture(&spec, &spec.build(3), "fashion", "test").publish(&store).unwrap();
-        let engine =
-            Engine::new(store, BatchConfig { batch_max: 3, batch_timeout_us: 100, queue_cap: 16 })
-                .unwrap();
+        let engine = Engine::new(store, BatchConfig { batch_max: 3, queue_cap: 16 }).unwrap();
         handle.take(); // drop startup events (store paths differ per run)
         engine.infer_batch(&requests).unwrap();
         let shapes: Vec<_> = handle.take().iter().map(shape).collect();
