@@ -17,9 +17,7 @@ use simpadv_data::{SynthConfig, SynthDataset, CLASS_COUNT};
 use simpadv_nn::GradientModel;
 use simpadv_obs::Artifact;
 use simpadv_runtime::{split_seed, Runtime};
-use simpadv_serve::{
-    client, load_latest_servable, BatchConfig, PredictRequest, ServeConfig, Server,
-};
+use simpadv_serve::{client, newest_servable, BatchConfig, PredictRequest, ServeConfig, Server};
 use simpadv_trace::clock::WallTimer;
 
 /// Parsed command line of the load generator.
@@ -157,17 +155,16 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let (generation, served_model) = match load_latest_servable(&store) {
-        Ok(pair) => pair,
+    let (generation, mut offline) = match newest_servable(&store, 0) {
+        Ok(scan) => match scan.servable {
+            Some((generation, _, clf)) => (generation, clf),
+            None => {
+                eprintln!("no servable model in {}", opts.model_dir.display());
+                std::process::exit(1);
+            }
+        },
         Err(e) => {
-            eprintln!("no servable model in {}: {e}", opts.model_dir.display());
-            std::process::exit(1);
-        }
-    };
-    let mut offline = match served_model.restore() {
-        Ok(clf) => clf,
-        Err(e) => {
-            eprintln!("cannot restore model: {e}");
+            eprintln!("cannot scan {}: {e}", opts.model_dir.display());
             std::process::exit(1);
         }
     };

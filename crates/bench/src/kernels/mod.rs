@@ -421,11 +421,11 @@ pub fn registry() -> Vec<Workload> {
     workloads
 }
 
-/// CLI options of the `kernels` binary and the `bench kernels` verb.
+/// Options of the `simpadv-cli bench kernels` verb.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelsOpts {
     /// Wall budget each calibrated timing loop aims for, microseconds
-    /// (`--smoke` 20 ms, `--quick` 100 ms, `--full` 500 ms, or
+    /// (`--scale smoke` 20 ms, `quick` 100 ms, `full` 500 ms, or
     /// `--target-us N`). Only affects `meta` precision — the logical
     /// rows are scale-independent.
     pub target_iter_wall_us: u64,
@@ -452,55 +452,6 @@ impl Default for KernelsOpts {
             out: PathBuf::from("BENCH_kernels.json"),
             flame_dir: None,
         }
-    }
-}
-
-impl KernelsOpts {
-    /// Parses the kernel lab's flags; unknown flags or bad values abort
-    /// with a usage message (mirroring [`crate::BenchOpts::from_args`]).
-    pub fn from_args(args: &[String]) -> Self {
-        let mut opts = KernelsOpts::default();
-        let mut it = args.iter();
-        let bad = |msg: &str| -> ! {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        };
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--smoke" => opts.target_iter_wall_us = 20_000,
-                "--quick" => opts.target_iter_wall_us = 100_000,
-                "--full" => opts.target_iter_wall_us = 500_000,
-                "--target-us" => match it.next().map(|v| v.parse::<u64>()) {
-                    Some(Ok(n)) if n > 0 => opts.target_iter_wall_us = n,
-                    _ => bad("--target-us needs a positive integer value"),
-                },
-                "--threads" => match it.next().map(|v| v.parse::<usize>()) {
-                    Some(Ok(n)) if n > 0 => opts.threads = Some(n),
-                    _ => bad("--threads needs a positive integer value"),
-                },
-                "--repeat" => match it.next().map(|v| v.parse::<usize>()) {
-                    Some(Ok(n)) if n > 0 => opts.repeat = n,
-                    _ => bad("--repeat needs a positive integer value"),
-                },
-                "--warmup" => match it.next().map(|v| v.parse::<u64>()) {
-                    Some(Ok(n)) => opts.warmup = n,
-                    _ => bad("--warmup needs a non-negative integer value"),
-                },
-                "--out" => match it.next() {
-                    Some(path) => opts.out = PathBuf::from(path),
-                    None => bad("--out needs a file path value"),
-                },
-                "--flame-dir" => match it.next() {
-                    Some(dir) => opts.flame_dir = Some(PathBuf::from(dir)),
-                    None => bad("--flame-dir needs a directory value"),
-                },
-                other => bad(&format!(
-                    "unknown flag {other}; use --smoke | --quick | --full | --target-us N \
-                     | --threads N | --repeat N | --warmup N | --out FILE | --flame-dir DIR"
-                )),
-            }
-        }
-        opts
     }
 }
 
@@ -660,10 +611,6 @@ mod tests {
     use super::*;
     use simpadv_tensor::matmul_flops;
 
-    fn argv(s: &str) -> Vec<String> {
-        s.split_whitespace().map(str::to_string).collect()
-    }
-
     #[test]
     fn registry_covers_every_kernel_group() {
         let reg = registry();
@@ -675,22 +622,6 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), reg.len());
-    }
-
-    #[test]
-    fn opts_parse_scales_and_overrides() {
-        assert_eq!(KernelsOpts::from_args(&[]).target_iter_wall_us, 100_000);
-        assert_eq!(KernelsOpts::from_args(&argv("--smoke")).target_iter_wall_us, 20_000);
-        assert_eq!(KernelsOpts::from_args(&argv("--full")).target_iter_wall_us, 500_000);
-        let opts = KernelsOpts::from_args(&argv(
-            "--target-us 5000 --threads 2 --repeat 5 --warmup 0 --out k.json --flame-dir fl",
-        ));
-        assert_eq!(opts.target_iter_wall_us, 5_000);
-        assert_eq!(opts.threads, Some(2));
-        assert_eq!(opts.repeat, 5);
-        assert_eq!(opts.warmup, 0);
-        assert_eq!(opts.out, PathBuf::from("k.json"));
-        assert_eq!(opts.flame_dir.as_deref(), Some(std::path::Path::new("fl")));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Subcommand implementations.
 
 use crate::args::{Args, ParseError};
-use crate::checkpoint::SavedModel;
 use simpadv::train::{
     AtdaTrainer, BimAdvTrainer, CheckpointSession, FgsmAdvTrainer, FreeAdvTrainer, ProposedTrainer,
     Trainer, VanillaTrainer,
@@ -10,6 +9,7 @@ use simpadv::{EvalSuite, ModelSpec, TrainConfig};
 use simpadv_attacks::{Attack, Bim, FgmL2, Fgsm, LeastLikelyFgsm, Mim, Pgd, PgdL2, RandomNoise};
 use simpadv_data::{ascii_image, SynthConfig, SynthDataset};
 use simpadv_resilience::PersistError;
+use simpadv_serve::{ServeError, ServedModel};
 use std::error::Error;
 use std::fmt;
 use std::io::Write;
@@ -47,6 +47,16 @@ impl From<std::io::Error> for CliError {
 impl From<PersistError> for CliError {
     fn from(e: PersistError) -> Self {
         CliError(e.to_string())
+    }
+}
+
+impl From<ServeError> for CliError {
+    fn from(e: ServeError) -> Self {
+        match e {
+            // a model file's persistence error reads as the bare cause
+            ServeError::Persist(e) => e.into(),
+            e => CliError(e.to_string()),
+        }
     }
 }
 
@@ -157,14 +167,7 @@ COMMANDS
             [--warmup N] [--out FILE] [--flame-dir DIR]
             run the kernel microbenchmark lab: every hot kernel at real
             experiment shapes; logical counters are gateable, wall
-            numbers land in meta (also: cargo run --release -p
-            simpadv-bench --bin kernels)
-  lint [--root DIR] [--rules SPEC]
-            run the workspace invariant wall (rules R1-R12 syntactic,
-            S1-S5 semantic; see `simpadv-lint --list`); any diagnostic
-            is an error
-  lint graph [--root DIR]
-            print the workspace call graph in Graphviz DOT format
+            numbers land in meta
   help
 
 GLOBAL OPTIONS
@@ -184,7 +187,7 @@ GLOBAL OPTIONS
 /// Returns [`CliError`] on unknown commands, bad options or I/O failures.
 pub fn run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     apply_threads(args)?;
-    if !matches!(args.command.as_str(), "trace" | "bench" | "lint" | "sweep") {
+    if !matches!(args.command.as_str(), "trace" | "bench" | "sweep") {
         args.expect_no_positionals()?;
     }
     let tracing = apply_trace(args)?;
@@ -197,7 +200,6 @@ pub fn run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         "sweep" => cmd_sweep(args, out),
         "trace" => cmd_trace(args, out),
         "bench" => cmd_bench(args, out),
-        "lint" => cmd_lint(args, out),
         "help" => writeln!(out, "{USAGE}").map_err(CliError::from),
         other => Err(CliError(format!("unknown command '{other}'\n\n{USAGE}"))),
     };
@@ -344,8 +346,7 @@ fn cmd_train<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         report.mean_gradient_passes()
     )?;
     if let Ok(path) = args.require("out") {
-        let saved = SavedModel::capture(&spec, &clf, dataset.id(), method_id);
-        saved.save_to(path)?;
+        ServedModel::capture(&spec, &clf, dataset.id(), method_id).save_to(path)?;
         writeln!(out, "wrote {path}")?;
     }
     if let Ok(path) = args.require("report") {
@@ -414,8 +415,8 @@ fn parse_checkpointing(args: &Args) -> Result<CheckpointSession, CliError> {
 fn cmd_evaluate<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     args.expect_only(&["model", "dataset", "samples", "seed", "threads", "trace", "trace-format"])?;
     let dataset = parse_dataset(args)?;
-    let saved = SavedModel::load_from(args.require("model")?)?;
-    let mut clf = saved.restore();
+    let saved = ServedModel::load_file(args.require("model")?)?;
+    let mut clf = saved.restore()?;
     let samples = args.get_num("samples", 400usize)?;
     let seed = args.get_num("seed", 2u64)?;
     let test = dataset.generate(&SynthConfig::new(samples, seed));
@@ -444,8 +445,8 @@ fn cmd_attack<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         "trace-format",
     ])?;
     let dataset = parse_dataset(args)?;
-    let saved = SavedModel::load_from(args.require("model")?)?;
-    let mut clf = saved.restore();
+    let saved = ServedModel::load_file(args.require("model")?)?;
+    let mut clf = saved.restore()?;
     let seed = args.get_num("seed", 3u64)?;
     let index = args.get_num("index", 0usize)?;
     let eps = dataset.paper_epsilon();
@@ -1049,51 +1050,6 @@ fn cmd_bench_kernels<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError>
     Ok(())
 }
 
-/// `lint` — the workspace invariant wall, and `lint graph` — the DOT
-/// call-graph export (the same analyses `simpadv-lint` exposes, wired
-/// into the umbrella CLI for one-command local checks).
-fn cmd_lint<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
-    args.expect_only(&["threads", "trace", "trace-format", "root", "rules"])?;
-    if args.positional(1).is_some() {
-        return Err(CliError("usage: lint [graph] [--root DIR] [--rules SPEC]".into()));
-    }
-    let root = std::path::PathBuf::from(args.get_or("root", "."));
-    let ws = simpadv_lint::collect_files(&root)
-        .map_err(|e| CliError(format!("cannot walk {}: {e}", root.display())))?;
-    match args.positional(0) {
-        Some("graph") => {
-            let model = simpadv_lint::semrules::SemanticModel::build(&ws);
-            write!(out, "{}", model.graph.to_dot())?;
-            Ok(())
-        }
-        None => {
-            let spec = args.require("rules").ok();
-            if let Some(s) = spec {
-                simpadv_lint::rules::expand_spec(s).map_err(CliError)?;
-            }
-            let config_path = root.join("lint.toml");
-            let cfg = if config_path.exists() {
-                let src = std::fs::read_to_string(&config_path)
-                    .map_err(|e| CliError(format!("cannot read {}: {e}", config_path.display())))?;
-                simpadv_lint::config::parse(&src).map_err(|e| CliError(e.to_string()))?
-            } else {
-                simpadv_lint::config::Config::default()
-            };
-            let diags = simpadv_lint::run(&ws, &cfg, spec);
-            for d in &diags {
-                write!(out, "{}", d.render())?;
-            }
-            if diags.is_empty() {
-                writeln!(out, "lint: {} file(s) analyzed, clean", ws.files.len())?;
-                Ok(())
-            } else {
-                Err(CliError(format!("lint: {} diagnostic(s)", diags.len())))
-            }
-        }
-        Some(other) => Err(CliError(format!("unknown lint action '{other}' (graph)"))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1117,18 +1073,6 @@ mod tests {
     fn unknown_command_fails_with_usage() {
         let err = run_line("frobnicate").unwrap_err();
         assert!(err.to_string().contains("USAGE"));
-    }
-
-    #[test]
-    fn lint_verb_runs_the_wall_and_exports_the_graph() {
-        // Tests run from the crate directory; the workspace root is two up.
-        let text = run_line("lint --root ../..").unwrap();
-        assert!(text.contains("clean"), "wall output: {text}");
-        let dot = run_line("lint graph --root ../..").unwrap();
-        assert!(dot.starts_with("digraph"));
-        assert!(dot.contains("->"));
-        let err = run_line("lint prune --root ../..").unwrap_err();
-        assert!(err.to_string().contains("unknown lint action"));
     }
 
     #[test]
@@ -1260,8 +1204,8 @@ mod tests {
             resumed.display()
         ))
         .unwrap();
-        let a = SavedModel::load_from(&straight).unwrap();
-        let b = SavedModel::load_from(&resumed).unwrap();
+        let a = ServedModel::load_file(&straight).unwrap();
+        let b = ServedModel::load_file(&resumed).unwrap();
         assert_eq!(a.state, b.state, "resumed weights must match the straight run bitwise");
     }
 

@@ -1,7 +1,8 @@
 //! # simpadv-cli
 //!
-//! The library behind the `simpadv-cli` command-line tool: argument parsing,
-//! the model checkpoint format, and the subcommand implementations.
+//! The library behind the `simpadv-cli` command-line tool: argument parsing
+//! and the subcommand implementations. Model files are
+//! [`simpadv_serve::ServedModel`]s, the type the server deploys.
 //! Keeping the logic in a library makes every code path unit-testable;
 //! `main.rs` is a thin shell.
 //!
@@ -13,9 +14,7 @@
 //! ```
 
 mod args;
-mod checkpoint;
 mod commands;
 
 pub use args::{Args, ParseError};
-pub use checkpoint::SavedModel;
 pub use commands::{run, CliError};

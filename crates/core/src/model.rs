@@ -40,11 +40,6 @@ impl ModelSpec {
         ModelSpec::Mlp { hidden: vec![128] }
     }
 
-    /// A wider two-hidden-layer MLP for higher-fidelity (slower) runs.
-    pub fn wide_mlp() -> Self {
-        ModelSpec::Mlp { hidden: vec![256, 128] }
-    }
-
     /// A smaller MLP for quick tests.
     pub fn small_mlp() -> Self {
         ModelSpec::Mlp { hidden: vec![64] }
@@ -128,7 +123,7 @@ mod tests {
     #[test]
     fn id_encodes_architecture() {
         assert_eq!(ModelSpec::default_mlp().id(), "mlp[128]");
-        assert_eq!(ModelSpec::wide_mlp().id(), "mlp[256,128]");
+        assert_eq!(ModelSpec::Mlp { hidden: vec![256, 128] }.id(), "mlp[256,128]");
         assert_eq!(ModelSpec::small_mlp().id(), "mlp[64]");
     }
 

@@ -81,19 +81,6 @@ impl Dataset {
         Dataset { images, labels, num_classes: self.num_classes }
     }
 
-    /// Splits into `(first, rest)` where `first` holds the first `count`
-    /// examples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count > len`.
-    pub fn split_at(&self, count: usize) -> (Dataset, Dataset) {
-        assert!(count <= self.len(), "split {count} exceeds dataset size {}", self.len());
-        let head: Vec<usize> = (0..count).collect();
-        let tail: Vec<usize> = (count..self.len()).collect();
-        (self.subset(&head), self.subset(&tail))
-    }
-
     /// Iterates over minibatches in a fresh random order drawn from `rng`.
     ///
     /// The final batch may be smaller than `batch_size`.
@@ -180,15 +167,6 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.labels(), &[2, 0]);
         assert_eq!(s.images().row(0), d.images().row(5));
-    }
-
-    #[test]
-    fn split_at_partitions() {
-        let d = toy(10);
-        let (a, b) = d.split_at(7);
-        assert_eq!(a.len(), 7);
-        assert_eq!(b.len(), 3);
-        assert_eq!(b.images().row(0), d.images().row(7));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! l∞ perturbations rather than defeated by aliasing artifacts.
 
 use rand::Rng;
-use simpadv_tensor::{NormalSampler, Tensor};
+use simpadv_tensor::NormalSampler;
 
 /// An affine jitter applied to glyph control points: rotation and
 /// anisotropic scale about the glyph centre `(0.5, 0.5)`, then translation.
@@ -204,21 +204,6 @@ impl Canvas {
         }
     }
 
-    /// Fills an ellipse given in unit coordinates, after applying `tf`.
-    pub fn fill_ellipse(
-        &mut self,
-        cx: f32,
-        cy: f32,
-        rx: f32,
-        ry: f32,
-        tf: &Transform,
-        intensity: f32,
-    ) {
-        // polygonal approximation keeps the transform handling uniform
-        let pts = arc_points(cx, cy, rx, ry, 0.0, std::f32::consts::TAU, 40);
-        self.fill_polygon(&pts, tf, intensity);
-    }
-
     /// One pass of a 3×3 binomial blur (kernel `[1 2 1]⊗[1 2 1]/16`),
     /// zero-padded at the borders.
     pub fn blur(&mut self) {
@@ -267,12 +252,6 @@ impl Canvas {
         for p in &mut self.pixels {
             *p = (*p + sampler.sample(rng)).clamp(0.0, 1.0);
         }
-    }
-
-    /// Consumes the canvas into a flat `[side*side]` tensor.
-    pub fn into_tensor(self) -> Tensor {
-        let side = self.side;
-        Tensor::from_vec(self.pixels, &[side * side])
     }
 
     /// Mean intensity (fraction of ink).
@@ -347,14 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn fill_ellipse_covers_centre() {
-        let mut c = Canvas::new(28);
-        c.fill_ellipse(0.5, 0.5, 0.3, 0.2, &Transform::identity(), 1.0);
-        assert_eq!(c.pixels()[14 * 28 + 14], 1.0);
-        assert!(c.ink() > 0.05 && c.ink() < 0.5);
-    }
-
-    #[test]
     fn blur_preserves_mass_in_interior() {
         let mut c = Canvas::new(28);
         c.fill_polygon(
@@ -391,12 +362,6 @@ mod tests {
         assert_eq!(pts.len(), 9);
         assert!((pts[0].0 - 0.7).abs() < 1e-6);
         assert!((pts[8].0 - 0.3).abs() < 1e-5);
-    }
-
-    #[test]
-    fn into_tensor_shape() {
-        let t = Canvas::new(28).into_tensor();
-        assert_eq!(t.shape(), &[784]);
     }
 
     #[test]

@@ -70,11 +70,6 @@ impl SynthDataset {
         };
         let thickness = 3.0 + rng.random_range(-0.6f32..0.8) * j;
         let mut canvas = Canvas::new(IMAGE_SIDE);
-        for _ in 0..config.clutter {
-            let a = (rng.random_range(0.05..0.95), rng.random_range(0.05..0.95));
-            let b = (rng.random_range(0.05..0.95), rng.random_range(0.05..0.95));
-            canvas.stroke_polyline(&[a, b], &Transform::identity(), 1.2, 0.35);
-        }
         match self {
             SynthDataset::Mnist => draw_digit(&mut canvas, class, &tf, thickness),
             SynthDataset::Fashion => draw_garment(&mut canvas, class, &tf, thickness),
@@ -112,10 +107,6 @@ pub struct SynthConfig {
     /// Jitter amplitude in `[0, 1]`: 0 renders clean templates, 1 applies
     /// the full rotation/scale/translation/thickness variation.
     pub jitter: f32,
-    /// Number of faint distractor strokes drawn behind each glyph —
-    /// class-independent clutter that makes the task harder and gives
-    /// robust training non-robust features to learn to ignore.
-    pub clutter: usize,
 }
 
 impl SynthConfig {
@@ -126,7 +117,7 @@ impl SynthConfig {
     /// Panics if `samples == 0`.
     pub fn new(samples: usize, seed: u64) -> Self {
         assert!(samples > 0, "need at least one sample");
-        SynthConfig { samples, seed, noise_sigma: 0.03, jitter: 1.0, clutter: 0 }
+        SynthConfig { samples, seed, noise_sigma: 0.03, jitter: 1.0 }
     }
 
     /// Overrides the noise level.
@@ -137,12 +128,6 @@ impl SynthConfig {
     pub fn with_noise(mut self, sigma: f32) -> Self {
         assert!(sigma >= 0.0, "noise sigma must be non-negative");
         self.noise_sigma = sigma;
-        self
-    }
-
-    /// Adds `count` faint random distractor strokes per image.
-    pub fn with_clutter(mut self, count: usize) -> Self {
-        self.clutter = count;
         self
     }
 
@@ -208,15 +193,6 @@ mod tests {
         let d = SynthDataset::Mnist.generate(&cfg);
         // two renders of the same class are now identical
         assert_eq!(d.images().row(0), d.images().row(10));
-    }
-
-    #[test]
-    fn clutter_adds_ink_without_breaking_range() {
-        let clean = SynthDataset::Mnist.generate(&SynthConfig::new(20, 4).with_noise(0.0));
-        let cluttered =
-            SynthDataset::Mnist.generate(&SynthConfig::new(20, 4).with_noise(0.0).with_clutter(4));
-        assert!(cluttered.images().mean() > clean.images().mean());
-        assert!(cluttered.images().as_slice().iter().all(|&v| (0.0..=1.0).contains(&v)));
     }
 
     #[test]

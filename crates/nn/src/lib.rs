@@ -59,4 +59,4 @@ pub use layers::{Conv2d, Dense, Flatten, MaxPool2d, Relu, Reshape, Sequential};
 pub use loss::{log_softmax, softmax, SoftmaxCrossEntropy};
 pub use metrics::accuracy;
 pub use optim::{OptimState, Sgd};
-pub use serialize::{load_state_dict_json, save_state_dict_json, StateDict};
+pub use serialize::StateDict;

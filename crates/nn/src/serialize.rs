@@ -3,12 +3,12 @@
 //! A state dictionary is the flat `name -> tensor` map produced by
 //! [`crate::Layer::state`]. JSON keeps checkpoints human-auditable, which
 //! matters more than compactness at this project's model sizes (tens of
-//! thousands of parameters).
+//! thousands of parameters). The model file that carries one is
+//! `simpadv_serve::ServedModel`; training snapshots embed one too.
 
 use serde::{Deserialize, Serialize};
 use simpadv_resilience::PersistError;
 use simpadv_tensor::Tensor;
-use std::io::{Read, Write};
 
 /// A serializable snapshot of a network's tensors.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -93,41 +93,6 @@ impl StateDict {
     }
 }
 
-/// Writes a layer's state as JSON.
-///
-/// # Errors
-///
-/// [`PersistError::NonFinite`] when the state holds NaN/Inf,
-/// [`PersistError::Encode`] on serialization failure (which for the JSON
-/// backend always surfaces as an IO error from the writer).
-pub fn save_state_dict_json<W: Write>(
-    layer: &dyn crate::Layer,
-    writer: W,
-) -> Result<(), PersistError> {
-    let dict = StateDict::capture(layer);
-    dict.validate_finite()?;
-    serde_json::to_writer(writer, &dict).map_err(|e| PersistError::Encode(e.to_string()))
-}
-
-/// Reads a JSON state dictionary and loads it into a layer.
-///
-/// # Errors
-///
-/// [`PersistError::Decode`] when the stream is not a valid dictionary,
-/// [`PersistError::NonFinite`] when it parses but holds NaN/Inf,
-/// [`PersistError::StateMismatch`] when it does not fit the layer.
-pub fn load_state_dict_json<R: Read>(
-    layer: &mut dyn crate::Layer,
-    reader: R,
-) -> Result<(), PersistError> {
-    let dict: StateDict =
-        serde_json::from_reader(reader).map_err(|e| PersistError::Decode(e.to_string()))?;
-    dict.validate_finite()?;
-    dict.validate_fits(layer)?;
-    dict.restore(layer);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,10 +122,10 @@ mod tests {
     #[test]
     fn json_roundtrip_preserves_behaviour() {
         let mut a = net(1);
-        let mut buf = Vec::new();
-        save_state_dict_json(&a, &mut buf).unwrap();
+        let json = serde_json::to_string(&StateDict::capture(&a)).unwrap();
+        let dict: StateDict = serde_json::from_str(&json).unwrap();
         let mut b = net(2);
-        load_state_dict_json(&mut b, buf.as_slice()).unwrap();
+        dict.restore(&mut b);
 
         let mut rng = StdRng::seed_from_u64(9);
         let probe = Tensor::rand_uniform(&mut rng, &[5, 3], -1.0, 1.0);
@@ -177,23 +142,6 @@ mod tests {
         assert!(dict.validate_fits(&b).is_ok());
         dict.restore(&mut b);
         assert_eq!(StateDict::capture(&b), dict);
-    }
-
-    #[test]
-    fn corrupt_json_is_an_error() {
-        let mut n = net(5);
-        let res = load_state_dict_json(&mut n, &b"not json"[..]);
-        assert!(matches!(res, Err(PersistError::Decode(_))));
-    }
-
-    #[test]
-    fn non_finite_state_is_rejected_on_save() {
-        let mut a = net(6);
-        let mut state = a.state();
-        state[0].1.as_mut_slice()[0] = f32::NAN;
-        a.load_state(&state);
-        let res = save_state_dict_json(&a, Vec::new());
-        assert!(matches!(res, Err(PersistError::NonFinite { .. })), "{res:?}");
     }
 
     #[test]
@@ -227,11 +175,5 @@ mod tests {
         let mut repeated = full.clone();
         repeated.entries.push(full.entries[3].clone());
         assert_eq!(misfit(&repeated, &model), "2.bias");
-
-        // a mismatched stream is an error, not a panic
-        let mut buf = Vec::new();
-        serde_json::to_writer(&mut buf, &missing).unwrap();
-        let res = load_state_dict_json(&mut net(9), buf.as_slice());
-        assert!(matches!(res, Err(PersistError::StateMismatch { .. })), "{res:?}");
     }
 }

@@ -15,16 +15,17 @@
 //! [`Engine::rescan`] that finds a newer valid generation installs it
 //! under that same mutex, so swaps land exactly on batch boundaries and
 //! in-flight batches always finish on the generation they started on.
-//! Generations that fail to load or decode are skipped (counter
-//! `serve/generation_skipped`) and the engine keeps serving the last
-//! valid one.
+//! Boot and rescans share one scan ([`crate::model::newest_servable`]):
+//! generations that fail to load, decode or restore are skipped (counter
+//! `serve/generation_skipped`, and the engine's `skipped_generations`),
+//! so the engine boots on, or keeps serving, the last valid one.
 //!
 //! Backpressure: when the queue holds `queue_cap` requests,
 //! [`Engine::submit`] fails fast with [`ServeError::Rejected`] — the
 //! caller maps that to HTTP 503. Nothing is dropped silently.
 
 use crate::error::ServeError;
-use crate::model::ServedModel;
+use crate::model::newest_servable;
 use crate::protocol::{PredictRequest, PredictResponse};
 use crate::stats::{StatsRegistry, StatsSnapshot};
 use simpadv_nn::{Classifier, GradientModel};
@@ -57,7 +58,8 @@ impl Default for BatchConfig {
 pub struct SwapReport {
     /// Generation installed by this rescan, if any.
     pub installed: Option<u64>,
-    /// Newer generations skipped because they failed to load/decode.
+    /// Newer generations skipped because they failed to load, decode or
+    /// restore.
     pub skipped: u64,
 }
 
@@ -107,16 +109,24 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Opens the engine on a checkpoint store, loading the newest
-    /// servable generation.
+    /// Opens the engine on a checkpoint store, serving its newest
+    /// servable generation. Newer generations that fail to load, decode
+    /// or restore are skipped and counted, as a rescan skips them.
     ///
     /// # Errors
     ///
-    /// [`ServeError::NoModel`] when the store holds no valid
+    /// [`ServeError::NoModel`] when the store holds no servable
     /// generation, [`ServeError::Persist`] on store failures.
     pub fn new(store: CheckpointStore, cfg: BatchConfig) -> Result<Self, ServeError> {
-        let (generation, served) = crate::model::load_latest_servable(&store)?;
-        let clf = served.restore()?;
+        let scan = newest_servable(&store, 0)?;
+        let Some((generation, served, clf)) = scan.servable else {
+            return Err(ServeError::NoModel(format!(
+                "no servable generation in {}",
+                store.dir().display()
+            )));
+        };
+        let stats = StatsRegistry::new();
+        stats.record_skipped_generations(scan.skipped);
         Ok(Engine {
             cfg,
             store,
@@ -127,7 +137,7 @@ impl Engine {
             method: Mutex::new(served.method),
             input_len: simpadv_data::IMAGE_PIXELS,
             stop: AtomicBool::new(false),
-            stats: StatsRegistry::new(),
+            stats,
             progress: Mutex::new(()),
             progress_cv: Condvar::new(),
         })
@@ -304,58 +314,29 @@ impl Engine {
     }
 
     /// Rescans the checkpoint store for generations newer than the one
-    /// currently serving; installs the newest valid one at a batch
-    /// boundary. Unreadable generations increment the
-    /// `serve/generation_skipped` counter and are never retried at a
-    /// lower priority than a valid newer generation.
+    /// currently serving; installs the newest one that restores at a
+    /// batch boundary. Newer generations that fail to load, decode or
+    /// restore are skipped and counted.
     ///
     /// # Errors
     ///
     /// [`ServeError::Persist`] when the store cannot be listed.
     pub fn rescan(&self) -> Result<SwapReport, ServeError> {
-        let current = self.current_generation();
-        let mut gens = self.store.generations()?;
-        gens.retain(|g| *g > current);
-        gens.reverse();
-        let mut skipped = 0u64;
-        for gen in gens {
-            let loaded = self
-                .store
-                .load(gen)
-                .map_err(ServeError::from)
-                .and_then(|payload| ServedModel::decode(&payload))
-                .and_then(|served| {
-                    let clf = served.restore()?;
-                    Ok((clf, served.method))
-                });
-            match loaded {
-                Ok((clf, method)) => {
-                    {
-                        let mut model = lock(&self.model);
-                        *model = (gen, clf);
-                    }
-                    self.current_gen.store(gen, Ordering::SeqCst);
-                    *lock(&self.method) = method;
-                    self.stats.record_swapped_generation();
-                    simpadv_trace::counter_with(
-                        "serve/generation_swapped",
-                        1,
-                        &[("generation", FieldValue::U64(gen))],
-                    );
-                    return Ok(SwapReport { installed: Some(gen), skipped });
-                }
-                Err(_) => {
-                    skipped += 1;
-                    self.stats.record_skipped_generation();
-                    simpadv_trace::counter_with(
-                        "serve/generation_skipped",
-                        1,
-                        &[("generation", FieldValue::U64(gen))],
-                    );
-                }
-            }
-        }
-        Ok(SwapReport { installed: None, skipped })
+        let scan = newest_servable(&self.store, self.current_generation())?;
+        self.stats.record_skipped_generations(scan.skipped);
+        let Some((generation, served, clf)) = scan.servable else {
+            return Ok(SwapReport { installed: None, skipped: scan.skipped });
+        };
+        *lock(&self.model) = (generation, clf);
+        self.current_gen.store(generation, Ordering::SeqCst);
+        *lock(&self.method) = served.method;
+        self.stats.record_swapped_generation();
+        simpadv_trace::counter_with(
+            "serve/generation_swapped",
+            1,
+            &[("generation", FieldValue::U64(generation))],
+        );
+        Ok(SwapReport { installed: Some(generation), skipped: scan.skipped })
     }
 
     fn validate(&self, request: &PredictRequest) -> Result<(), ServeError> {

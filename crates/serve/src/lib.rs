@@ -19,9 +19,10 @@
 //!   typed body), never silently drops.
 //! * **Hot-swap** — the server watches a
 //!   [`simpadv_resilience::CheckpointStore`] directory and atomically
-//!   installs newer generations at batch boundaries; unreadable
-//!   generations are skipped (counter `serve/generation_skipped`) and
-//!   the last valid one keeps serving.
+//!   installs newer generations at batch boundaries; generations that
+//!   do not load or restore are skipped (counter
+//!   `serve/generation_skipped`) at boot and on every rescan alike, and
+//!   the last valid one serves.
 //!
 //! Requests may carry a ground-truth label and an `adversarial` flag,
 //! so per-generation clean-vs-adversarial accuracy is monitored live —
@@ -37,7 +38,7 @@ pub mod stats;
 
 pub use batcher::{BatchConfig, Engine, SwapReport};
 pub use error::ServeError;
-pub use model::{load_latest_servable, ServedModel};
+pub use model::{newest_servable, Scan, ServedModel};
 pub use protocol::{HealthBody, PredictRequest, PredictResponse, RejectBody};
 pub use server::{ServeConfig, Server};
 pub use stats::{GenerationClassStats, LatencySummary, OccupancySummary, StatsSnapshot};

@@ -1,33 +1,33 @@
-//! Servable model envelopes.
+//! The model file, and the scan for the newest servable generation.
 //!
-//! The server consumes two on-disk payload shapes without caring which
-//! trainer produced them:
+//! [`ServedModel`] (`{spec, state, trained_on, method}`) is the one
+//! model-file type. `simpadv-cli train --out` writes it as a standalone
+//! sealed file ([`ServedModel::save_to`]) that `evaluate` and `attack`
+//! read back ([`ServedModel::load_file`]); [`ServedModel::publish`] writes
+//! it as the next generation of a [`CheckpointStore`].
 //!
-//! 1. the `SavedModel` JSON written by `simpadv-cli train --out`
-//!    (`{spec, state, trained_on, method}`) — mirrored here as
-//!    [`ServedModel`] so the serve crate does not depend on the CLI;
-//! 2. the `TrainState` JSON that `train --checkpoint-dir` streams into a
-//!    [`CheckpointStore`] generation (recognizable by its `trainer_id`
-//!    field). The CLI always trains the default MLP topology, so the
-//!    rebuild uses [`ModelSpec::default_mlp`].
+//! A store generation may hold either of two payload shapes, and
+//! [`ServedModel::decode`] accepts both: the model itself, or the
+//! `TrainState` JSON that `train --checkpoint-dir` streams into the store
+//! (recognizable by its `trainer_id` field). The CLI always trains the
+//! default MLP topology, so that rebuild uses [`ModelSpec::default_mlp`].
 //!
-//! Both arrive sealed (CRC-checked envelope) — the store unseals its
-//! generations itself; standalone files go through
-//! [`ServedModel::load_file`], which mirrors the CLI's legacy plain-JSON
-//! fallback.
+//! Every read ends in [`ServedModel::restore`], which runs the finite and
+//! fit checks once. [`newest_servable`] is the one scan for the generation
+//! to serve: the engine's boot, its hot-swap rescans and the load
+//! generator's offline reference all go through it.
 
 use crate::error::ServeError;
 use serde::{Deserialize, Serialize};
 use simpadv::train::TrainState;
 use simpadv::ModelSpec;
 use simpadv_nn::{Classifier, StateDict};
-use simpadv_resilience::{read_sealed_json, CheckpointStore, PersistError};
+use simpadv_resilience::{unseal, write_sealed_json, CheckpointStore, PersistError};
+use simpadv_trace::FieldValue;
 use std::path::Path;
 
-/// A model in servable form: topology spec plus captured weights.
-///
-/// Field names intentionally match the CLI's `SavedModel` so the two
-/// serialize to byte-identical JSON.
+/// A trained model in servable form: topology spec plus captured
+/// weights, rebuildable with no out-of-band architecture knowledge.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServedModel {
     /// Network topology, rebuildable via [`ModelSpec::build`].
@@ -41,7 +41,7 @@ pub struct ServedModel {
 }
 
 impl ServedModel {
-    /// Captures a trained classifier into a servable envelope.
+    /// Captures a trained classifier.
     pub fn capture(spec: &ModelSpec, clf: &Classifier, trained_on: &str, method: &str) -> Self {
         ServedModel {
             spec: spec.clone(),
@@ -51,7 +51,7 @@ impl ServedModel {
         }
     }
 
-    /// Rebuilds the classifier this envelope describes.
+    /// Rebuilds the classifier this model describes.
     ///
     /// The seed only shapes the pre-restore initialization, which the
     /// restored state overwrites entirely: the state must hold exactly
@@ -92,21 +92,59 @@ impl ServedModel {
         Ok(store.save(&self.to_payload()?)?)
     }
 
+    /// Writes this model to `path` as a standalone sealed file: atomic
+    /// write, checksummed header, damage detectable on load.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Persist`] when the weights are non-finite or the
+    /// write fails.
+    pub fn save_to(&self, path: impl AsRef<Path>) -> Result<(), ServeError> {
+        self.state.validate_finite()?;
+        Ok(write_sealed_json(path.as_ref(), self)?)
+    }
+
+    /// Reads a standalone model file written by [`ServedModel::save_to`].
+    /// A file without an envelope header is read as the legacy plain-JSON
+    /// format older builds wrote.
+    ///
+    /// Nothing is checked against the spec here: [`ServedModel::restore`]
+    /// runs those checks.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Persist`]: notably [`PersistError::Corrupt`] /
+    /// [`PersistError::Truncated`] for a damaged sealed file and
+    /// [`PersistError::Decode`] for one that is not a model.
+    pub fn load_file(path: impl AsRef<Path>) -> Result<Self, ServeError> {
+        let bytes = std::fs::read(path.as_ref()).map_err(|e| PersistError::io("read", e))?;
+        let payload = match unseal(&bytes) {
+            Ok(payload) => payload,
+            // Damage to a *sealed* file surfaces as Corrupt/Truncated/
+            // Version and is not retried as plain JSON.
+            Err(PersistError::BadHeader { .. }) => &bytes,
+            Err(e) => return Err(e.into()),
+        };
+        let text = std::str::from_utf8(payload)
+            .map_err(|_| PersistError::Decode("payload is not UTF-8".into()))?;
+        Ok(serde_json::from_str(text).map_err(|e| PersistError::Decode(e.to_string()))?)
+    }
+
     /// Decodes a checkpoint-generation payload in either supported
-    /// shape (`SavedModel` mirror first, then `TrainState`).
+    /// shape (the model itself first, then `TrainState`).
     ///
     /// # Errors
     ///
     /// [`ServeError::Persist`] with a decode detail when the payload
     /// matches neither shape.
     pub fn decode(payload: &[u8]) -> Result<Self, ServeError> {
-        let text = String::from_utf8(payload.to_vec()).map_err(|_| {
+        let text = std::str::from_utf8(payload).map_err(|_| {
             ServeError::Persist(PersistError::Decode("payload is not UTF-8".into()))
         })?;
-        if let Ok(model) = serde_json::from_str::<ServedModel>(&text) {
+        if let Ok(model) = serde_json::from_str::<ServedModel>(text) {
             return Ok(model);
         }
-        let state: TrainState = serde_json::from_str(&text).map_err(|e| {
+        let state: TrainState = serde_json::from_str(text).map_err(|e| {
             ServeError::Persist(PersistError::Decode(format!(
                 "payload is neither a saved model nor a train state: {e}"
             )))
@@ -118,65 +156,74 @@ impl ServedModel {
             method: state.trainer_id,
         })
     }
-
-    /// Loads a standalone sealed model file (as written by
-    /// `simpadv-cli train --out`), falling back to legacy plain JSON
-    /// exactly like the CLI loader does.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Persist`] when the file is unreadable in both
-    /// formats.
-    pub fn load_file(path: &Path) -> Result<Self, ServeError> {
-        match read_sealed_json::<ServedModel>(path) {
-            Ok(model) => Ok(model),
-            Err(PersistError::BadHeader { .. }) => {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| ServeError::Io(format!("read {}: {e}", path.display())))?;
-                Ok(serde_json::from_str(&text)
-                    .map_err(|e| ServeError::Persist(PersistError::Decode(e.to_string())))?)
-            }
-            Err(e) => Err(ServeError::Persist(e)),
-        }
-    }
 }
 
-/// Scans `store` for the newest generation that decodes into a servable
-/// model, returning it with its generation number.
+/// What one [`newest_servable`] scan found.
+pub struct Scan {
+    /// The newest servable generation above the floor: its number, its
+    /// model and the classifier restored from it.
+    pub servable: Option<(u64, ServedModel, Classifier)>,
+    /// Generations above it that failed to load, decode or restore.
+    pub skipped: u64,
+}
+
+/// Scans `store` newest first for the newest generation above `floor`
+/// that loads, decodes *and* restores.
 ///
-/// Damaged or undecodable generations are skipped (newest first), each
-/// skip reported through the `serve/generation_skipped` counter so the
-/// monitoring plane sees silent fallbacks.
+/// Each generation skipped on the way emits a `serve/generation_skipped`
+/// counter tagged with its number, so the monitoring plane sees silent
+/// fallbacks; the caller records [`Scan::skipped`] in its stats.
 ///
 /// # Errors
 ///
-/// [`ServeError::NoModel`] when no generation is servable.
-pub fn load_latest_servable(store: &CheckpointStore) -> Result<(u64, ServedModel), ServeError> {
-    let mut gens = store.generations()?;
-    gens.reverse();
-    for gen in gens {
-        match store.load(gen).map_err(ServeError::from).and_then(|p| ServedModel::decode(&p)) {
-            Ok(model) => return Ok((gen, model)),
+/// [`ServeError::Persist`] when the store cannot be listed.
+pub fn newest_servable(store: &CheckpointStore, floor: u64) -> Result<Scan, ServeError> {
+    let mut skipped = 0;
+    for generation in store.generations()?.into_iter().rev().take_while(|g| *g > floor) {
+        let loaded = store.load(generation).map_err(ServeError::from).and_then(|payload| {
+            let model = ServedModel::decode(&payload)?;
+            let clf = model.restore()?;
+            Ok((model, clf))
+        });
+        match loaded {
+            Ok((model, clf)) => {
+                return Ok(Scan { servable: Some((generation, model, clf)), skipped });
+            }
             Err(_) => {
+                skipped += 1;
                 simpadv_trace::counter_with(
                     "serve/generation_skipped",
                     1,
-                    &[("generation", simpadv_trace::FieldValue::U64(gen))],
+                    &[("generation", FieldValue::U64(generation))],
                 );
             }
         }
     }
-    Err(ServeError::NoModel(format!("no servable generation in {}", store.dir().display())))
+    Ok(Scan { servable: None, skipped })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simpadv_nn::GradientModel;
 
     fn tiny_model() -> (ModelSpec, Classifier) {
         let spec = ModelSpec::small_mlp();
         let clf = spec.build(7);
         (spec, clf)
+    }
+
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("simpadv-serve-model-{tag}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn logits_bits(clf: &mut Classifier) -> Vec<u32> {
+        let x = simpadv_tensor::Tensor::linspace(0.0, 1.0, simpadv_data::IMAGE_PIXELS)
+            .reshape(&[1, simpadv_data::IMAGE_PIXELS]);
+        clf.logits(&x).as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
@@ -192,18 +239,68 @@ mod tests {
         let (spec, mut clf) = tiny_model();
         let model = ServedModel::capture(&spec, &clf, "mnist", "proposed");
         let mut restored = model.restore().unwrap();
-        let x = simpadv_tensor::Tensor::linspace(0.0, 1.0, simpadv_data::IMAGE_PIXELS)
-            .reshape(&[1, simpadv_data::IMAGE_PIXELS]);
-        use simpadv_nn::GradientModel;
-        let a = clf.logits(&x);
-        let b = restored.logits(&x);
-        assert_eq!(a.as_slice(), b.as_slice(), "restore must be bitwise");
+        assert_eq!(logits_bits(&mut clf), logits_bits(&mut restored), "restore must be bitwise");
+    }
+
+    #[test]
+    fn model_file_round_trips_with_its_metadata() {
+        let (spec, mut clf) = tiny_model();
+        let path = temp_dir("roundtrip").join("model.ckpt");
+        let model = ServedModel::capture(&spec, &clf, "mnist", "vanilla");
+        model.save_to(&path).unwrap();
+        let loaded = ServedModel::load_file(&path).unwrap();
+        assert_eq!(loaded, model);
+        assert_eq!((loaded.trained_on.as_str(), loaded.method.as_str()), ("mnist", "vanilla"));
+        assert_eq!(logits_bits(&mut clf), logits_bits(&mut loaded.restore().unwrap()));
+    }
+
+    /// The persistence error a failed load or restore carries.
+    fn persist_err<T: std::fmt::Debug>(result: Result<T, ServeError>) -> PersistError {
+        match result {
+            Err(ServeError::Persist(e)) => e,
+            other => panic!("expected a persistence error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn damaged_and_malformed_model_files_are_typed_errors() {
+        let (spec, clf) = tiny_model();
+        let dir = temp_dir("damage");
+        let path = dir.join("model.ckpt");
+        ServedModel::capture(&spec, &clf, "mnist", "vanilla").save_to(&path).unwrap();
+
+        // one flipped payload byte: the envelope checksum catches it,
+        // and a sealed file is never retried as plain JSON
+        let mut bytes = std::fs::read(&path).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 1;
+        let damaged = dir.join("model-damaged.ckpt");
+        simpadv_resilience::atomic_write(&damaged, &bytes).unwrap();
+        let err = persist_err(ServedModel::load_file(&damaged));
+        assert!(matches!(err, PersistError::Corrupt { .. }), "{err:?}");
+
+        let broken = dir.join("broken.json");
+        simpadv_resilience::atomic_write(&broken, b"{broken").unwrap();
+        let err = persist_err(ServedModel::load_file(&broken));
+        assert!(matches!(err, PersistError::Decode(_)), "{err:?}");
+
+        let err = persist_err(ServedModel::load_file(dir.join("missing.ckpt")));
+        assert!(matches!(err, PersistError::Io { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn legacy_plain_json_model_files_still_load() {
+        let (spec, clf) = tiny_model();
+        let path = temp_dir("legacy").join("legacy.json");
+        let model = ServedModel::capture(&spec, &clf, "mnist", "vanilla");
+        simpadv_resilience::atomic_write(&path, &model.to_payload().unwrap()).unwrap();
+        assert_eq!(ServedModel::load_file(&path).unwrap(), model);
     }
 
     /// The entry a failed restore names.
     fn misfit(model: &ServedModel) -> String {
-        match model.restore() {
-            Err(ServeError::Persist(PersistError::StateMismatch { name, .. })) => name,
+        match persist_err(model.restore()) {
+            PersistError::StateMismatch { name, .. } => name,
             other => panic!("expected a state mismatch, got {other:?}"),
         }
     }
@@ -230,8 +327,62 @@ mod tests {
     }
 
     #[test]
+    fn misfit_model_files_load_but_refuse_to_restore() {
+        let (spec, clf) = tiny_model();
+        let dir = temp_dir("misfit");
+        let model = ServedModel::capture(&spec, &clf, "mnist", "vanilla");
+
+        let path = dir.join("wrong-spec.ckpt");
+        ServedModel { spec: ModelSpec::default_mlp(), ..model.clone() }.save_to(&path).unwrap();
+        assert_eq!(misfit(&ServedModel::load_file(&path).unwrap()), "0.weight");
+
+        let path = dir.join("truncated.ckpt");
+        let mut truncated = model;
+        truncated.state.entries.pop();
+        truncated.save_to(&path).unwrap();
+        assert_eq!(misfit(&ServedModel::load_file(&path).unwrap()), "2.bias");
+    }
+
+    #[test]
+    fn non_finite_weights_refuse_to_save_and_to_restore() {
+        let (spec, clf) = tiny_model();
+        let mut model = ServedModel::capture(&spec, &clf, "mnist", "vanilla");
+        model.state.entries[0].1.as_mut_slice()[0] = f32::NAN;
+        let path = temp_dir("non-finite").join("model.ckpt");
+        let err = persist_err(model.save_to(&path));
+        assert!(matches!(err, PersistError::NonFinite { .. }), "{err:?}");
+        assert!(!path.exists(), "nothing is written");
+        let err = persist_err(model.restore());
+        assert!(matches!(err, PersistError::NonFinite { .. }), "{err:?}");
+    }
+
+    #[test]
     fn decode_rejects_garbage_with_detail() {
         let err = ServedModel::decode(b"{\"neither\": true}").unwrap_err();
         assert!(err.to_string().contains("neither"), "{err}");
+    }
+
+    #[test]
+    fn scan_returns_the_newest_generation_that_restores_above_the_floor() {
+        let store = CheckpointStore::open(temp_dir("scan")).unwrap();
+        let spec = ModelSpec::default_mlp();
+        for seed in [1, 2] {
+            ServedModel::capture(&spec, &spec.build(seed), "mnist", "test")
+                .publish(&store)
+                .unwrap();
+        }
+        // generation 3 decodes, but its weights do not fit its spec
+        let mlp = ServedModel::capture(&spec, &spec.build(3), "mnist", "test");
+        ServedModel { spec: ModelSpec::small_cnn(), ..mlp }.publish(&store).unwrap();
+
+        let scan = newest_servable(&store, 0).unwrap();
+        let (generation, model, mut clf) = scan.servable.expect("generation 2 restores");
+        assert_eq!((generation, scan.skipped), (2, 1));
+        assert_eq!(logits_bits(&mut model.restore().unwrap()), logits_bits(&mut clf));
+
+        let scan = newest_servable(&store, 2).unwrap();
+        assert!(scan.servable.is_none());
+        assert_eq!(scan.skipped, 1);
+        assert_eq!(newest_servable(&store, 3).unwrap().skipped, 0);
     }
 }

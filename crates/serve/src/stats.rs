@@ -28,11 +28,21 @@ struct ClassCounts {
     correct: u64,
 }
 
+/// How many of the newest request latencies the percentiles read:
+/// 2 MiB of samples, about half a minute of closed-loop load-generator
+/// traffic on a 2-vCPU host. Count and max cover the whole lifetime.
+const LATENCY_WINDOW: usize = 1 << 18;
+
 #[derive(Debug, Default)]
 struct StatsInner {
     per_gen: BTreeMap<(u64, bool), ClassCounts>,
+    /// The newest [`LATENCY_WINDOW`] latencies, a ring: the request
+    /// answered `n`-th (from 0) lands in slot `n % LATENCY_WINDOW`.
     latencies_us: Vec<u64>,
-    occupancies: Vec<u64>,
+    latency_max_us: u64,
+    batches: u64,
+    batch_rows: u64,
+    batch_max: u64,
     served: u64,
     rejected: u64,
     skipped_generations: u64,
@@ -61,8 +71,13 @@ impl StatsRegistry {
         latency_us: u64,
     ) {
         let mut inner = lock(&self.inner);
+        let slot = (inner.served % LATENCY_WINDOW as u64) as usize;
+        match inner.latencies_us.get_mut(slot) {
+            Some(oldest) => *oldest = latency_us,
+            None => inner.latencies_us.push(latency_us),
+        }
+        inner.latency_max_us = inner.latency_max_us.max(latency_us);
         inner.served += 1;
-        inner.latencies_us.push(latency_us);
         let counts = inner.per_gen.entry((generation, adversarial)).or_default();
         counts.requests += 1;
         if let Some(label) = label {
@@ -75,7 +90,10 @@ impl StatsRegistry {
 
     /// Records the occupancy of one dispatched batch.
     pub fn record_batch(&self, occupancy: usize) {
-        lock(&self.inner).occupancies.push(occupancy as u64);
+        let mut inner = lock(&self.inner);
+        inner.batches += 1;
+        inner.batch_rows += occupancy as u64;
+        inner.batch_max = inner.batch_max.max(occupancy as u64);
     }
 
     /// Records one backpressure rejection.
@@ -83,9 +101,10 @@ impl StatsRegistry {
         lock(&self.inner).rejected += 1;
     }
 
-    /// Records one generation skipped because it failed to load/decode.
-    pub fn record_skipped_generation(&self) {
-        lock(&self.inner).skipped_generations += 1;
+    /// Records generations skipped because they failed to load, decode
+    /// or restore.
+    pub fn record_skipped_generations(&self, count: u64) {
+        lock(&self.inner).skipped_generations += count;
     }
 
     /// Records one successful hot swap.
@@ -98,7 +117,9 @@ impl StatsRegistry {
         lock(&self.inner).served
     }
 
-    /// Takes a consistent snapshot with derived percentiles.
+    /// Takes a consistent snapshot with derived percentiles. The latency
+    /// window is copied under the lock and sorted after it is released,
+    /// so a scrape stalls the dispatcher for a copy, not a sort.
     pub fn snapshot(&self) -> StatsSnapshot {
         let inner = lock(&self.inner);
         let mut generations: Vec<GenerationClassStats> = Vec::new();
@@ -111,14 +132,28 @@ impl StatsRegistry {
                 correct: counts.correct,
             });
         }
+        let window = inner.latencies_us.clone();
+        let batch_occupancy = OccupancySummary {
+            batches: inner.batches,
+            mean: if inner.batches == 0 {
+                0.0
+            } else {
+                inner.batch_rows as f64 / inner.batches as f64
+            },
+            max: inner.batch_max,
+        };
+        let (served, latency_max_us) = (inner.served, inner.latency_max_us);
+        let (rejected, skipped_generations, swapped_generations) =
+            (inner.rejected, inner.skipped_generations, inner.swapped_generations);
+        drop(inner);
         StatsSnapshot {
-            served: inner.served,
-            rejected: inner.rejected,
-            skipped_generations: inner.skipped_generations,
-            swapped_generations: inner.swapped_generations,
+            served,
+            rejected,
+            skipped_generations,
+            swapped_generations,
             generations,
-            latency_us: LatencySummary::from_samples(&inner.latencies_us),
-            batch_occupancy: OccupancySummary::from_samples(&inner.occupancies),
+            latency_us: LatencySummary::new(window, served, latency_max_us),
+            batch_occupancy,
         }
     }
 }
@@ -138,11 +173,12 @@ pub struct GenerationClassStats {
     pub correct: u64,
 }
 
-/// Latency percentiles over all answered requests (wall-clock; lives in
-/// `meta` sections only).
+/// Request latencies (wall-clock; lives in `meta` sections only): count
+/// and max over every answered request, percentiles over the newest
+/// [`LATENCY_WINDOW`] of them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LatencySummary {
-    /// Number of samples.
+    /// Requests answered.
     pub count: u64,
     /// 50th percentile, microseconds.
     pub p50_us: u64,
@@ -155,19 +191,16 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// Computes percentiles from raw microsecond samples.
-    pub fn from_samples(samples: &[u64]) -> Self {
-        if samples.is_empty() {
-            return LatencySummary { count: 0, p50_us: 0, p90_us: 0, p99_us: 0, max_us: 0 };
-        }
-        let mut sorted = samples.to_vec();
-        sorted.sort_unstable();
+    /// Summarizes `count` requests whose worst latency was `max_us`,
+    /// reading the percentiles from `window`, the newest samples.
+    fn new(mut window: Vec<u64>, count: u64, max_us: u64) -> Self {
+        window.sort_unstable();
         LatencySummary {
-            count: sorted.len() as u64,
-            p50_us: percentile(&sorted, 0.50),
-            p90_us: percentile(&sorted, 0.90),
-            p99_us: percentile(&sorted, 0.99),
-            max_us: *sorted.last().unwrap_or(&0),
+            count,
+            p50_us: percentile(&window, 0.50),
+            p90_us: percentile(&window, 0.90),
+            p99_us: percentile(&window, 0.99),
+            max_us,
         }
     }
 }
@@ -181,21 +214,6 @@ pub struct OccupancySummary {
     pub mean: f64,
     /// Largest batch dispatched.
     pub max: u64,
-}
-
-impl OccupancySummary {
-    /// Summarizes raw per-batch occupancy samples.
-    pub fn from_samples(samples: &[u64]) -> Self {
-        if samples.is_empty() {
-            return OccupancySummary { batches: 0, mean: 0.0, max: 0 };
-        }
-        let total: u64 = samples.iter().sum();
-        OccupancySummary {
-            batches: samples.len() as u64,
-            mean: total as f64 / samples.len() as f64,
-            max: *samples.iter().max().unwrap_or(&0),
-        }
-    }
 }
 
 /// Nearest-rank percentile over a pre-sorted sample vector.
@@ -332,13 +350,43 @@ mod tests {
 
     #[test]
     fn percentiles_hit_known_ranks() {
-        let samples: Vec<u64> = (1..=100).collect();
-        let s = LatencySummary::from_samples(&samples);
+        let reg = StatsRegistry::new();
+        for latency in (1..=100).rev() {
+            reg.record_request(1, false, None, 0, latency);
+        }
+        let s = reg.snapshot().latency_us;
         assert_eq!(s.count, 100);
         assert_eq!(s.p50_us, 51);
         assert_eq!(s.p90_us, 90);
         assert_eq!(s.p99_us, 99);
         assert_eq!(s.max_us, 100);
+    }
+
+    #[test]
+    fn past_the_window_count_and_max_cover_the_lifetime_and_percentiles_the_newest() {
+        let reg = StatsRegistry::new();
+        // a slow start the window has since forgotten
+        for _ in 0..1000 {
+            reg.record_request(1, false, None, 0, 1_000_000);
+        }
+        for _ in 0..LATENCY_WINDOW {
+            reg.record_request(1, false, None, 0, 7);
+        }
+        let s = reg.snapshot().latency_us;
+        assert_eq!(s.count, LATENCY_WINDOW as u64 + 1000);
+        assert_eq!(s.max_us, 1_000_000);
+        assert_eq!((s.p50_us, s.p90_us, s.p99_us), (7, 7, 7));
+        assert_eq!(lock(&reg.inner).latencies_us.len(), LATENCY_WINDOW);
+    }
+
+    #[test]
+    fn occupancy_keeps_batches_mean_and_max() {
+        let reg = StatsRegistry::new();
+        for rows in [1, 4, 2] {
+            reg.record_batch(rows);
+        }
+        let occ = reg.snapshot().batch_occupancy;
+        assert_eq!((occ.batches, occ.mean, occ.max), (3, 7.0 / 3.0, 4));
     }
 
     #[test]

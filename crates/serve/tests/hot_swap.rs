@@ -1,16 +1,41 @@
 //! Hot-swap fault tolerance: a checkpoint generation corrupted mid-write
 //! must be skipped — the server keeps serving the last valid generation,
 //! the skipped-generation counter increments, and no request is dropped.
+//! Boot goes through the same scan, so a bad newest generation at start
+//! degrades to the last valid one instead of failing the boot.
 //!
 //! This binary owns the process-global tracer (memory sink) and the
 //! failpoint registry; keeping it separate from other serve tests means
-//! neither piece of global state can bleed across test binaries.
+//! neither piece of global state can bleed across test binaries. Its
+//! tests take [`trace_lock`] so they do not share the tracer either.
 
 use simpadv::ModelSpec;
 use simpadv_resilience::{failpoint, CheckpointStore};
 use simpadv_serve::{
-    client, BatchConfig, PredictRequest, ServeConfig, ServedModel, Server, SwapReport,
+    client, BatchConfig, Engine, PredictRequest, ServeConfig, ServedModel, Server, SwapReport,
 };
+use simpadv_trace::{Event, FieldValue};
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes the tests that install the process-global tracer.
+fn trace_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// The `serve/generation_skipped` counters in `events`, by generation.
+fn skipped_generations(events: &[Event]) -> Vec<u64> {
+    events
+        .iter()
+        .filter(|e| e.path == "serve/generation_skipped")
+        .filter_map(|e| {
+            e.fields.iter().find_map(|(k, v)| match v {
+                FieldValue::U64(g) if k.as_str() == "generation" => Some(*g),
+                _ => None,
+            })
+        })
+        .collect()
+}
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("simpadv-serve-hotswap-{tag}"));
@@ -37,6 +62,7 @@ fn request(seed: u64) -> PredictRequest {
 
 #[test]
 fn corrupted_generation_is_skipped_and_serving_continues() {
+    let _trace = trace_lock();
     let handle = simpadv_trace::install_memory();
     let dir = temp_dir("corrupt");
     let store = CheckpointStore::open(&dir).unwrap();
@@ -112,12 +138,29 @@ fn corrupted_generation_is_skipped_and_serving_continues() {
     // The monitoring plane saw the skip: exactly one
     // serve/generation_skipped counter, tagged with the generation.
     let events = handle.take();
-    let skips: Vec<_> = events.iter().filter(|e| e.path == "serve/generation_skipped").collect();
-    assert_eq!(skips.len(), 1, "one skip event expected");
-    let tagged = skips[0].fields.iter().any(|(k, v)| {
-        k.as_str() == "generation" && matches!(v, simpadv_trace::FieldValue::U64(g) if *g == g2)
-    });
-    assert!(tagged, "skip event must name the damaged generation: {:?}", skips[0]);
+    simpadv_trace::uninstall();
+    assert_eq!(skipped_generations(&events), [g2], "one skip event, naming the damaged generation");
     let swaps = events.iter().filter(|e| e.path == "serve/generation_swapped").count();
     assert_eq!(swaps, 1, "one successful swap expected");
+}
+
+#[test]
+fn boot_skips_a_newest_generation_that_does_not_restore() {
+    let _trace = trace_lock();
+    let handle = simpadv_trace::install_memory();
+    let store = CheckpointStore::open(temp_dir("boot-misfit")).unwrap();
+    let g1 = publish(&store, 1);
+    // Generation 2 decodes, but the MLP's weights do not fit a CNN spec.
+    let spec = ModelSpec::default_mlp();
+    let mlp = ServedModel::capture(&spec, &spec.build(2), "mnist", "test");
+    let g2 = ServedModel { spec: ModelSpec::small_cnn(), ..mlp }.publish(&store).unwrap();
+
+    let engine = Engine::new(store, BatchConfig::default()).unwrap();
+    assert_eq!(engine.current_generation(), g1, "boot serves the last valid generation");
+    assert_eq!(engine.stats().skipped_generations, 1);
+    assert_eq!(engine.infer_batch(&[request(0)]).unwrap()[0].generation, g1);
+
+    let events = handle.take();
+    simpadv_trace::uninstall();
+    assert_eq!(skipped_generations(&events), [g2], "one skip event, naming the misfit generation");
 }

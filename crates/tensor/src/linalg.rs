@@ -279,11 +279,6 @@ impl Tensor {
         Tensor::from_vec(out, &[m, n])
     }
 
-    /// The Frobenius (l2) norm of the tensor.
-    pub fn norm_l2(&self) -> f32 {
-        self.as_slice().iter().map(|&v| v * v).sum::<f32>().sqrt()
-    }
-
     /// The l∞ (maximum absolute value) norm of the tensor; 0 when empty.
     pub fn norm_linf(&self) -> f32 {
         self.as_slice().iter().fold(0.0f32, |m, &v| m.max(v.abs()))
@@ -497,7 +492,6 @@ mod tests {
     #[test]
     fn norms() {
         let t = Tensor::from_slice(&[3.0, -4.0]);
-        assert_eq!(t.norm_l2(), 5.0);
         assert_eq!(t.norm_linf(), 4.0);
         assert_eq!(Tensor::default().norm_linf(), 0.0);
     }

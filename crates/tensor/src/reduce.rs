@@ -110,16 +110,6 @@ impl Tensor {
         self.sum_axis(axis).mul_scalar(1.0 / n as f32)
     }
 
-    /// Maximum along `axis`, removing that axis from the shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `axis` is out of range or has size 0.
-    pub fn max_axis(&self, axis: usize) -> Tensor {
-        assert!(axis < self.rank() && self.shape()[axis] > 0, "max over an empty or missing axis");
-        self.reduce_axis(axis, f32::NEG_INFINITY, f32::max)
-    }
-
     /// Per-row argmax of a 2-D tensor: for shape `[n, c]` returns the `n`
     /// column indices of each row's maximum.
     ///
@@ -206,12 +196,6 @@ mod tests {
     fn mean_axis_values() {
         assert_eq!(t().mean_axis(0).as_slice(), &[1.5, 2.5, 3.5]);
         assert_eq!(t().mean_axis(1).as_slice(), &[1.0, 4.0]);
-    }
-
-    #[test]
-    fn max_axis_values() {
-        assert_eq!(t().max_axis(0).as_slice(), &[3.0, 4.0, 5.0]);
-        assert_eq!(t().max_axis(1).as_slice(), &[2.0, 5.0]);
     }
 
     #[test]

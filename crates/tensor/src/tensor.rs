@@ -50,11 +50,6 @@ impl Tensor {
         Self::full(shape, 1.0)
     }
 
-    /// Creates a tensor with the same shape as `other`, filled with zeros.
-    pub fn zeros_like(other: &Tensor) -> Self {
-        Self::zeros(other.shape())
-    }
-
     /// Creates a rank-0 (scalar) tensor.
     pub fn scalar(value: f32) -> Self {
         Tensor { data: vec![value], shape: vec![] }
@@ -216,24 +211,6 @@ impl Tensor {
             return Err(TensorError::ElementCountMismatch { have: self.len(), want });
         }
         Ok(Tensor { data: self.data.clone(), shape: shape.to_vec() })
-    }
-
-    /// Reshapes in place (no data movement).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element counts differ.
-    pub fn reshape_in_place(&mut self, shape: &[usize]) {
-        let want: usize = shape.iter().product();
-        assert_eq!(
-            want,
-            self.len(),
-            "cannot reshape {} elements into {:?} ({} elements)",
-            self.len(),
-            shape,
-            want
-        );
-        self.shape = shape.to_vec();
     }
 
     /// Flattens to rank 1.
@@ -416,11 +393,6 @@ impl Tensor {
         self.data.iter().all(|v| v.is_finite())
     }
 
-    /// Number of nonzero elements.
-    pub fn count_nonzero(&self) -> usize {
-        self.data.iter().filter(|&&v| v != 0.0).count()
-    }
-
     /// Stacks rank-`r` tensors into a rank-`r+1` tensor along a new axis 0.
     ///
     /// # Panics
@@ -598,14 +570,13 @@ mod tests {
     }
 
     #[test]
-    fn finite_and_nonzero_checks() {
+    fn finite_checks() {
         assert!(Tensor::ones(&[3]).all_finite());
         let mut t = Tensor::ones(&[3]);
         t.as_mut_slice()[1] = f32::NAN;
         assert!(!t.all_finite());
         t.as_mut_slice()[1] = f32::INFINITY;
         assert!(!t.all_finite());
-        assert_eq!(Tensor::from_slice(&[0.0, 1.0, 0.0, -2.0]).count_nonzero(), 2);
     }
 
     #[test]

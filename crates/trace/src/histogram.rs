@@ -95,37 +95,6 @@ impl Histogram {
         &self.buckets
     }
 
-    /// Nearest-rank percentile estimate, resolved to bucket upper
-    /// bounds: the smallest bound whose cumulative count covers rank
-    /// `ceil(q · count)`. Returns `None` on an empty histogram; an
-    /// observation that landed in the overflow bucket (including
-    /// non-finite values) resolves to the recorded `max` when finite,
-    /// else the last bound.
-    ///
-    /// Because the answer is a function of the deterministic bucket
-    /// counts alone, a percentile over logical quantities is itself
-    /// logical — safe to gate on, unlike a wall-clock percentile.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 < q <= 1.0`.
-    pub fn percentile(&self, q: f64) -> Option<f64> {
-        assert!(q > 0.0 && q <= 1.0, "quantile must be in (0, 1], got {q}");
-        if self.count == 0 {
-            return None;
-        }
-        let rank = (q * self.count as f64).ceil() as u64;
-        let mut cumulative = 0u64;
-        for (bound, bucket) in self.bounds.iter().zip(&self.buckets) {
-            cumulative += bucket;
-            if cumulative >= rank {
-                return Some(*bound);
-            }
-        }
-        // Rank falls in the overflow bucket.
-        Some(if self.max.is_finite() { self.max } else { self.bounds[self.bounds.len() - 1] })
-    }
-
     /// Lowers the histogram into event fields: `count`, `sum`, `min`,
     /// `max` (the latter two only when non-empty), then one
     /// `le_<bound>` count per bucket and a trailing `gt_<last>` overflow
@@ -199,66 +168,5 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn unsorted_bounds_are_rejected() {
         let _ = Histogram::new(&[1.0, 0.5]);
-    }
-
-    #[test]
-    fn percentile_of_empty_histogram_is_none() {
-        let h = Histogram::new(&[0.5, 1.0]);
-        assert_eq!(h.percentile(0.5), None);
-        assert_eq!(h.percentile(0.99), None);
-    }
-
-    #[test]
-    fn percentile_of_single_sample_is_its_bucket_bound() {
-        let mut h = Histogram::new(&[0.1, 0.5, 1.0]);
-        h.observe(0.3);
-        // Every quantile of one sample resolves to the sample's bucket.
-        assert_eq!(h.percentile(0.01), Some(0.5));
-        assert_eq!(h.percentile(0.5), Some(0.5));
-        assert_eq!(h.percentile(1.0), Some(0.5));
-    }
-
-    #[test]
-    fn percentile_of_all_equal_samples_is_flat() {
-        let mut h = Histogram::new(&[0.1, 0.5, 1.0]);
-        for _ in 0..37 {
-            h.observe(0.07);
-        }
-        for q in [0.01, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(h.percentile(q), Some(0.1), "q={q}");
-        }
-    }
-
-    #[test]
-    fn p99_on_fewer_than_100_samples_is_the_top_bucket() {
-        // With n < 100, rank ceil(0.99 n) == n: p99 must track the
-        // largest observation's bucket, not under-read into lower ones.
-        let mut h = Histogram::new(&[0.1, 0.5, 1.0, 2.0]);
-        for _ in 0..49 {
-            h.observe(0.05);
-        }
-        h.observe(1.5);
-        assert_eq!(h.count(), 50);
-        assert_eq!(h.percentile(0.99), Some(2.0));
-        assert_eq!(h.percentile(0.98), Some(0.1));
-    }
-
-    #[test]
-    fn overflow_percentile_reports_observed_max() {
-        let mut h = Histogram::new(&[0.5, 1.0]);
-        h.observe(7.25);
-        assert_eq!(h.percentile(1.0), Some(7.25));
-        // A purely non-finite overflow falls back to the last bound.
-        let mut nf = Histogram::new(&[0.5, 1.0]);
-        nf.observe(f64::INFINITY);
-        assert_eq!(nf.percentile(1.0), Some(1.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile must be in (0, 1]")]
-    fn zero_quantile_is_rejected() {
-        let mut h = Histogram::new(&[1.0]);
-        h.observe(0.5);
-        let _ = h.percentile(0.0);
     }
 }

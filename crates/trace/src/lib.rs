@@ -44,7 +44,7 @@ pub use context::{TraceContext, TRACEPARENT_ENV};
 pub use event::{Event, EventKind, FieldValue};
 pub use histogram::{Histogram, DEFAULT_BOUNDS};
 pub use sink::{JsonlSink, MemoryHandle, MemorySink, NullSink, PrettySink, Sink, TraceFormat};
-pub use summary::{SpanAggregate, Summary, SummaryError};
+pub use summary::{SpanAggregate, Summary};
 
 use std::cell::Cell;
 use std::collections::BTreeMap;

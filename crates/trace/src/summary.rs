@@ -1,30 +1,13 @@
-//! Folding a JSONL trace into per-span aggregate timings — the engine
+//! Folding trace events into per-span aggregate timings — the engine
 //! behind the CLI's `trace summarize` subcommand.
 //!
-//! Parsing is schema-strict: any line that is not a valid [`Event`]
-//! produces a [`SummaryError`] naming the offending line, which the CLI
-//! turns into a non-zero exit (CI's schema gate).
+//! Parsing is not done here: `simpadv_obs::read_events` is the one
+//! strict JSONL reader, and its error names the offending line and tells
+//! a torn final line from a bad interior one. [`Summary::fold`] then
+//! takes the parsed events one at a time.
 
 use crate::event::{Event, EventKind, FieldValue};
 use std::collections::BTreeMap;
-use std::fmt;
-
-/// A malformed trace: the 1-based line number and the parse failure.
-#[derive(Debug)]
-pub struct SummaryError {
-    /// 1-based line number of the invalid event.
-    pub line: usize,
-    /// What was wrong with it.
-    pub message: String,
-}
-
-impl fmt::Display for SummaryError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid trace event at line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for SummaryError {}
 
 /// Aggregate statistics for one span path.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -89,25 +72,6 @@ fn field_f64(event: &Event, key: &str) -> Option<f64> {
 }
 
 impl Summary {
-    /// Parses a full JSONL trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SummaryError`] on the first line that is not a valid
-    /// event. Blank lines are permitted and skipped.
-    pub fn from_jsonl(text: &str) -> Result<Summary, SummaryError> {
-        let mut summary = Summary::default();
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let event: Event = serde_json::from_str(line)
-                .map_err(|e| SummaryError { line: i + 1, message: e.to_string() })?;
-            summary.fold(&event);
-        }
-        Ok(summary)
-    }
-
     /// Folds one event into the aggregates.
     pub fn fold(&mut self, event: &Event) {
         self.events += 1;
@@ -191,7 +155,7 @@ impl Summary {
 mod tests {
     use super::*;
 
-    fn line(seq: u64, kind: EventKind, path: &str, fields: &[(&str, FieldValue)]) -> String {
+    fn event(seq: u64, kind: EventKind, path: &str, fields: &[(&str, FieldValue)]) -> Event {
         let meta = if kind == EventKind::SpanClose {
             vec![("wall_us".to_string(), FieldValue::U64(1000 * (seq + 1)))]
         } else {
@@ -205,26 +169,27 @@ mod tests {
             meta,
             ctx: None,
         }
-        .to_json_line()
     }
 
     #[test]
     fn folds_span_closes_into_aggregates() {
-        let text = [
-            line(0, EventKind::SpanOpen, "train", &[]),
-            line(1, EventKind::SpanClose, "train/epoch", &[("forward", FieldValue::U64(4))]),
-            line(2, EventKind::SpanClose, "train/epoch", &[("forward", FieldValue::U64(6))]),
-            line(3, EventKind::Counter, "train/reset", &[("value", FieldValue::U64(1))]),
-            line(4, EventKind::Gauge, "eval/accuracy", &[("value", FieldValue::F64(0.75))]),
-            line(
+        let events = [
+            event(0, EventKind::SpanOpen, "train", &[]),
+            event(1, EventKind::SpanClose, "train/epoch", &[("forward", FieldValue::U64(4))]),
+            event(2, EventKind::SpanClose, "train/epoch", &[("forward", FieldValue::U64(6))]),
+            event(3, EventKind::Counter, "train/reset", &[("value", FieldValue::U64(1))]),
+            event(4, EventKind::Gauge, "eval/accuracy", &[("value", FieldValue::F64(0.75))]),
+            event(
                 5,
                 EventKind::Histogram,
                 "loss",
                 &[("count", FieldValue::U64(3)), ("sum", FieldValue::F64(1.5))],
             ),
-        ]
-        .join("\n");
-        let s = Summary::from_jsonl(&text).expect("valid trace");
+        ];
+        let mut s = Summary::default();
+        for e in &events {
+            s.fold(e);
+        }
         assert_eq!(s.events, 6);
         let agg = &s.spans["train/epoch"];
         assert_eq!(agg.count, 2);
@@ -238,26 +203,5 @@ mod tests {
         let table = s.render();
         assert!(table.contains("train/epoch"));
         assert!(table.contains("eval/accuracy"));
-    }
-
-    #[test]
-    fn invalid_line_reports_its_number() {
-        let text = format!("{}\nnot json\n", line(0, EventKind::SpanOpen, "a", &[]));
-        let err = Summary::from_jsonl(&text).expect_err("line 2 is invalid");
-        assert_eq!(err.line, 2);
-        assert!(err.to_string().contains("line 2"));
-    }
-
-    #[test]
-    fn schema_invalid_event_is_an_error_even_if_valid_json() {
-        let text = r#"{"seq":0,"kind":"gauge","path":"p","fields":{},"meta":{},"extra":1}"#;
-        assert!(Summary::from_jsonl(text).is_err());
-    }
-
-    #[test]
-    fn blank_lines_are_skipped() {
-        let text = format!("\n{}\n\n", line(0, EventKind::Counter, "c", &[]));
-        let s = Summary::from_jsonl(&text).expect("valid");
-        assert_eq!(s.events, 1);
     }
 }

@@ -1,11 +1,12 @@
 //! End-to-end integration: data → training → attack → evaluation →
 //! serialization, across every crate in the workspace.
 
+use simpadv_serve::ServedModel;
 use simpadv_suite::attacks::{linf_distance, Attack, Bim, Fgsm, Pgd};
 use simpadv_suite::data::{SynthConfig, SynthDataset};
 use simpadv_suite::defense::train::{ProposedTrainer, Trainer, VanillaTrainer};
 use simpadv_suite::defense::{evaluate_accuracy, evaluate_clean, ModelSpec, TrainConfig};
-use simpadv_suite::nn::{load_state_dict_json, save_state_dict_json, GradientModel};
+use simpadv_suite::nn::GradientModel;
 
 #[test]
 fn attacks_respect_constraints_against_trained_models() {
@@ -60,10 +61,13 @@ fn trained_model_roundtrips_through_json() {
     let mut clf = ModelSpec::small_mlp().build(1);
     VanillaTrainer::new().train(&mut clf, &train, &TrainConfig::new(3, 0));
 
-    let mut buf = Vec::new();
-    save_state_dict_json(clf.network(), &mut buf).unwrap();
-    let mut restored = ModelSpec::small_mlp().build(99);
-    load_state_dict_json(restored.network_mut(), buf.as_slice()).unwrap();
+    let dir = std::env::temp_dir().join("simpadv-suite-json-roundtrip");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("model.ckpt");
+    ServedModel::capture(&ModelSpec::small_mlp(), &clf, "fashion", "vanilla")
+        .save_to(&path)
+        .unwrap();
+    let mut restored = ServedModel::load_file(&path).unwrap().restore().unwrap();
 
     let probe = SynthDataset::Fashion.generate(&SynthConfig::new(30, 4));
     assert_eq!(clf.logits(probe.images()), restored.logits(probe.images()));

@@ -1,7 +1,8 @@
 //! The full CLI workflow as a user would run it: generate → train →
 //! evaluate → attack, through the `simpadv-cli` library API.
 
-use simpadv_cli::{run, Args, SavedModel};
+use simpadv_cli::{run, Args};
+use simpadv_serve::ServedModel;
 
 fn cli(line: &str) -> Result<String, String> {
     let args =
@@ -29,8 +30,8 @@ fn generate_train_evaluate_attack_workflow() {
     .unwrap();
     assert!(text.contains("training proposed"));
 
-    // the written model is a valid sealed SavedModel with metadata
-    let saved = SavedModel::load_from(&model_path).unwrap();
+    // the written model is a valid sealed model file with metadata
+    let saved = ServedModel::load_file(&model_path).unwrap();
     assert_eq!(saved.trained_on, "mnist");
     assert_eq!(saved.method, "proposed");
 
@@ -49,7 +50,7 @@ fn generate_train_evaluate_attack_workflow() {
 
 #[test]
 fn serve_verb_answers_requests_then_shuts_down() {
-    use simpadv_serve::{client, PredictRequest, ServedModel};
+    use simpadv_serve::{client, PredictRequest};
 
     let dir = std::env::temp_dir().join("simpadv-cli-serve-test");
     let _ = std::fs::remove_dir_all(&dir);

@@ -84,7 +84,11 @@ fn telemetry_is_logically_identical_across_thread_counts() {
 
     // -- JSONL round-trip and summarization --
     let jsonl: String = serial.iter().map(|e| e.to_json_line() + "\n").collect();
-    let summary = Summary::from_jsonl(&jsonl).expect("emitted events must satisfy the schema");
+    let parsed = simpadv_obs::read_events(&jsonl).expect("emitted events must satisfy the schema");
+    let mut summary = Summary::default();
+    for event in &parsed {
+        summary.fold(event);
+    }
     assert_eq!(summary.events, serial.len() as u64);
     assert!(summary.spans.contains_key("train"), "spans: {:?}", summary.spans.keys());
     let epoch = &summary.spans["train/epoch"];
