@@ -112,6 +112,10 @@ impl BenchOpts {
     /// `--checkpoint-dir DIR`, `--checkpoint-every N`, `--resume`,
     /// `--baseline` and `--repeat N`. Unknown flags or missing/invalid
     /// values abort with a usage message.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "usage errors exit 2, the bench binaries' contract"
+    )]
     pub fn from_args(args: &[String]) -> Self {
         let mut opts = BenchOpts {
             scale: ExperimentScale::quick(),
@@ -204,6 +208,10 @@ impl BenchOpts {
     /// ambient checkpoint policy (when `--checkpoint-dir` was given) that
     /// every `Trainer::train` call inside the binary picks up.
     /// Pair with [`BenchOpts::finish`] before exiting.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "an unopenable trace file exits 2 like a usage error"
+    )]
     pub fn apply(&self) {
         if let Some(n) = self.threads {
             simpadv_runtime::set_global_threads(n);

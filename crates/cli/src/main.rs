@@ -3,6 +3,10 @@
 
 use simpadv_cli::{run, Args};
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the CLI boundary maps a typed error to an exit code"
+)]
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = match Args::parse(argv) {

@@ -23,6 +23,7 @@ fn cli() -> &'static str {
 }
 
 /// Runs the CLI binary, returning (success, combined stdout+stderr).
+#[expect(clippy::disallowed_methods, reason = "end-to-end test drives the CLI binary")]
 fn run_cli(args: &[&str]) -> (bool, String) {
     let out = std::process::Command::new(cli()).args(args).output().expect("spawn simpadv-cli");
     let text =

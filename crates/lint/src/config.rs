@@ -21,9 +21,11 @@
 //! ```
 //!
 //! `path` is required everywhere; `reason` is required too so every
-//! declaration carries its justification into review. The parser covers
-//! exactly this subset of TOML (comments, `[[name]]` headers, and
-//! `key = "string"` pairs) — anything else is a configuration error.
+//! declaration carries its justification into review. An `[[allow]]`
+//! `rule` must name a registered rule (`simpadv-lint --list`). The
+//! parser covers exactly this subset of TOML (comments, `[[name]]`
+//! headers, and `key = "string"` pairs) — anything else is a
+//! configuration error.
 
 /// One allowlist entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -230,7 +232,17 @@ pub fn parse(src: &str) -> Result<Config, ConfigError> {
             return Err(err(lineno, format!("`{key}` outside of a table header")));
         };
         match key {
-            "rule" => p.rule = Some(value.to_string()),
+            "rule" => {
+                // An entry for a rule nothing runs would exempt nothing,
+                // silently; a retired id is the common way to get one.
+                if crate::rules::rule_by_id(value).is_none() {
+                    return Err(err(
+                        lineno,
+                        format!("unknown rule `{value}`; `--list` shows the registered rules"),
+                    ));
+                }
+                p.rule = Some(value.to_string());
+            }
             "path" => p.path = Some(value.to_string()),
             "item" => p.item = Some(value.to_string()),
             "reason" => p.reason = Some(value.to_string()),
@@ -315,6 +327,14 @@ reason = "sanctioned elementwise accumulation"
         assert!(e.message.contains("reason"));
         let e = parse("[[kernel]]\npath = \"x.rs\"\nitem = \"f\"\n").unwrap_err();
         assert!(e.message.contains("reason"));
+    }
+
+    #[test]
+    fn unregistered_rule_is_an_error_on_its_line() {
+        let e = parse("[[allow]]\nrule = \"R7\"\npath = \"x.rs\"\nreason = \"r\"\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("unknown rule `R7`"), "{}", e.message);
+        assert!(parse("[[allow]]\nrule = \"R13\"\npath = \"x.rs\"\nreason = \"r\"\n").is_err());
     }
 
     #[test]

@@ -44,16 +44,12 @@ const ITER_METHODS: &[&str] =
     &["iter", "iter_mut", "into_iter", "keys", "values", "values_mut", "drain", "retain"];
 
 /// Files allowed to read the wall clock by design (mirrors the R10
-/// quarantine plus its `lint.toml` allow entries): the trace clock
-/// stores wall seconds only in event `meta`, the observatory
-/// (`simpadv-obs`) is an offline analysis tool outside the training
-/// determinism boundary, and the kernel lab's calibration loops feed
-/// only the artifact's `meta` wall stats — its gateable logical rows
-/// come from the trace clock in a separate, untimed sweep.
-fn wall_clock_exempt(path: &str, crate_name: &str) -> bool {
-    path == "crates/trace/src/clock.rs"
-        || path == "crates/bench/src/kernels/calibrate.rs"
-        || crate_name == "simpadv-obs"
+/// quarantine plus its `lint.toml` allow entry): the trace clock stores
+/// wall seconds only in event `meta`, and the kernel lab's calibration
+/// loops feed only the artifact's `meta` wall stats — its gateable
+/// logical rows come from the trace clock in a separate, untimed sweep.
+fn wall_clock_exempt(path: &str) -> bool {
+    path == "crates/trace/src/clock.rs" || path == "crates/bench/src/kernels/calibrate.rs"
 }
 
 /// The seeded-RNG implementation itself may name entropy constructors in
@@ -94,7 +90,7 @@ fn body_sources(
             _ => {}
         }
     }
-    if wall && !wall_clock_exempt(path, crate_name) {
+    if wall && !wall_clock_exempt(path) {
         return Some(SourceKind::WallClock);
     }
     // Thread-count discovery inside the runtime crate is the sanctioned

@@ -3,20 +3,23 @@
 //!
 //! The analyzer parses every `.rs` file in the workspace with a
 //! self-contained lexer (no external parser dependency — the build
-//! environment is offline) and enforces seventeen invariants the stack's
-//! correctness rests on: twelve file-local syntactic rules (R1–R12) and
-//! five workspace-wide semantic rules (S1–S5) that reason over a symbol
-//! table, call graph and taint lattice. See [`rules::RULES`] for the
-//! catalogue and `DESIGN.md` for the rationale behind each. Diagnostics
+//! environment is offline) and enforces thirteen invariants the stack's
+//! correctness rests on: eight file-local syntactic rules (R1–R4, R6,
+//! R8–R10) and five workspace-wide semantic rules (S1–S5) that reason
+//! over a symbol table, call graph and taint lattice. See
+//! [`rules::RULES`] for the catalogue and `DESIGN.md` for the rationale
+//! behind each. Bans that need no parser (threads, sockets, child
+//! processes, `process::exit`, entropy RNG) live in the root
+//! `clippy.toml` instead, where clippy resolves paths. Diagnostics
 //! are rendered rustc-style (`error[R3]: ... --> path:line`, with call
 //! chains as `note:` lines for the S-rules), optionally as JSON, and
 //! `--deny` turns any finding into a non-zero exit for CI.
 //!
 //! Intentional exceptions live in `lint.toml` at the workspace root; every
-//! entry must carry a `reason`. The same file declares the S2 taint sinks
-//! (`[[taint]]`) and S4 canonical kernels (`[[kernel]]`).
+//! entry must carry a `reason` and name a registered rule. The same file
+//! declares the S2 taint sinks (`[[taint]]`) and S4 canonical kernels
+//! (`[[kernel]]`).
 
-pub mod baseline;
 pub mod callgraph;
 pub mod config;
 pub mod flow;
@@ -112,7 +115,7 @@ pub struct Workspace {
 /// One finding.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Rule id (`R1`..`R12`, `S1`..`S5`).
+    /// Rule id (`R1`..`R10`, `S1`..`S5`).
     pub rule: &'static str,
     /// Workspace-relative path.
     pub path: String,
@@ -373,7 +376,7 @@ mod tests {
         };
         let cfg = config::parse(
             "[[allow]]\nrule = \"R1\"\npath = \"crates/nn/src/gone.rs\"\nitem = \"expect\"\nreason = \"x\"\n\n\
-             [[allow]]\nrule = \"R7\"\npath = \"crates/nn/src/pool.rs\"\nreason = \"y\"\n",
+             [[allow]]\nrule = \"R8\"\npath = \"crates/nn/src/pool.rs\"\nreason = \"y\"\n",
         )
         .expect("config");
         let d = run(&ws, &cfg, None);
@@ -382,7 +385,7 @@ mod tests {
         assert_eq!(d[0].item, "expect");
         assert!(d[0].message.contains("does not resolve"), "{}", d[0].message);
         // scoped like the rule it names
-        assert!(run(&ws, &cfg, Some("R7")).is_empty());
+        assert!(run(&ws, &cfg, Some("R8")).is_empty());
         assert_eq!(run(&ws, &cfg, Some("R1")).len(), 1);
     }
 

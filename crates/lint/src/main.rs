@@ -1,24 +1,20 @@
 //! CLI entry point for `simpadv-lint`.
 //!
 //! ```text
-//! simpadv-lint [--root DIR] [--config FILE] [--rules SPEC] [--json] [--deny]
-//!              [--baseline FILE] [--write-baseline] [--list]
+//! simpadv-lint [--root DIR] [--config FILE] [--rules SPEC] [--json] [--deny] [--list]
 //! simpadv-lint graph --dot [--root DIR]
 //! ```
 //!
 //! Exit codes:
-//! - `0` — clean: no diagnostics, or diagnostics without `--deny`, and no
-//!   baseline regressions
-//! - `1` — findings with `--deny`, or counts above the `--baseline`
-//!   snapshot
-//! - `2` — usage or configuration error (bad flags, malformed lint.toml
-//!   or baseline file, unreadable root)
+//! - `0` — clean: no diagnostics, or diagnostics without `--deny`
+//! - `1` — findings with `--deny`
+//! - `2` — usage or configuration error (bad flags, malformed lint.toml,
+//!   unreadable root)
 //!
 //! The tool never writes files (that is R9's job to police): `graph
-//! --dot` and `--write-baseline` print to stdout for the caller to
-//! redirect.
+//! --dot` prints to stdout for the caller to redirect.
 
-use simpadv_lint::{baseline, collect_files, config, render_json, rules, run, semrules};
+use simpadv_lint::{collect_files, config, render_json, rules, run, semrules};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -29,32 +25,26 @@ struct Args {
     json: bool,
     deny: bool,
     list: bool,
-    baseline: Option<PathBuf>,
-    write_baseline: bool,
     graph: bool,
     dot: bool,
 }
 
 fn usage() -> &'static str {
-    "usage: simpadv-lint [--root DIR] [--config FILE] [--rules SPEC] [--json] [--deny]\n\
-     \x20                   [--baseline FILE] [--write-baseline] [--list]\n\
+    "usage: simpadv-lint [--root DIR] [--config FILE] [--rules SPEC] [--json] [--deny] [--list]\n\
      \x20      simpadv-lint graph --dot [--root DIR]\n\
      \n\
      --root DIR       workspace root to analyze (default: current directory)\n\
      --config FILE    lint.toml (default: <root>/lint.toml if present)\n\
-     --rules SPEC     comma list of ids/ranges: R1, R1-R10, S1-S5, R2,S4 ...\n\
+     --rules SPEC     comma list of ids/ranges: R1, R1-R10, S1-S5, R2,S4 ...;\n\
+     \x20                a range selects the registered ids inside it\n\
      --rule RN        alias for --rules with a single id\n\
      --json           emit diagnostics as a JSON array\n\
      --deny           exit 1 when any diagnostic is emitted (CI mode)\n\
-     --baseline FILE  compare per-rule counts against a committed snapshot;\n\
-     \x20                exit 1 on any rule above its recorded count\n\
-     --write-baseline print the current counts as baseline JSON on stdout\n\
      --list           print the rule catalogue (R-tier, then S-tier) and exit\n\
      \n\
      graph --dot      print the workspace call graph in Graphviz DOT format\n\
      \n\
-     exit codes: 0 clean, 1 findings (--deny) or baseline regression,\n\
-     2 usage/configuration error\n"
+     exit codes: 0 clean, 1 findings (--deny), 2 usage/configuration error\n"
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -65,8 +55,6 @@ fn parse_args() -> Result<Args, String> {
         json: false,
         deny: false,
         list: false,
-        baseline: None,
-        write_baseline: false,
         graph: false,
         dot: false,
     };
@@ -94,12 +82,6 @@ fn parse_args() -> Result<Args, String> {
                 rules::expand_spec(&spec)?;
                 args.rules = Some(spec);
             }
-            "--baseline" => {
-                args.baseline = Some(PathBuf::from(
-                    it.next().ok_or_else(|| "--baseline requires a file".to_string())?,
-                ));
-            }
-            "--write-baseline" => args.write_baseline = true,
             "--dot" => args.dot = true,
             "--json" => args.json = true,
             "--deny" => args.deny = true,
@@ -132,7 +114,7 @@ fn print_list() {
         }
     }
     println!();
-    println!("exit codes: 0 clean, 1 findings (--deny) or baseline regression, 2 usage error");
+    println!("exit codes: 0 clean, 1 findings (--deny), 2 usage error");
 }
 
 fn main() -> ExitCode {
@@ -192,48 +174,19 @@ fn main() -> ExitCode {
 
     let diags = run(&ws, &cfg, args.rules.as_deref());
 
-    if args.write_baseline {
-        print!("{}", baseline::render(&diags));
-        return ExitCode::SUCCESS;
-    }
-
     if args.json {
         print!("{}", render_json(&diags));
     } else {
         for d in &diags {
             print!("{}", d.render());
         }
-        let scope = args.rules.as_deref().unwrap_or("R1-R12,S1-S5");
+        let scope = args.rules.as_deref().unwrap_or(rules::ALL_RULES_SPEC);
         eprintln!(
             "simpadv-lint: {} file(s) analyzed, {} diagnostic(s) [{}]",
             ws.files.len(),
             diags.len(),
             scope
         );
-    }
-
-    if let Some(path) = &args.baseline {
-        let src = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: cannot read baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let counts = match baseline::parse(&src) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("error: {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let regressions = baseline::compare(&counts, &diags);
-        if !regressions.is_empty() {
-            for r in &regressions {
-                eprintln!("baseline regression: {r}");
-            }
-            return ExitCode::FAILURE;
-        }
     }
 
     if args.deny && !diags.is_empty() {

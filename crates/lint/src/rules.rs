@@ -1,5 +1,7 @@
-//! The rule registry: twelve syntactic invariants (R1–R12) and five
-//! semantic ones (S1–S5).
+//! The rule registry: eight syntactic invariants (R1–R4, R6, R8–R10)
+//! and five semantic ones (S1–S5). The ids R5, R7, R11 and R12 are
+//! retired: those rules only banned paths, and the root `clippy.toml`
+//! bans the same paths with name resolution.
 //!
 //! Each R-rule is a pure function from a [`Workspace`] to diagnostics —
 //! token-accurate but file-local: comments and string literals can never
@@ -38,7 +40,7 @@ pub enum Check {
 
 /// A rule's identity and entry point.
 pub struct Rule {
-    /// Stable id (`R1`..`R12`, `S1`..`S5`), referenced from `lint.toml`.
+    /// Stable id (`R1`..`R10`, `S1`..`S5`), referenced from `lint.toml`.
     pub id: &'static str,
     /// One-line summary shown by `--list`.
     pub summary: &'static str,
@@ -72,22 +74,10 @@ pub const RULES: &[Rule] = &[
         check: Check::Syntactic(rule_r4_projection_routing),
     },
     Rule {
-        id: "R5",
-        summary: "no thread_rng/from_entropy/rand::random outside \
-                  crates/tensor/src/rng.rs; all randomness is seeded",
-        check: Check::Syntactic(rule_r5_rng_discipline),
-    },
-    Rule {
         id: "R6",
         summary: "panicking tensor ops built on the unwrap_or_else wrapper must \
                   expose a try_* sibling returning TensorError",
         check: Check::Syntactic(rule_r6_try_siblings),
-    },
-    Rule {
-        id: "R7",
-        summary: "std::thread is permitted only in crates/runtime; everywhere else \
-                  parallelism goes through simpadv_runtime::Runtime",
-        check: Check::Syntactic(rule_r7_thread_containment),
     },
     Rule {
         id: "R8",
@@ -103,22 +93,9 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "R10",
-        summary: "std::time::Instant/SystemTime only in crates/trace/src/clock.rs and \
-                  crates/obs; production timing goes through the span clock's WallTimer",
+        summary: "std::time::Instant/SystemTime only in crates/trace/src/clock.rs; \
+                  production timing goes through the span clock's WallTimer",
         check: Check::Syntactic(rule_r10_wall_clock_quarantine),
-    },
-    Rule {
-        id: "R11",
-        summary: "std::net is permitted only in crates/serve; other crates reach the \
-                  server through simpadv_serve::client",
-        check: Check::Syntactic(rule_r11_net_containment),
-    },
-    Rule {
-        id: "R12",
-        summary: "std::process (Command/Child/Stdio/exit) is permitted only in \
-                  crates/sweep and crates/cli; other crates return typed errors \
-                  instead of spawning or exiting",
-        check: Check::Syntactic(rule_r12_process_containment),
     },
     Rule {
         id: "S1",
@@ -155,19 +132,22 @@ pub const RULES: &[Rule] = &[
     },
 ];
 
+/// Every registered id, as a `--rules` spec; the default scope.
+pub const ALL_RULES_SPEC: &str = "R1-R4,R6,R8-R10,S1-S5";
+
 /// Looks up a rule by id.
 pub fn rule_by_id(id: &str) -> Option<&'static Rule> {
     RULES.iter().find(|r| r.id == id)
 }
 
 /// Expands a `--rules` spec — a comma list of ids and ranges
-/// (`R1,R3`, `R1-R10,S2`, `S1-S5`) — into rule ids, validating every
-/// part against the registry.
+/// (`R1,R3`, `R1-R10,S2`, `S1-S5`) — into rule ids. A range selects the
+/// registered ids inside it, so it may span retired ones.
 ///
 /// # Errors
 ///
 /// Returns a message naming the offending part when an id is unknown, a
-/// range is malformed, or its endpoints use different tiers.
+/// range is malformed, mixes tiers, or selects no registered rule.
 pub fn expand_spec(spec: &str) -> Result<Vec<&'static str>, String> {
     let mut out: Vec<&'static str> = Vec::new();
     for part in spec.split(',') {
@@ -175,33 +155,40 @@ pub fn expand_spec(spec: &str) -> Result<Vec<&'static str>, String> {
         if part.is_empty() {
             continue;
         }
-        if let Some((lo, hi)) = part.split_once('-') {
+        let selected: Vec<&'static str> = if let Some((lo, hi)) = part.split_once('-') {
             let (lo, hi) = (lo.trim(), hi.trim());
             let tier = lo.chars().next().ok_or_else(|| format!("empty range start in `{part}`"))?;
             if !hi.starts_with(tier) {
                 return Err(format!("range `{part}` mixes tiers; write it as `{tier}a-{tier}b`"));
             }
             let parse_num = |s: &str| {
-                s[1..]
-                    .parse::<u32>()
-                    .map_err(|_| format!("malformed rule id `{s}` in range `{part}`"))
+                s.strip_prefix(tier)
+                    .and_then(|n| n.parse::<u32>().ok())
+                    .ok_or_else(|| format!("malformed rule id `{s}` in range `{part}`"))
             };
             let (a, b) = (parse_num(lo)?, parse_num(hi)?);
             if a > b {
                 return Err(format!("range `{part}` runs backwards"));
             }
-            for n in a..=b {
-                let id = format!("{tier}{n}");
-                let rule = rule_by_id(&id)
-                    .ok_or_else(|| format!("range `{part}` covers unknown rule `{id}`"))?;
-                if !out.contains(&rule.id) {
-                    out.push(rule.id);
-                }
+            let inside: Vec<&'static str> = RULES
+                .iter()
+                .map(|r| r.id)
+                .filter(|id| {
+                    id.strip_prefix(tier)
+                        .and_then(|n| n.parse::<u32>().ok())
+                        .is_some_and(|n| (a..=b).contains(&n))
+                })
+                .collect();
+            if inside.is_empty() {
+                return Err(format!("range `{part}` selects no registered rule"));
             }
+            inside
         } else {
-            let rule = rule_by_id(part).ok_or_else(|| format!("unknown rule `{part}`"))?;
-            if !out.contains(&rule.id) {
-                out.push(rule.id);
+            vec![rule_by_id(part).ok_or_else(|| format!("unknown rule `{part}`"))?.id]
+        };
+        for id in selected {
+            if !out.contains(&id) {
+                out.push(id);
             }
         }
     }
@@ -439,52 +426,6 @@ fn rule_r4_projection_routing(ws: &Workspace) -> Vec<Diagnostic> {
     out
 }
 
-/// R5: seeded-randomness discipline.
-fn rule_r5_rng_discipline(ws: &Workspace) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for file in &ws.files {
-        if file.path.ends_with("crates/tensor/src/rng.rs")
-            || file.path == "crates/tensor/src/rng.rs"
-        {
-            continue;
-        }
-        let p = &file.parsed;
-        for i in 0..p.tokens.len() {
-            match p.ident(i) {
-                Some(id @ ("thread_rng" | "from_entropy")) => {
-                    out.push(diag(
-                        "R5",
-                        file,
-                        p.line(i),
-                        id,
-                        format!(
-                            "`{id}` introduces unseeded randomness; construct rngs via \
-                             `StdRng::seed_from_u64` (see crates/tensor/src/rng.rs)"
-                        ),
-                    ));
-                }
-                Some("rand")
-                    if p.is_punct(i + 1, ':')
-                        && p.is_punct(i + 2, ':')
-                        && p.ident(i + 3) == Some("random") =>
-                {
-                    out.push(diag(
-                        "R5",
-                        file,
-                        p.line(i),
-                        "random",
-                        "`rand::random` draws from an implicit global rng; thread an \
-                         explicit seeded rng instead"
-                            .to_string(),
-                    ));
-                }
-                _ => {}
-            }
-        }
-    }
-    out
-}
-
 /// R6: wrapper-pattern tensor ops expose `try_*` siblings.
 fn rule_r6_try_siblings(ws: &Workspace) -> Vec<Diagnostic> {
     // Collect every function name defined in tensor src (cross-file).
@@ -521,132 +462,6 @@ fn rule_r6_try_siblings(ws: &Workspace) -> Vec<Diagnostic> {
                          `{sibling}` sibling exists; expose the Result-returning form",
                         f.name
                     ),
-                ));
-            }
-        }
-    }
-    out
-}
-
-/// R7: `std::thread` is confined to the runtime crate.
-///
-/// Direct threading anywhere else would re-introduce exactly the
-/// nondeterminism the runtime's fixed-chunk/ordered-reduction contract
-/// exists to rule out, so both `std::thread::...` paths and
-/// `thread::...` calls (after a `use std::thread`) are flagged.
-fn rule_r7_thread_containment(ws: &Workspace) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for file in &ws.files {
-        if file.crate_name == "simpadv-runtime" {
-            continue;
-        }
-        let p = &file.parsed;
-        for i in 0..p.tokens.len() {
-            if p.ident(i) != Some("thread") {
-                continue;
-            }
-            let path_use = p.is_punct(i + 1, ':') && p.is_punct(i + 2, ':');
-            let std_qualified = i >= 3
-                && p.ident(i - 3) == Some("std")
-                && p.is_punct(i - 2, ':')
-                && p.is_punct(i - 1, ':');
-            if path_use || std_qualified {
-                out.push(diag(
-                    "R7",
-                    file,
-                    p.line(i),
-                    "thread",
-                    "`std::thread` outside crates/runtime; express parallelism \
-                     through a `simpadv_runtime::Runtime` so the determinism \
-                     contract (fixed chunking, ordered reduction) holds"
-                        .to_string(),
-                ));
-            }
-        }
-    }
-    out
-}
-
-/// R11: `std::net` is confined to the serving crate.
-///
-/// Sockets are a side-channel past every invariant this wall defends —
-/// untraced I/O, nondeterministic ordering, durable output without the
-/// atomic-write protocol. `crates/serve` wraps them behind the batch
-/// engine (whose forwards stay on the deterministic runtime) and a
-/// typed client; everything else — tests and benches included — talks
-/// to a server through `simpadv_serve::client`, never a raw socket.
-fn rule_r11_net_containment(ws: &Workspace) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for file in &ws.files {
-        if file.crate_name == "simpadv-serve" {
-            continue;
-        }
-        let p = &file.parsed;
-        for i in 0..p.tokens.len() {
-            let socket_type = matches!(
-                p.ident(i),
-                Some("TcpListener" | "TcpStream" | "UdpSocket" | "SocketAddr")
-            );
-            let net_path = p.ident(i) == Some("net")
-                && i >= 3
-                && p.ident(i - 3) == Some("std")
-                && p.is_punct(i - 2, ':')
-                && p.is_punct(i - 1, ':');
-            if socket_type || net_path {
-                out.push(diag(
-                    "R11",
-                    file,
-                    p.line(i),
-                    p.ident(i).unwrap_or("net"),
-                    "`std::net` outside crates/serve; talk to the inference server \
-                     through `simpadv_serve::client` so every byte on the wire goes \
-                     through the traced, backpressure-aware serving path"
-                        .to_string(),
-                ));
-            }
-        }
-    }
-    out
-}
-
-/// R12: `std::process` is confined to the sweep orchestrator and the CLI.
-///
-/// Spawning children and exiting the process are supervision concerns:
-/// `crates/sweep` owns child lifecycle (spawn, deadline kill, exit-status
-/// triage) and `crates/cli` owns the process boundary (its `main` maps a
-/// typed error to an exit code). Anywhere else, `Command`/`Child`/`Stdio`
-/// or a `process::exit` bypasses the supervision protocol — a library
-/// crate that exits can never be retried, and a child spawned outside
-/// the orchestrator escapes the manifest's crash accounting. Identifier
-/// matching is unconditional for the spawn types (they have no other
-/// meaning in this workspace); `exit` is only flagged when
-/// path-qualified with `process::`, so `process::id()` in test helpers
-/// and unrelated `exit` identifiers stay clean.
-fn rule_r12_process_containment(ws: &Workspace) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for file in &ws.files {
-        if file.crate_name == "simpadv-sweep" || file.crate_name == "simpadv-cli" {
-            continue;
-        }
-        let p = &file.parsed;
-        for i in 0..p.tokens.len() {
-            let spawn_type = matches!(p.ident(i), Some("Command" | "Child" | "Stdio"));
-            let process_exit = p.ident(i) == Some("exit")
-                && i >= 3
-                && p.ident(i - 3) == Some("process")
-                && p.is_punct(i - 2, ':')
-                && p.is_punct(i - 1, ':');
-            if spawn_type || process_exit {
-                out.push(diag(
-                    "R12",
-                    file,
-                    p.line(i),
-                    p.ident(i).unwrap_or("process"),
-                    "`std::process` outside crates/sweep and crates/cli; child \
-                     lifecycle belongs to the sweep supervisor and exit codes to \
-                     the CLI boundary — return a typed error and let the caller \
-                     decide the process's fate"
-                        .to_string(),
                 ));
             }
         }
@@ -762,8 +577,8 @@ fn rule_r9_durable_writes(ws: &Workspace) -> Vec<Diagnostic> {
 
 /// R10: wall-clock quarantine. `std::time::Instant`/`SystemTime` are
 /// confined to the span clock (`crates/trace/src/clock.rs`, which wraps
-/// them in `WallTimer`) and the offline analyzers in `crates/obs`;
-/// everywhere else, production code times itself through the span
+/// them in `WallTimer`); everywhere else, production code times itself
+/// through the span
 /// clock so wall readings stay in `meta` and never leak into logical
 /// event content. Test code is exempt. The kernel lab's calibration
 /// file earns a `lint.toml` allow entry rather than a hole here: the
@@ -772,10 +587,7 @@ fn rule_r9_durable_writes(ws: &Workspace) -> Vec<Diagnostic> {
 fn rule_r10_wall_clock_quarantine(ws: &Workspace) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for file in &ws.files {
-        if file.kind != FileKind::Src
-            || file.crate_name == "simpadv-obs"
-            || file.path == "crates/trace/src/clock.rs"
-        {
+        if file.kind != FileKind::Src || file.path == "crates/trace/src/clock.rs" {
             continue;
         }
         let p = &file.parsed;
@@ -791,7 +603,7 @@ fn rule_r10_wall_clock_quarantine(ws: &Workspace) -> Vec<Diagnostic> {
                     name,
                     format!(
                         "`{name}` outside the wall-clock quarantine \
-                         (crates/trace/src/clock.rs and crates/obs); time through \
+                         (crates/trace/src/clock.rs); time through \
                          `simpadv_trace::clock::WallTimer` so wall readings stay \
                          in event `meta` and the logical stream stays thread-invariant"
                     ),
@@ -827,11 +639,22 @@ mod tests {
         assert_eq!(expand_spec("R8-R10,S2").unwrap(), vec!["R8", "R9", "R10", "S2"]);
         // Duplicates collapse.
         assert_eq!(expand_spec("R1,R1-R2").unwrap(), vec!["R1", "R2"]);
+        // Ranges select the registered ids inside them, across retired ones.
+        assert_eq!(
+            expand_spec("R1-R12").unwrap(),
+            vec!["R1", "R2", "R3", "R4", "R6", "R8", "R9", "R10"]
+        );
+        assert_eq!(expand_spec("R1-R99").unwrap(), expand_spec("R1-R12").unwrap());
+        assert!(expand_spec("R5-R5").is_err());
+        assert!(expand_spec("R11-R99").is_err());
+        assert!(expand_spec("R7").is_err());
         assert!(expand_spec("R13").is_err());
         assert!(expand_spec("R1-S2").is_err());
         assert!(expand_spec("S5-S1").is_err());
+        assert!(expand_spec("é1-é2").is_err());
         assert!(expand_spec("").is_err());
-        assert!(expand_spec("R1-R99").is_err());
+        let all: Vec<&str> = RULES.iter().map(|r| r.id).collect();
+        assert_eq!(expand_spec(ALL_RULES_SPEC).unwrap(), all);
     }
 
     // ---- R1 ----
@@ -998,27 +821,6 @@ fn step(&self, x: &T, orig: &T) -> T {
         assert_eq!(d.len(), 2);
     }
 
-    // ---- R5 ----
-
-    #[test]
-    fn r5_fires_everywhere_except_tensor_rng() {
-        let files = [
-            ("crates/data/src/synth.rs", "fn f() { let mut r = thread_rng(); }"),
-            ("crates/nn/src/init.rs", "fn g() { let r = StdRng::from_entropy(); }"),
-            ("crates/core/src/train.rs", "fn h() -> f32 { rand::random() }"),
-            ("crates/tensor/src/rng.rs", "fn ok() { let r = thread_rng(); }"),
-        ];
-        let d = run("R5", &files);
-        let items: Vec<&str> = d.iter().map(|d| d.item.as_str()).collect();
-        assert_eq!(items, vec!["thread_rng", "from_entropy", "random"]);
-    }
-
-    #[test]
-    fn r5_ignores_seeded_construction() {
-        let src = "fn f() { let r = StdRng::seed_from_u64(42); }";
-        assert!(run("R5", &[("crates/core/src/train.rs", src)]).is_empty());
-    }
-
     // ---- R6 ----
 
     #[test]
@@ -1055,31 +857,6 @@ pub fn shape(&self) -> &[usize] { &self.shape }
 pub fn try_reshape(&self, s: &[usize]) -> Result<T, E> { inner(s) }
 "#;
         assert!(run("R6", &[("crates/tensor/src/ops.rs", src)]).is_empty());
-    }
-
-    // ---- R7 ----
-
-    #[test]
-    fn r7_fires_on_std_thread_outside_runtime() {
-        let files = [
-            ("crates/nn/src/layer.rs", "fn f() { std::thread::sleep(d); }"),
-            ("crates/core/src/eval.rs", "use std::thread;\nfn g() { thread::spawn(|| {}); }"),
-        ];
-        let d = run("R7", &files);
-        assert_eq!(d.len(), 3);
-        assert!(d.iter().all(|d| d.item == "thread"));
-        assert_eq!(d[1].line, 1); // the `use std::thread` import itself
-        assert_eq!(d[2].line, 2); // the `thread::spawn` call
-    }
-
-    #[test]
-    fn r7_allows_runtime_crate_and_unrelated_idents() {
-        let files = [
-            ("crates/runtime/src/lib.rs", "fn f() { std::thread::scope(|s| work(s)); }"),
-            ("crates/core/src/train.rs", "fn g(threads: usize) -> usize { threads + 1 }"),
-            ("crates/data/src/synth.rs", "fn h() { let thread = 3; let x = thread; }"),
-        ];
-        assert!(run("R7", &files).is_empty());
     }
 
     // ---- R8 ----
@@ -1143,23 +920,21 @@ pub fn try_reshape(&self, s: &[usize]) -> Result<T, E> { inner(s) }
                 "crates/bench/src/kernels/mod.rs",
                 "fn sweep() { let t = std::time::Instant::now(); }",
             ),
+            // the observatory reads recorded wall times; it takes none itself
+            ("crates/obs/src/tree.rs", "fn stamp() -> u64 { SystemTime::now().elapsed() }"),
         ];
         let d = run("R10", &files);
         let items: Vec<&str> = d.iter().map(|d| d.item.as_str()).collect();
-        assert_eq!(items, vec!["Instant", "SystemTime", "SystemTime", "Instant"]);
+        assert_eq!(items, vec!["Instant", "SystemTime", "SystemTime", "Instant", "SystemTime"]);
         assert!(d[0].message.contains("WallTimer"));
     }
 
     #[test]
-    fn r10_allows_clock_module_obs_crate_and_test_code() {
+    fn r10_allows_clock_module_and_test_code() {
         let files = [
             (
                 "crates/trace/src/clock.rs",
                 "pub struct WallTimer { start: std::time::Instant }",
-            ),
-            (
-                "crates/obs/src/tree.rs",
-                "fn stamp() -> std::time::Instant { std::time::Instant::now() }",
             ),
             (
                 "crates/nn/src/layers.rs",
@@ -1170,81 +945,6 @@ pub fn try_reshape(&self, s: &[usize]) -> Result<T, E> { inner(s) }
             ("crates/data/src/lib.rs", "// Instant\nfn f() -> &'static str { \"SystemTime\" }"),
         ];
         assert!(run("R10", &files).is_empty());
-    }
-
-    // ---- R11 ----
-
-    #[test]
-    fn r11_fires_on_sockets_outside_the_serve_crate() {
-        let files = [
-            (
-                "crates/bench/src/bin/custom.rs",
-                "fn main() { let l = std::net::TcpListener::bind(\"0:0\"); }",
-            ),
-            (
-                "crates/cli/src/commands.rs",
-                "use std::net::TcpStream;\nfn f() { let _ = TcpStream::connect(\"a:1\"); }",
-            ),
-            // tests are NOT exempt: they must also go through the client
-            ("tests/poke.rs", "fn t() { let _ = std::net::UdpSocket::bind(\"0:0\"); }"),
-        ];
-        let d = run("R11", &files);
-        assert!(d.len() >= 3, "each socket use flagged: {d:?}");
-        assert!(d[0].message.contains("simpadv_serve::client"));
-    }
-
-    #[test]
-    fn r11_allows_the_serve_crate_and_inert_text() {
-        let files = [
-            (
-                "crates/serve/src/server.rs",
-                "use std::net::{TcpListener, TcpStream};\nfn f(l: &TcpListener) {}",
-            ),
-            (
-                "crates/serve/src/client.rs",
-                "fn c() { let _ = std::net::TcpStream::connect(\"a:1\"); }",
-            ),
-            // comments and strings never tokenize into idents
-            ("crates/data/src/lib.rs", "// TcpStream\nfn f() -> &'static str { \"std::net\" }"),
-        ];
-        assert!(run("R11", &files).is_empty());
-    }
-
-    // ---- R12 ----
-
-    #[test]
-    fn r12_fires_on_process_use_outside_sweep_and_cli() {
-        let files = [
-            (
-                "crates/bench/src/bin/custom.rs",
-                "fn main() { let _ = std::process::Command::new(\"ls\").status(); }",
-            ),
-            (
-                "crates/serve/src/server.rs",
-                "use std::process::exit;\nfn f() { std::process::exit(2); }",
-            ),
-            // tests are NOT exempt: a test that spawns escapes supervision too
-            ("crates/obs/tests/poke.rs", "fn t(c: std::process::Child) { drop(c); }"),
-        ];
-        let d = run("R12", &files);
-        assert!(d.len() >= 3, "each process use flagged: {d:?}");
-        assert!(d[0].message.contains("sweep supervisor"));
-    }
-
-    #[test]
-    fn r12_allows_the_orchestrator_the_cli_and_inert_text() {
-        let files = [
-            (
-                "crates/sweep/src/supervise.rs",
-                "use std::process::{Child, Command, Stdio};\nfn f(c: &mut Child) {}",
-            ),
-            ("crates/cli/src/main.rs", "fn main() { std::process::exit(1); }"),
-            // `process::id()` in temp-dir helpers is not a spawn or an exit
-            ("crates/data/src/lib.rs", "fn tag() -> u32 { std::process::id() }"),
-            // comments and strings never tokenize into idents
-            ("crates/nn/src/lib.rs", "// Command\nfn f() -> &'static str { \"std::process\" }"),
-        ];
-        assert!(run("R12", &files).is_empty());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The five semantic rules (S1–S5).
 //!
-//! Where R1–R10 are per-file and token-local, the S-rules reason over
+//! Where the R-rules are per-file and token-local, the S-rules reason over
 //! the whole workspace at once: a symbol table ([`crate::symbols`]), a
 //! call graph ([`crate::callgraph`]), and a taint lattice
 //! ([`crate::flow`]) let them follow a property across function and

@@ -4,7 +4,7 @@
 //! with one planted violation; the combined acceptance test at the
 //! bottom proves both halves of the contract at once: every planted
 //! violation is detected with a call-chain diagnostic, and the real
-//! repository wall (`--deny` over all fifteen rules) reports nothing.
+//! repository wall (`--deny` over every registered rule) reports nothing.
 
 use simpadv_lint::{collect_files, config, run, Diagnostic};
 use std::path::{Path, PathBuf};

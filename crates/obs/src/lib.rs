@@ -33,10 +33,9 @@
 //! serde shims only) and performs no I/O beyond what callers hand it:
 //! the CLI owns files, the bench harness owns artifacts.
 //!
-//! Wall-clock quarantine: this crate and `crates/trace/src/clock.rs`
-//! are the only places lint rule R10 permits direct
-//! `std::time::Instant`/`SystemTime` use — analysis code may need raw
-//! timestamps, production code must go through the span clock.
+//! Wall-clock quarantine: this crate reads no clock. It analyzes the
+//! wall times a trace recorded; lint rule R10 confines direct
+//! `std::time::Instant`/`SystemTime` use to `crates/trace/src/clock.rs`.
 
 pub mod artifact;
 pub mod collector;

@@ -97,6 +97,10 @@ pub fn atomic_write(path: &Path, payload: &[u8]) -> Result<(), PersistError> {
 /// # Errors
 ///
 /// The last error once the attempt budget is exhausted.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "retry backoff sleeps on the current thread; no parallelism involved"
+)]
 pub fn atomic_write_with_retry(
     path: &Path,
     payload: &[u8],
@@ -112,8 +116,7 @@ pub fn atomic_write_with_retry(
                 simpadv_trace::counter("resilience/atomic_write_retry", 1);
                 last = Some(e);
                 if attempt + 1 < attempts {
-                    // Transient-error backoff; allow-listed use of
-                    // std::thread outside crates/runtime (lint.toml R7).
+                    // Transient-error backoff.
                     std::thread::sleep(backoff * (attempt + 1));
                 }
             }

@@ -3,8 +3,8 @@
 //! Deterministic data-parallel execution substrate for the `simpadv`
 //! workspace.
 //!
-//! The workspace's reproducibility invariant (R5 in the lint catalogue)
-//! promises that a fixed seed produces bitwise-identical experiment
+//! The workspace's reproducibility invariant (all randomness is seeded;
+//! `clippy.toml` bans the entropy RNGs) promises that a fixed seed produces bitwise-identical experiment
 //! outputs. Naive parallelism breaks that promise in two ways: work gets
 //! partitioned differently depending on how many workers exist, and
 //! floating-point reductions happen in whatever order threads finish.
@@ -31,9 +31,9 @@
 //! keeps the contract as long as a chunk's result does not depend on what
 //! earlier chunks left in the state.
 //!
-//! This is also the only crate in the workspace allowed to touch
-//! `std::thread` (lint rule R7): all other crates express parallelism
-//! through a [`Runtime`] handle, obtained explicitly or via
+//! This is also the only crate in the workspace that spawns threads
+//! (the `std::thread` bans in `clippy.toml`): all other crates express
+//! parallelism through a [`Runtime`] handle, obtained explicitly or via
 //! [`Runtime::global`].
 
 use std::ops::Range;
@@ -109,6 +109,7 @@ impl Drop for WorkerFlagGuard {
 }
 
 /// Number of hardware threads, with a serial fallback when unknown.
+#[expect(clippy::disallowed_methods, reason = "the runtime owns thread-count discovery")]
 pub fn available_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
@@ -259,6 +260,7 @@ impl Runtime {
     /// identical no matter how the tasks were scheduled. The logical
     /// clock keeps ticking inside tasks; pool shape and per-task busy
     /// time are recorded on the non-logical side of the clock.
+    #[expect(clippy::disallowed_methods, reason = "the runtime's worker pool")]
     fn run_tasks<S, R, I, F>(&self, n_tasks: usize, init: I, task: F) -> Vec<R>
     where
         R: Send,
@@ -439,6 +441,7 @@ impl Runtime {
     /// on whether `fb` ran inline or on its own thread.
     ///
     /// Panics raised by either closure are propagated.
+    #[expect(clippy::disallowed_methods, reason = "the runtime's worker pool")]
     pub fn par_join<A, B, FA, FB>(&self, fa: FA, fb: FB) -> (A, B)
     where
         A: Send,

@@ -18,7 +18,9 @@
 //! Boot and rescans share one scan ([`crate::model::newest_servable`]):
 //! generations that fail to load, decode or restore are skipped (counter
 //! `serve/generation_skipped`, and the engine's `skipped_generations`),
-//! so the engine boots on, or keeps serving, the last valid one.
+//! so the engine boots on, or keeps serving, the last valid one. Each
+//! rescan starts above the generations already skipped for a reason a
+//! re-read cannot change, so each of those is read and counted once.
 //!
 //! Backpressure: when the queue holds `queue_cap` requests,
 //! [`Engine::submit`] fails fast with [`ServeError::Rejected`] — the
@@ -100,6 +102,9 @@ pub struct Engine {
     queue_cv: Condvar,
     model: Mutex<(u64, Classifier)>,
     current_gen: AtomicU64,
+    /// Where the next rescan starts: the serving generation, or past it
+    /// the highest one skipped for good ([`crate::Scan::next_floor`]).
+    scan_floor: AtomicU64,
     method: Mutex<String>,
     input_len: usize,
     stop: AtomicBool,
@@ -134,6 +139,7 @@ impl Engine {
             queue_cv: Condvar::new(),
             model: Mutex::new((generation, clf)),
             current_gen: AtomicU64::new(generation),
+            scan_floor: AtomicU64::new(scan.next_floor),
             method: Mutex::new(served.method),
             input_len: simpadv_data::IMAGE_PIXELS,
             stop: AtomicBool::new(false),
@@ -316,13 +322,15 @@ impl Engine {
     /// Rescans the checkpoint store for generations newer than the one
     /// currently serving; installs the newest one that restores at a
     /// batch boundary. Newer generations that fail to load, decode or
-    /// restore are skipped and counted.
+    /// restore are skipped and counted, each once: later rescans start
+    /// above them. One that failed with an I/O error is read again.
     ///
     /// # Errors
     ///
     /// [`ServeError::Persist`] when the store cannot be listed.
     pub fn rescan(&self) -> Result<SwapReport, ServeError> {
-        let scan = newest_servable(&self.store, self.current_generation())?;
+        let scan = newest_servable(&self.store, self.scan_floor.load(Ordering::SeqCst))?;
+        self.scan_floor.fetch_max(scan.next_floor, Ordering::SeqCst);
         self.stats.record_skipped_generations(scan.skipped);
         let Some((generation, served, clf)) = scan.servable else {
             return Ok(SwapReport { installed: None, skipped: scan.skipped });

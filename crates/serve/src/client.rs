@@ -1,9 +1,9 @@
 //! A blocking HTTP client for the serve endpoints.
 //!
 //! This is the ONLY sanctioned way for other crates (the load
-//! generator, integration tests, the CLI) to talk to the server: rule
-//! R11 confines `std::net` to `crates/serve`, so everything else takes
-//! a `&str` address and calls through here.
+//! generator, integration tests, the CLI) to talk to the server: the
+//! `clippy.toml` socket ban confines `std::net` to `crates/serve`, so
+//! everything else takes a `&str` address and calls through here.
 //!
 //! Each thread keeps one connection open, to the last address it called,
 //! with `TCP_NODELAY` set; a call to another address replaces it. A
@@ -89,6 +89,10 @@ pub fn retry_delay_us(policy: &RetryPolicy, reject: &RejectBody, retry: u32) -> 
 /// [`ServeError::Rejected`] when every attempt was shed (carrying the
 /// last hinted queue capacity); any non-503 failure is propagated
 /// unchanged from [`predict`].
+#[expect(
+    clippy::disallowed_methods,
+    reason = "client-side retry backoff sleeps on the current thread; no parallelism involved"
+)]
 pub fn predict_with_retry(
     addr: &str,
     request: &PredictRequest,

@@ -27,6 +27,12 @@
 //! Requests may carry a ground-truth label and an `adversarial` flag,
 //! so per-generation clean-vs-adversarial accuracy is monitored live —
 //! the production mirror of Table I's offline evaluation.
+//!
+//! This is the one crate that may name `std::net` types (the
+//! `disallowed-types` list in `clippy.toml`); everything else reaches a
+//! server through [`client`].
+
+#![expect(clippy::disallowed_types, reason = "the serving crate owns the workspace's sockets")]
 
 pub mod batcher;
 pub mod client;

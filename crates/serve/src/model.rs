@@ -18,7 +18,7 @@
 //! generator's offline reference all go through it.
 
 use crate::error::ServeError;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use simpadv::train::TrainState;
 use simpadv::ModelSpec;
 use simpadv_nn::{Classifier, StateDict};
@@ -131,24 +131,26 @@ impl ServedModel {
     }
 
     /// Decodes a checkpoint-generation payload in either supported
-    /// shape (the model itself first, then `TrainState`).
+    /// shape, parsing it once: a `TrainState` when it has a `trainer_id`
+    /// field, the model itself otherwise.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Persist`] with a decode detail when the payload
-    /// matches neither shape.
+    /// [`ServeError::Persist`] with a decode detail when the payload is
+    /// not JSON or does not match the shape its fields name.
     pub fn decode(payload: &[u8]) -> Result<Self, ServeError> {
-        let text = std::str::from_utf8(payload).map_err(|_| {
-            ServeError::Persist(PersistError::Decode("payload is not UTF-8".into()))
-        })?;
-        if let Ok(model) = serde_json::from_str::<ServedModel>(text) {
-            return Ok(model);
+        let decode_err = |detail: String| ServeError::Persist(PersistError::Decode(detail));
+        let text =
+            std::str::from_utf8(payload).map_err(|_| decode_err("payload is not UTF-8".into()))?;
+        let value: Value = serde_json::from_str(text)
+            .map_err(|e| decode_err(format!("payload is not JSON: {e}")))?;
+        if value.get("trainer_id").is_none() {
+            return ServedModel::from_value(&value).map_err(|e| {
+                decode_err(format!("payload is neither a saved model nor a train state: {e}"))
+            });
         }
-        let state: TrainState = serde_json::from_str(text).map_err(|e| {
-            ServeError::Persist(PersistError::Decode(format!(
-                "payload is neither a saved model nor a train state: {e}"
-            )))
-        })?;
+        let state = TrainState::from_value(&value)
+            .map_err(|e| decode_err(format!("payload is not a train state: {e}")))?;
         Ok(ServedModel {
             spec: ModelSpec::default_mlp(),
             state: state.model,
@@ -165,6 +167,11 @@ pub struct Scan {
     pub servable: Option<(u64, ServedModel, Classifier)>,
     /// Generations above it that failed to load, decode or restore.
     pub skipped: u64,
+    /// The floor for the next scan: the servable generation (or the old
+    /// floor), raised past the skipped generations just above it that
+    /// no later read can change. A skipped generation that failed with
+    /// an I/O error stays above it, to be read again.
+    pub next_floor: u64,
 }
 
 /// Scans `store` newest first for the newest generation above `floor`
@@ -172,13 +179,19 @@ pub struct Scan {
 ///
 /// Each generation skipped on the way emits a `serve/generation_skipped`
 /// counter tagged with its number, so the monitoring plane sees silent
-/// fallbacks; the caller records [`Scan::skipped`] in its stats.
+/// fallbacks; the caller records [`Scan::skipped`] in its stats. Store
+/// writes are atomic, so a generation that is damaged, does not decode
+/// or does not restore stays that way; a caller that scans again from
+/// [`Scan::next_floor`] reads and counts each such generation once.
 ///
 /// # Errors
 ///
 /// [`ServeError::Persist`] when the store cannot be listed.
 pub fn newest_servable(store: &CheckpointStore, floor: u64) -> Result<Scan, ServeError> {
     let mut skipped = 0;
+    // The highest generation skipped for good with no I/O failure below
+    // it: every generation between the servable one and it is settled.
+    let mut settled = None;
     for generation in store.generations()?.into_iter().rev().take_while(|g| *g > floor) {
         let loaded = store.load(generation).map_err(ServeError::from).and_then(|payload| {
             let model = ServedModel::decode(&payload)?;
@@ -187,19 +200,25 @@ pub fn newest_servable(store: &CheckpointStore, floor: u64) -> Result<Scan, Serv
         });
         match loaded {
             Ok((model, clf)) => {
-                return Ok(Scan { servable: Some((generation, model, clf)), skipped });
+                let next_floor = settled.unwrap_or(generation);
+                return Ok(Scan { servable: Some((generation, model, clf)), skipped, next_floor });
             }
-            Err(_) => {
+            Err(e) => {
                 skipped += 1;
                 simpadv_trace::counter_with(
                     "serve/generation_skipped",
                     1,
                     &[("generation", FieldValue::U64(generation))],
                 );
+                if matches!(e, ServeError::Persist(PersistError::Io { .. })) {
+                    settled = None;
+                } else {
+                    settled = settled.or(Some(generation));
+                }
             }
         }
     }
-    Ok(Scan { servable: None, skipped })
+    Ok(Scan { servable: None, skipped, next_floor: settled.unwrap_or(floor) })
 }
 
 #[cfg(test)]
@@ -357,6 +376,35 @@ mod tests {
     }
 
     #[test]
+    fn decode_builds_a_default_mlp_from_a_train_state() {
+        use simpadv::train::{TrainerAux, TRAIN_STATE_VERSION};
+        use simpadv::{TrainConfig, TrainReport};
+        let spec = ModelSpec::default_mlp();
+        let weights = StateDict::capture(spec.build(5).network());
+        let state = TrainState {
+            version: TRAIN_STATE_VERSION,
+            trainer_id: "proposed".to_string(),
+            config: TrainConfig::new(3, 5),
+            next_epoch: 1,
+            rng: vec![1, 2, 3, 4],
+            data_crc: 7,
+            model: weights.clone(),
+            optim: simpadv_nn::OptimState::default(),
+            report: TrainReport::new("proposed"),
+            aux: TrainerAux::Proposed {
+                adv: simpadv_tensor::Tensor::zeros(&[2, 4]),
+                last_reset_epoch: 0,
+            },
+        };
+        let payload = serde_json::to_string(&state).unwrap();
+        let model = ServedModel::decode(payload.as_bytes()).unwrap();
+        assert_eq!(model.state, weights);
+        assert_eq!(model.method, "proposed");
+        assert_eq!(model.spec, spec);
+        model.restore().unwrap();
+    }
+
+    #[test]
     fn decode_rejects_garbage_with_detail() {
         let err = ServedModel::decode(b"{\"neither\": true}").unwrap_err();
         assert!(err.to_string().contains("neither"), "{err}");
@@ -384,5 +432,37 @@ mod tests {
         assert!(scan.servable.is_none());
         assert_eq!(scan.skipped, 1);
         assert_eq!(newest_servable(&store, 3).unwrap().skipped, 0);
+    }
+
+    #[test]
+    fn next_floor_passes_settled_generations_and_not_io_failures() {
+        let store = CheckpointStore::open(temp_dir("floor")).unwrap().with_keep(10);
+        let spec = ModelSpec::default_mlp();
+        let good = ServedModel::capture(&spec, &spec.build(1), "mnist", "test");
+        let misfit = ServedModel { spec: ModelSpec::small_cnn(), ..good.clone() };
+        assert_eq!(good.publish(&store).unwrap(), 1);
+        assert_eq!(misfit.publish(&store).unwrap(), 2);
+        // a directory under generation 3's name: reading it is an I/O error
+        let gen3 = store.dir().join("ckpt-00000003.ckpt");
+        std::fs::create_dir(&gen3).unwrap();
+        assert_eq!(misfit.publish(&store).unwrap(), 4);
+
+        // 4 and 2 never change, but 3 may: the floor passes 2 only
+        let scan = newest_servable(&store, 0).unwrap();
+        assert_eq!(scan.servable.map(|(g, ..)| g), Some(1));
+        assert_eq!((scan.skipped, scan.next_floor), (3, 2));
+        let scan = newest_servable(&store, 2).unwrap();
+        assert!(scan.servable.is_none());
+        assert_eq!((scan.skipped, scan.next_floor), (2, 2));
+
+        // generation 3 becomes readable: it is served, and the floor
+        // passes the misfit above it
+        std::fs::remove_dir(&gen3).unwrap();
+        std::fs::copy(store.dir().join("ckpt-00000001.ckpt"), &gen3).unwrap();
+        let scan = newest_servable(&store, 2).unwrap();
+        assert_eq!(scan.servable.map(|(g, ..)| g), Some(3));
+        assert_eq!((scan.skipped, scan.next_floor), (1, 4));
+        let scan = newest_servable(&store, 4).unwrap();
+        assert_eq!((scan.skipped, scan.next_floor), (0, 4));
     }
 }

@@ -1,11 +1,12 @@
 //! The TCP listener, connection handling, and background threads.
 //!
-//! This file is the only place in the workspace allowed to spawn raw
-//! `std::thread`s outside `crates/runtime` (lint.toml R7 allow): the
-//! dispatcher, the accept loop, per-connection handlers, and the
-//! optional checkpoint watcher are all I/O-bound coordination threads,
-//! not data parallelism — the batched forward itself still runs through
-//! the deterministic runtime pool via the tensor kernels.
+//! This file is the only place in the workspace that spawns raw
+//! `std::thread`s outside `crates/runtime` (each site carries an
+//! `#[expect(clippy::disallowed_methods)]`): the dispatcher, the accept
+//! loop, per-connection handlers, and the optional checkpoint watcher
+//! are all I/O-bound coordination threads, not data parallelism — the
+//! batched forward itself still runs through the deterministic runtime
+//! pool via the tensor kernels.
 //!
 //! Connections are kept alive: a handler answers requests in order until
 //! the peer closes, and [`Server::shutdown`] half-closes every open
@@ -86,6 +87,7 @@ impl Server {
     ///
     /// [`ServeError::NoModel`] when the store has no valid generation,
     /// [`ServeError::Io`] when the bind fails.
+    #[expect(clippy::disallowed_methods, reason = "I/O-bound server coordination threads")]
     pub fn start(cfg: ServeConfig) -> Result<Server, ServeError> {
         let store = simpadv_resilience::CheckpointStore::open(&cfg.model_dir)?;
         let engine = Arc::new(Engine::new(store, cfg.batch.clone())?);
@@ -168,6 +170,7 @@ type Connections = Mutex<BTreeMap<u64, TcpStream>>;
 
 /// Accepts connections until shutdown, one handler thread each, and
 /// returns the handlers still running.
+#[expect(clippy::disallowed_methods, reason = "one I/O-bound handler thread per connection")]
 fn accept_loop(
     listener: &TcpListener,
     engine: &Arc<Engine>,
@@ -197,6 +200,7 @@ fn accept_loop(
 }
 
 /// Polls the checkpoint store for new generations until shutdown.
+#[expect(clippy::disallowed_methods, reason = "the watcher sleeps between polls")]
 fn watch_loop(engine: &Arc<Engine>, interval_us: u64) {
     // Sleep in short slices so shutdown is never delayed by a long
     // watch interval.

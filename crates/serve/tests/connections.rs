@@ -7,6 +7,8 @@
 //! Every test runs under [`within`], so a hang fails the run instead of
 //! stalling it.
 
+#![expect(clippy::disallowed_types, reason = "tests drive the server's raw sockets directly")]
+
 use simpadv::ModelSpec;
 use simpadv_resilience::CheckpointStore;
 use simpadv_runtime::Runtime;

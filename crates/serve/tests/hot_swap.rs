@@ -98,6 +98,10 @@ fn corrupted_generation_is_skipped_and_serving_continues() {
         "the corrupted generation {g2} must be skipped, not installed"
     );
     assert_eq!(server.engine().current_generation(), g1);
+    // Store writes are atomic, so the damage cannot heal: a second
+    // rescan starts above the damaged generation instead of re-reading it.
+    let report = client::rescan(&addr).unwrap();
+    assert_eq!(report, SwapReport { installed: None, skipped: 0 }, "generation {g2} is read once");
 
     // Traffic continues on the old generation with zero drops.
     for seed in 4..8 {
@@ -159,6 +163,8 @@ fn boot_skips_a_newest_generation_that_does_not_restore() {
     assert_eq!(engine.current_generation(), g1, "boot serves the last valid generation");
     assert_eq!(engine.stats().skipped_generations, 1);
     assert_eq!(engine.infer_batch(&[request(0)]).unwrap()[0].generation, g1);
+    // rescans start above the misfit boot already skipped
+    assert_eq!(engine.rescan().unwrap(), SwapReport { installed: None, skipped: 0 });
 
     let events = handle.take();
     simpadv_trace::uninstall();

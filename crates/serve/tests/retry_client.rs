@@ -4,6 +4,8 @@
 //! loop — bounded attempts, hint-floored backoff, typed exhaustion —
 //! without depending on racing a real queue full.
 
+#![expect(clippy::disallowed_types, reason = "a stub listener stands in for the server")]
+
 use simpadv_resilience::BackoffPolicy;
 use simpadv_serve::client::{predict_with_retry, RetryPolicy};
 use simpadv_serve::protocol::{
@@ -15,6 +17,10 @@ use std::net::TcpListener;
 
 /// Serves exactly `connections` requests on an ephemeral port: 503 for
 /// the first `shed` of them, 200 afterwards. Returns the bound address.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "scripted stub listener runs on a test thread while the client under test blocks"
+)]
 fn scripted_server(shed: u32, connections: u32) -> (String, std::thread::JoinHandle<()>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind stub listener");
     let addr = listener.local_addr().expect("local addr").to_string();

@@ -23,6 +23,7 @@ use simpadv_sweep::SweepError;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
+#[expect(clippy::disallowed_methods, reason = "the exit code is the child protocol's result")]
 fn main() {
     match run(std::env::args().skip(1).collect()) {
         Ok(code) => std::process::exit(code),
@@ -35,6 +36,7 @@ fn main() {
     }
 }
 
+#[expect(clippy::disallowed_methods, reason = "simulates a hung cell with a plain sleep")]
 fn run(args: Vec<String>) -> Result<i32, SweepError> {
     let mut opts: BTreeMap<String, String> = BTreeMap::new();
     let mut it = args.into_iter().peekable();

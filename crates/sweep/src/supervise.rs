@@ -82,6 +82,10 @@ pub struct Supervision {
 ///
 /// [`SweepError::Supervise`] when the child cannot be spawned or waited
 /// on at all — never when the child merely fails, which is an outcome.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the supervisor spawns cell children and polls them on the current thread"
+)]
 pub fn run_cell(
     command: &ChildCommand,
     cell_args: &[String],
@@ -153,10 +157,9 @@ fn kill_and_reap(child: &mut Child) {
     let _ = child.wait();
 }
 
-/// Blocking sleep for backoff delays. Centralized here so the crate has
-/// exactly one `std::thread` touchpoint (lint rule R7 carries a single
-/// `lint.toml` allow for this file: the orchestrator is a sequential
-/// supervisor, not a compute path, so blocking is the correct shape).
+/// Blocking sleep for backoff delays. The orchestrator is a sequential
+/// supervisor, not a compute path, so blocking is the correct shape.
+#[expect(clippy::disallowed_methods, reason = "supervision backoff sleeps on the current thread")]
 pub(crate) fn sleep_us(us: u64) {
     std::thread::sleep(Duration::from_micros(us));
 }

@@ -155,7 +155,7 @@ mod tests {
 
 /// A monotonic wall-clock stopwatch — the one sanctioned wrapper around
 /// `std::time::Instant` in the workspace (lint rule R10 confines direct
-/// `Instant`/`SystemTime` reads to this module and `crates/obs`).
+/// `Instant`/`SystemTime` reads to this module).
 ///
 /// Wall time is inherently non-logical: it varies with machine load and
 /// `--threads`. Forcing every reader through this type keeps that

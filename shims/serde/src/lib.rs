@@ -79,6 +79,12 @@ pub trait Serialize {
 pub trait Deserialize: Sized {
     /// Rebuilds `Self`, or explains why the tree does not match.
     fn from_value(value: &Value) -> Result<Self, Error>;
+
+    /// Rebuilds `Self` from a tree the caller is done with, so a
+    /// [`Value`] is taken as is instead of copied.
+    fn from_owned(value: Value) -> Result<Self, Error> {
+        Self::from_value(&value)
+    }
 }
 
 /// Extracts and deserializes a named field of an object — the helper the
@@ -297,6 +303,10 @@ impl Serialize for Value {
 impl Deserialize for Value {
     fn from_value(value: &Value) -> Result<Self, Error> {
         Ok(value.clone())
+    }
+
+    fn from_owned(value: Value) -> Result<Self, Error> {
+        Ok(value)
     }
 }
 

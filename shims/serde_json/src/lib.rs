@@ -394,7 +394,7 @@ pub fn from_str<T: Deserialize>(text: &str) -> Result<T> {
     if parser.pos != parser.bytes.len() {
         return Err(parser.error("trailing characters after JSON value"));
     }
-    Ok(T::from_value(&value)?)
+    Ok(T::from_owned(value)?)
 }
 
 /// Parses a value of type `T` from a reader.

@@ -2,8 +2,8 @@
 //! single bit of any result. This exercises the full stack — parallel
 //! tensor kernels, chunked attack crafting, the Proposed trainer's
 //! persistent-example advance, and the evaluation battery — at 1 and 4
-//! threads and demands bitwise equality (invariant R5 extended by the
-//! runtime's determinism contract).
+//! threads and demands bitwise equality (the seeded-randomness invariant
+//! extended by the runtime's determinism contract).
 
 use simpadv::train::{ProposedTrainer, Trainer};
 use simpadv::{EvalSuite, ModelSpec, TrainConfig};
