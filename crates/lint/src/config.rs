@@ -85,7 +85,8 @@ impl Config {
     }
 }
 
-/// Errors from [`parse`].
+/// Errors from [`parse`]. `Display` gives `LINE: MESSAGE`; the caller,
+/// which knows the file it read, prefixes its path.
 #[derive(Debug, PartialEq, Eq)]
 pub struct ConfigError {
     /// 1-based line of the problem.
@@ -96,7 +97,7 @@ pub struct ConfigError {
 
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "lint.toml:{}: {}", self.line, self.message)
+        write!(f, "{}: {}", self.line, self.message)
     }
 }
 

@@ -164,7 +164,7 @@ fn main() -> ExitCode {
             match config::parse(&src) {
                 Ok(c) => c,
                 Err(e) => {
-                    eprintln!("error: {e}");
+                    eprintln!("error: {}:{e}", path.display());
                     return ExitCode::from(2);
                 }
             }

@@ -158,3 +158,27 @@ fn rendering_is_rustc_style_and_json_is_parseable_shape() {
     assert!(json.contains("\"rule\":\"R1\""));
     assert!(json.contains("\"line\":1"));
 }
+
+#[test]
+#[expect(clippy::disallowed_methods, reason = "end-to-end test drives the simpadv-lint binary")]
+fn a_config_error_names_the_file_that_was_read() {
+    let s = Scratch::new("config-path");
+    s.write("crates/data/src/lib.rs", "/// Clean.\npub fn fine() {}\n");
+    s.write(
+        "configs/other.toml",
+        "# an allowlist at a path of its own\n\n[[allow]]\nrule = \"R7\"\npath = \"x.rs\"\nreason = \"r\"\n",
+    );
+    let config = s.root.join("configs/other.toml");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_simpadv-lint"))
+        .arg("--root")
+        .arg(&s.root)
+        .arg("--config")
+        .arg(&config)
+        .output()
+        .expect("spawn simpadv-lint");
+    assert_eq!(out.status.code(), Some(2), "a configuration error exits 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let want = format!("error: {}:4: unknown rule `R7`", config.display());
+    assert!(stderr.contains(&want), "wanted `{want}` in:\n{stderr}");
+    assert!(!stderr.contains("lint.toml"), "{stderr}");
+}

@@ -375,33 +375,85 @@ mod tests {
         assert!(matches!(err, PersistError::NonFinite { .. }), "{err:?}");
     }
 
-    #[test]
-    fn decode_builds_a_default_mlp_from_a_train_state() {
+    /// A Proposed snapshot of a default MLP, carrying `adv` as its
+    /// persistent adversarial examples.
+    fn train_state(adv: simpadv_tensor::Tensor) -> TrainState {
         use simpadv::train::{TrainerAux, TRAIN_STATE_VERSION};
         use simpadv::{TrainConfig, TrainReport};
-        let spec = ModelSpec::default_mlp();
-        let weights = StateDict::capture(spec.build(5).network());
-        let state = TrainState {
+        TrainState {
             version: TRAIN_STATE_VERSION,
             trainer_id: "proposed".to_string(),
             config: TrainConfig::new(3, 5),
             next_epoch: 1,
             rng: vec![1, 2, 3, 4],
             data_crc: 7,
-            model: weights.clone(),
+            model: StateDict::capture(ModelSpec::default_mlp().build(5).network()),
             optim: simpadv_nn::OptimState::default(),
             report: TrainReport::new("proposed"),
-            aux: TrainerAux::Proposed {
-                adv: simpadv_tensor::Tensor::zeros(&[2, 4]),
-                last_reset_epoch: 0,
-            },
-        };
+            aux: TrainerAux::Proposed { adv, last_reset_epoch: 0 },
+        }
+    }
+
+    #[test]
+    fn decode_builds_a_default_mlp_from_a_train_state() {
+        let spec = ModelSpec::default_mlp();
+        let state = train_state(simpadv_tensor::Tensor::zeros(&[2, 4]));
+        let weights = state.model.clone();
         let payload = serde_json::to_string(&state).unwrap();
         let model = ServedModel::decode(payload.as_bytes()).unwrap();
         assert_eq!(model.state, weights);
         assert_eq!(model.method, "proposed");
         assert_eq!(model.spec, spec);
         model.restore().unwrap();
+    }
+
+    /// `value` as JSON with every `f32` widened to `f64` first: the
+    /// text the writer gave every `f32` before it wrote nine digits.
+    fn widened_text(value: &impl Serialize) -> String {
+        fn widen(value: Value) -> Value {
+            match value {
+                Value::F32(f) => Value::F64(f64::from(f)),
+                Value::Array(items) => Value::Array(items.into_iter().map(widen).collect()),
+                Value::Object(entries) => {
+                    Value::Object(entries.into_iter().map(|(k, v)| (k, widen(v))).collect())
+                }
+                other => other,
+            }
+        }
+        serde_json::to_string(&widen(value.to_value())).unwrap()
+    }
+
+    #[test]
+    fn files_in_the_widened_f32_text_load_bitwise() {
+        let (spec, clf) = tiny_model();
+        let model = ServedModel::capture(&spec, &clf, "mnist", "proposed");
+        let text = model.to_payload().unwrap();
+        let widened = widened_text(&model);
+        assert!(widened.len() > text.len() * 4 / 3, "the old text is longer");
+        let dir = temp_dir("widened");
+        let (sealed, plain) = (dir.join("model.ckpt"), dir.join("legacy.json"));
+        simpadv_resilience::atomic_write(&sealed, &simpadv_resilience::seal(widened.as_bytes()))
+            .unwrap();
+        simpadv_resilience::atomic_write(&plain, widened.as_bytes()).unwrap();
+        for path in [sealed, plain] {
+            let loaded = ServedModel::load_file(&path).unwrap();
+            // The nine-digit text is one per f32 bit pattern, so equal
+            // text is equal bits.
+            assert_eq!(loaded.to_payload().unwrap(), text, "{}", path.display());
+        }
+
+        let n = 3 * simpadv_data::IMAGE_PIXELS;
+        let adv = simpadv_tensor::Tensor::linspace(0.0, 1.0, n).reshape(&[3, n / 3]);
+        let state = train_state(adv);
+        let text = serde_json::to_string(&state).unwrap();
+        let widened = widened_text(&state);
+        let resumed: TrainState = serde_json::from_str(&widened).unwrap();
+        assert_eq!(serde_json::to_string(&resumed).unwrap(), text);
+        let served = ServedModel::decode(widened.as_bytes()).unwrap();
+        assert_eq!(
+            serde_json::to_string(&served.state).unwrap(),
+            serde_json::to_string(&state.model).unwrap()
+        );
     }
 
     #[test]

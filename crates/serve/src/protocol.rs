@@ -3,9 +3,12 @@
 //! The server speaks just enough HTTP for curl and the load generator:
 //! a request line, headers (only `Content-Length` is interpreted), and
 //! an optional body. Request and response payloads are the same JSON
-//! value-tree the rest of the workspace uses, so an inference response
-//! round-trips `f32` logits bitwise (the JSON writer renders floats with
-//! shortest-round-trip formatting).
+//! value-tree the rest of the workspace uses, so pixels and logits
+//! round-trip bitwise: the JSON writer gives each `f32` its correctly
+//! rounded nine-significant-digit decimal, which reads back as the same
+//! `f32` through an `f64` parse. The JSON reader refuses nesting deeper
+//! than 128 levels, so a body of brackets is a bad request, not a stack
+//! overflow.
 
 use crate::error::ServeError;
 use serde::{Deserialize, Serialize};

@@ -230,3 +230,24 @@ fn a_stopping_servers_answer_is_shutting_down_not_a_bad_request() {
         assert!(matches!(err, ServeError::Io(_)), "{err}");
     });
 }
+
+#[test]
+fn a_deeply_nested_body_is_a_bad_request_and_the_server_keeps_serving() {
+    within(60, || {
+        let server = start(&model_dir("nested", 1), None);
+        let addr = server.local_addr();
+        // About 1 % of the body limit; parsing it without a depth bound
+        // overflowed the handler's stack and took the process down.
+        let mut wire = Vec::new();
+        write_request(&mut wire, "POST", "/predict", "[".repeat(10_000).as_bytes()).unwrap();
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        stream.write_all(&wire).unwrap();
+        let response = read_response(&mut BufReader::new(stream)).unwrap();
+        assert_eq!(response.status, 400);
+        let body = String::from_utf8_lossy(&response.body);
+        assert!(body.contains("nesting deeper than 128 levels"), "{body}");
+
+        assert_eq!(answered(client::predict(&addr, &request(8))).generation, 1);
+        assert_eq!(server.shutdown().served, 1);
+    });
+}

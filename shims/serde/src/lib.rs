@@ -28,8 +28,12 @@ pub enum Value {
     U64(u64),
     /// Signed integer (kept exact; not routed through `f64`).
     I64(i64),
-    /// Floating-point number.
+    /// Double-precision number; what the JSON parser yields for every
+    /// number that is not an integer.
     F64(f64),
+    /// Single-precision number, the lowering of `f32`. Renderers may write
+    /// fewer digits for it than for [`Value::F64`]; parsing never yields it.
+    F32(f32),
     /// JSON string.
     String(String),
     /// JSON array.
@@ -126,6 +130,7 @@ macro_rules! impl_serde_uint {
                     Value::U64(u) => *u as i128,
                     Value::I64(i) => *i as i128,
                     Value::F64(f) if f.fract() == 0.0 => *f as i128,
+                    Value::F32(f) if f.fract() == 0.0 => *f as i128,
                     other => {
                         return Err(Error::custom(format!(
                             "expected integer, got {other:?}"
@@ -153,6 +158,7 @@ macro_rules! impl_serde_int {
                     Value::U64(u) => *u as i128,
                     Value::I64(i) => *i as i128,
                     Value::F64(f) if f.fract() == 0.0 => *f as i128,
+                    Value::F32(f) if f.fract() == 0.0 => *f as i128,
                     other => {
                         return Err(Error::custom(format!(
                             "expected integer, got {other:?}"
@@ -168,16 +174,17 @@ macro_rules! impl_serde_int {
 impl_serde_int!(i8, i16, i32, i64, isize);
 
 macro_rules! impl_serde_float {
-    ($($t:ty),*) => {$(
+    ($($t:ty => $variant:ident),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value {
-                Value::F64(*self as f64)
+                Value::$variant(*self)
             }
         }
         impl Deserialize for $t {
             fn from_value(value: &Value) -> Result<Self, Error> {
                 match value {
                     Value::F64(f) => Ok(*f as $t),
+                    Value::F32(f) => Ok(*f as $t),
                     Value::U64(u) => Ok(*u as $t),
                     Value::I64(i) => Ok(*i as $t),
                     other => Err(Error::custom(format!("expected number, got {other:?}"))),
@@ -186,7 +193,7 @@ macro_rules! impl_serde_float {
         }
     )*};
 }
-impl_serde_float!(f32, f64);
+impl_serde_float!(f32 => F32, f64 => F64);
 
 impl Serialize for String {
     fn to_value(&self) -> Value {
@@ -319,6 +326,13 @@ mod tests {
         assert_eq!(u64::from_value(&42u64.to_value()).unwrap(), 42);
         assert_eq!(i32::from_value(&(-7i32).to_value()).unwrap(), -7);
         assert_eq!(f32::from_value(&1.5f32.to_value()).unwrap(), 1.5);
+        assert_eq!(0.1f32.to_value(), Value::F32(0.1));
+        assert_eq!(0.1f64.to_value(), Value::F64(0.1));
+        assert_eq!(f64::from_value(&Value::F32(0.1)).unwrap(), f64::from(0.1f32));
+        assert_eq!(f32::from_value(&Value::F64(0.1)).unwrap(), 0.1f32);
+        assert_eq!(u8::from_value(&Value::F32(3.0)).unwrap(), 3);
+        assert_eq!(i64::from_value(&Value::F32(-2.0)).unwrap(), -2);
+        assert!(u8::from_value(&Value::F32(0.5)).is_err());
         assert!(bool::from_value(&true.to_value()).unwrap());
         assert_eq!(String::from_value(&"hi".to_string().to_value()).unwrap(), "hi");
     }
