@@ -395,10 +395,10 @@ pub fn registry() -> Vec<Workload> {
             let _ = served.predict(&sx);
         },
     ));
-    // The `/predict` codec: one 784-pixel request body encoded and parsed
-    // back, as the client and the server each do once per request. Its
-    // bytes count the text both ways, so a change to the wire text
-    // changes the row.
+    // The `/predict` codec: one 784-pixel request body encoded as the
+    // client encodes it and read back as the server reads it, each once
+    // per request. Its bytes count the text both ways, so a change to the
+    // wire text changes the row.
     let image =
         simpadv_data::SynthDataset::Mnist.generate(&simpadv_data::SynthConfig::new(1, 2019));
     let codec_request = simpadv_serve::PredictRequest {
@@ -414,7 +414,7 @@ pub fn registry() -> Vec<Workload> {
         2 * encoded_len as u64,
         move || {
             if let Ok(text) = serde_json::to_string(&codec_request) {
-                let _ = serde_json::from_str::<simpadv_serve::PredictRequest>(&text);
+                let _ = simpadv_serve::PredictRequest::from_body(text.as_bytes());
             }
         },
     ));

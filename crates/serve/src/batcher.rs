@@ -372,14 +372,24 @@ impl Engine {
         batch
     }
 
-    /// Runs one coalesced batch and delivers every answer.
+    /// Runs one coalesced batch and delivers every answer. The requests
+    /// move out of their entries: their pixels are copied once, into the
+    /// batch tensor.
     fn dispatch(&self, batch: Vec<Pending>) {
-        let requests: Vec<PredictRequest> = batch.iter().map(|p| p.request.clone()).collect();
-        let timers: Vec<WallTimer> = batch.iter().map(|p| p.timer).collect();
-        let remotes: Vec<Option<TraceContext>> = batch.iter().map(|p| p.remote).collect();
+        let n = batch.len();
+        let mut requests = Vec::with_capacity(n);
+        let mut timers = Vec::with_capacity(n);
+        let mut remotes = Vec::with_capacity(n);
+        let mut slots = Vec::with_capacity(n);
+        for pending in batch {
+            requests.push(pending.request);
+            timers.push(pending.timer);
+            remotes.push(pending.remote);
+            slots.push(pending.slot);
+        }
         let responses = self.forward_batch(&requests, &timers, &remotes);
-        for (pending, response) in batch.into_iter().zip(responses) {
-            deliver(&pending.slot, Ok(response));
+        for (slot, response) in slots.iter().zip(responses) {
+            deliver(slot, Ok(response));
         }
     }
 

@@ -2,16 +2,20 @@
 //!
 //! The server speaks just enough HTTP for curl and the load generator:
 //! a request line, headers (only `Content-Length` is interpreted), and
-//! an optional body. Request and response payloads are the same JSON
-//! value-tree the rest of the workspace uses, so pixels and logits
-//! round-trip bitwise: the JSON writer gives each `f32` its correctly
-//! rounded nine-significant-digit decimal, which reads back as the same
-//! `f32` through an `f64` parse. The JSON reader refuses nesting deeper
-//! than 128 levels, so a body of brackets is a bad request, not a stack
-//! overflow.
+//! an optional body. Payloads are JSON written by the `serde_json` shim,
+//! so pixels and logits round-trip bitwise: the writer gives each `f32`
+//! its correctly rounded nine-significant-digit decimal, which reads back
+//! as the same `f32` through an `f64` parse.
+//!
+//! A `/predict` body is read by [`PredictRequest::from_body`]. A body
+//! shaped as the client writes one goes straight into its pixel vector,
+//! each number read by the shim's own number reader; any other body goes
+//! to the shim's general parser, which builds a value tree and refuses
+//! nesting deeper than 128 levels, so a body of brackets is a bad
+//! request, not a stack overflow. The answer is the same either way.
 
 use crate::error::ServeError;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::io::{BufRead, Read, Write};
 
 /// Upper bound on accepted request bodies; anything larger is a
@@ -41,6 +45,128 @@ pub struct PredictRequest {
     pub label: Option<usize>,
     /// Whether this input was adversarially perturbed upstream.
     pub adversarial: bool,
+}
+
+impl PredictRequest {
+    /// Reads a `/predict` body: exactly what
+    /// `serde_json::from_str::<PredictRequest>` reads from it as text.
+    ///
+    /// A body in the field order the derive writes,
+    /// `{"pixels":[…],"label":…,"adversarial":…}` with any JSON whitespace,
+    /// a `label` of `null` or plain digits and nothing after the `}`, is
+    /// read straight into the pixel vector. Each pixel is read by
+    /// [`serde_json::read_number`] and converted as `f32::from_value`
+    /// converts that number, so `-0` is +0.0 and `1e400` is +inf (which
+    /// [`crate::Engine::submit`] then refuses). Any other body (other key
+    /// orders, extra or escaped keys, other labels, bytes that are not
+    /// UTF-8, malformed text) goes to the general parser, whose error is
+    /// the answer.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::BadRequest`] with the general parser's message when
+    /// the body is not UTF-8 or not a `PredictRequest`.
+    pub fn from_body(body: &[u8]) -> Result<PredictRequest, ServeError> {
+        if let Some(request) = read_canonical(body) {
+            return Ok(request);
+        }
+        std::str::from_utf8(body)
+            .map_err(|e| e.to_string())
+            .and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()))
+            .map_err(ServeError::BadRequest)
+    }
+}
+
+/// Reads a body in the derive's field order, or `None` for any other
+/// body; see [`PredictRequest::from_body`].
+fn read_canonical(body: &[u8]) -> Option<PredictRequest> {
+    let mut text = Cursor { bytes: body, pos: 0 };
+    text.field(b"{\"pixels\"")?;
+    text.token(b"[")?;
+    let mut pixels = Vec::with_capacity(simpadv_data::IMAGE_PIXELS);
+    if !text.eat(b"]") {
+        loop {
+            pixels.push(f32::from_value(&text.number()?).ok()?);
+            match text.next()? {
+                b',' => {}
+                b']' => break,
+                _ => return None,
+            }
+        }
+    }
+    text.field(b",\"label\"")?;
+    let label = if text.eat(b"null") {
+        None
+    } else {
+        match text.number()? {
+            Value::U64(label) => Some(usize::try_from(label).ok()?),
+            _ => return None,
+        }
+    };
+    text.field(b",\"adversarial\"")?;
+    let adversarial = if text.eat(b"true") {
+        true
+    } else {
+        text.token(b"false")?;
+        false
+    };
+    text.token(b"}")?;
+    text.skip_ws();
+    (text.pos == body.len()).then_some(PredictRequest { pixels, label, adversarial })
+}
+
+/// A position in a body that [`read_canonical`] reads.
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Cursor<'_> {
+    /// Skips JSON whitespace, as the shim's parser does.
+    fn skip_ws(&mut self) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
+            self.pos += 1;
+        }
+    }
+
+    /// Skips whitespace and takes the next byte.
+    fn next(&mut self) -> Option<u8> {
+        self.skip_ws();
+        let byte = *self.bytes.get(self.pos)?;
+        self.pos += 1;
+        Some(byte)
+    }
+
+    /// Skips whitespace, then `literal` if it comes next.
+    fn eat(&mut self, literal: &[u8]) -> bool {
+        self.skip_ws();
+        let found = self.bytes[self.pos..].starts_with(literal);
+        if found {
+            self.pos += literal.len();
+        }
+        found
+    }
+
+    /// [`Cursor::eat`], as an `Option` for `?`.
+    fn token(&mut self, literal: &[u8]) -> Option<()> {
+        self.eat(literal).then_some(())
+    }
+
+    /// `start` (an opening `{` or a `,`, then a quoted key), whitespace
+    /// allowed between the two, then the `:`.
+    fn field(&mut self, start: &[u8]) -> Option<()> {
+        self.token(&start[..1])?;
+        self.token(&start[1..])?;
+        self.token(b":")
+    }
+
+    /// Skips whitespace and reads a number.
+    fn number(&mut self) -> Option<Value> {
+        self.skip_ws();
+        let (value, len) = serde_json::read_number(&self.bytes[self.pos..]);
+        self.pos += len;
+        value
+    }
 }
 
 /// One inference answer.
@@ -362,6 +488,224 @@ mod tests {
         assert!(req.adversarial);
         // A second read on the drained keep-alive stream is a clean EOF.
         assert!(read_request(&mut reader).unwrap().is_none());
+    }
+
+    /// What the general parser makes of `body`: the request, or the 400
+    /// detail the server sends.
+    fn general(body: &[u8]) -> Result<PredictRequest, String> {
+        std::str::from_utf8(body)
+            .map_err(|e| e.to_string())
+            .and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()))
+    }
+
+    /// Checks that [`PredictRequest::from_body`] reads `body` exactly as
+    /// the general parser does, pixels bit for bit, and returns whether
+    /// the typed read took it.
+    fn assert_reads_as_the_general_parser(body: &[u8]) -> bool {
+        let context = String::from_utf8_lossy(&body[..body.len().min(160)]).into_owned();
+        let got = PredictRequest::from_body(body).map_err(|e| match e {
+            ServeError::BadRequest(detail) => detail,
+            other => panic!("{context}: not a bad request: {other}"),
+        });
+        match (got, general(body)) {
+            (Ok(got), Ok(want)) => {
+                let bits = |r: &PredictRequest| -> Vec<u32> {
+                    r.pixels.iter().map(|p| p.to_bits()).collect()
+                };
+                assert_eq!(bits(&got), bits(&want), "{context}");
+                assert_eq!(
+                    (got.label, got.adversarial),
+                    (want.label, want.adversarial),
+                    "{context}"
+                );
+            }
+            (Err(got), Err(want)) => assert_eq!(got, want, "{context}"),
+            (got, want) => panic!("{context}: read {got:?}, the general parser {want:?}"),
+        }
+        read_canonical(body).is_some()
+    }
+
+    /// 300 synth-mnist requests as the client encodes them; every tenth is
+    /// perturbed by a seeded ±0.1 step, clipped to [0, 1].
+    fn synth_bodies() -> Vec<String> {
+        let data =
+            simpadv_data::SynthDataset::Mnist.generate(&simpadv_data::SynthConfig::new(300, 2311));
+        let mut state = 0x5eed_2311_u64;
+        (0..300)
+            .map(|i| {
+                let mut pixels = data.images().row(i).into_vec();
+                let adversarial = i % 10 == 9;
+                if adversarial {
+                    for p in &mut pixels {
+                        state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                        let step = if state >> 63 == 0 { 0.1 } else { -0.1 };
+                        *p = (*p + step).clamp(0.0, 1.0);
+                    }
+                }
+                let request = PredictRequest { pixels, label: Some(data.labels()[i]), adversarial };
+                serde_json::to_string(&request).unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn client_bodies_take_the_typed_read_and_read_as_the_general_parser() {
+        for body in synth_bodies() {
+            assert!(assert_reads_as_the_general_parser(body.as_bytes()), "{}", &body[..80]);
+        }
+        // Whitespace anywhere between tokens, as a pretty printer writes.
+        let pretty = serde_json::to_string_pretty(&PredictRequest {
+            pixels: vec![0.5, 0.25],
+            label: Some(3),
+            adversarial: true,
+        })
+        .unwrap();
+        for body in [
+            &pretty,
+            r#"{"pixels":[],"label":null,"adversarial":true}"#,
+            " \t\r\n{ \"pixels\" :[ 0.5 , 1 ] ,\n\"label\": 007 , \"adversarial\" : false }\n ",
+            r#"{"pixels":[0.25],"label":18446744073709551615,"adversarial":false}"#,
+        ] {
+            assert!(assert_reads_as_the_general_parser(body.as_bytes()), "{body}");
+        }
+    }
+
+    #[test]
+    fn edge_pixels_read_as_the_general_parser() {
+        let written = [f32::from_bits(1), f32::MIN_POSITIVE, 1e-24, 2f32.powi(-76), -0.0]
+            .map(|x| serde_json::to_string(&x).unwrap());
+        let texts = [
+            "-0.0",
+            "-0",
+            "0",
+            "1e-30",
+            "1.0e-45",
+            "16777217",
+            "18446744073709551616",
+            "-9223372036854775809",
+            "1e400",
+            "-1e400",
+            "0.5E-3",
+            "1E+2",
+            "0.30000000000000004441",
+            "123456789012345678901234567890",
+            "1.",
+            "-.5",
+        ];
+        let all: Vec<&str> = written.iter().map(String::as_str).chain(texts).collect();
+        for text in &all {
+            let body = format!(r#"{{"pixels":[{text}],"label":3,"adversarial":false}}"#);
+            assert!(assert_reads_as_the_general_parser(body.as_bytes()), "{body}");
+        }
+        let body = format!(r#"{{"pixels":[{}],"label":null,"adversarial":true}}"#, all.join(","));
+        assert!(assert_reads_as_the_general_parser(body.as_bytes()), "{body}");
+        let request = PredictRequest::from_body(body.as_bytes()).unwrap();
+        assert_eq!(request.pixels[5 + 1].to_bits(), 0, "-0 reads as +0.0");
+        assert_eq!(request.pixels[5 + 5], 16_777_216.0, "16777217 reads as u64 as f32");
+        assert_eq!(request.pixels[5 + 8], f32::INFINITY, "1e400 reads as +inf");
+    }
+
+    #[test]
+    fn other_bodies_go_to_the_general_parser() {
+        let pixels = "[0.5,0.25,1.0]";
+        for body in [
+            format!(r#"{{"label":3,"pixels":{pixels},"adversarial":false}}"#),
+            format!(r#"{{"adversarial":false,"label":3,"pixels":{pixels}}}"#),
+            format!(r#"{{"pixels":{pixels},"label":3,"adversarial":false,"note":"x"}}"#),
+            format!(r#"{{"note":1,"pixels":{pixels},"label":3,"adversarial":false}}"#),
+            format!(r#"{{"pixels":{pixels},"label":3,"adversarial":false,"pixels":[2]}}"#),
+            format!(r#"{{"pixels":{pixels},"label":3,"label":4,"adversarial":false}}"#),
+            format!(r#"{{"pi\u0078els":{pixels},"label":3,"adversarial":false}}"#),
+            format!(r#"{{"pixels":{pixels},"label":3.0,"adversarial":false}}"#),
+            format!(r#"{{"pixels":{pixels},"label":-1,"adversarial":false}}"#),
+            format!(r#"{{"pixels":{pixels},"label":"3","adversarial":false}}"#),
+            format!(r#"{{"pixels":{pixels},"label":3,"adversarial":0}}"#),
+            format!(r#"{{"pixels":{pixels},"label":3,"adversarial":false}}x"#),
+            format!(r#"{{"pixels":{pixels},"label":3,"adversarial":false}}}}"#),
+            format!(r#"{{"pixels":{pixels},"label":3}}"#),
+            r#"{"pixels":[0.5,],"label":3,"adversarial":false}"#.to_string(),
+            r#"{"pixels":[0.5,null],"label":3,"adversarial":false}"#.to_string(),
+            r#"{"pixels":[[0.5]],"label":3,"adversarial":false}"#.to_string(),
+            r#"{"pixels":[1.2.3],"label":3,"adversarial":false}"#.to_string(),
+            r#"{"pixels":[0.5],"label":nul,"adversarial":false}"#.to_string(),
+            r#"{"pixels":[0.5],"label":null,"adversarial":truee}"#.to_string(),
+            "[".repeat(200),
+            String::new(),
+        ] {
+            assert!(!assert_reads_as_the_general_parser(body.as_bytes()), "{body}");
+        }
+        assert!(!assert_reads_as_the_general_parser(b"{\"pixels\":[0.5],\"label\":\xff}"));
+    }
+
+    /// A seeded generator of `u64`s.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((self.0 >> 33) % bound.max(1) as u64) as usize
+        }
+    }
+
+    /// `body` with one mutation: a byte flipped, the text truncated, a
+    /// piece of `donor` spliced in, or a piece repeated.
+    fn mutate(body: &[u8], donor: &[u8], rng: &mut Lcg) -> Vec<u8> {
+        const BYTES: &[u8] = b"{}[],:\"\\ \n-+.eE0159ntfrulsa\xff\x00";
+        let mut out = body.to_vec();
+        let at = rng.below(out.len() + 1);
+        match rng.below(4) {
+            0 if !out.is_empty() => {
+                let at = at.min(out.len() - 1);
+                out[at] = if rng.below(4) == 0 {
+                    rng.below(256) as u8
+                } else {
+                    BYTES[rng.below(BYTES.len())]
+                };
+            }
+            1 => out.truncate(at),
+            2 => {
+                let start = rng.below(donor.len());
+                let end = (start + 1 + rng.below(40)).min(donor.len());
+                out.splice(at..at, donor[start..end].iter().copied());
+            }
+            _ => {
+                let start = rng.below(out.len());
+                let end = (start + 1 + rng.below(40)).min(out.len());
+                let piece = out[start..end].to_vec();
+                out.splice(end..end, piece);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn mutated_bodies_read_as_the_general_parser() {
+        let mut rng = Lcg(2311);
+        let full = synth_bodies();
+        let short: Vec<String> = (0..20u8)
+            .map(|i| {
+                let pixels = (0..4).map(|j| f32::from(i * 4 + j) / 97.0).collect();
+                let label = (i % 3 != 0).then_some(usize::from(i % 10));
+                serde_json::to_string(&PredictRequest { pixels, label, adversarial: i % 2 == 0 })
+                    .unwrap()
+            })
+            .collect();
+        let mut typed = 0;
+        for round in 0..4000 {
+            let pool = if round % 4 == 0 { &full } else { &short };
+            let body = pool[rng.below(pool.len())].as_bytes();
+            let donor = pool[rng.below(pool.len())].as_bytes();
+            let mut mutated = mutate(body, donor, &mut rng);
+            if rng.below(3) == 0 {
+                mutated = mutate(&mutated, donor, &mut rng);
+            }
+            typed += usize::from(assert_reads_as_the_general_parser(&mutated));
+        }
+        // Both reads get hundreds of mutants (575 take the typed one).
+        assert!((400..3600).contains(&typed), "{typed} of 4000 took the typed read");
     }
 
     #[test]

@@ -248,35 +248,29 @@ fn handle_connection(stream: TcpStream, engine: &Arc<Engine>) {
 fn respond(writer: &mut TcpStream, engine: &Arc<Engine>, request: &HttpRequest) -> bool {
     match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/predict") => {
-            let parsed: Result<PredictRequest, _> = std::str::from_utf8(&request.body)
-                .map_err(|e| e.to_string())
-                .and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()));
             // A malformed traceparent degrades to an uncorrelated
             // request rather than a 400: tracing is observability, not
             // part of the request contract.
             let remote =
                 request.traceparent.as_deref().and_then(simpadv_trace::TraceContext::parse);
-            match parsed {
-                Ok(req) => match engine.submit_traced(req, remote) {
-                    Ok(resp) => send_json(writer, 200, "OK", &resp),
-                    Err(ServeError::Rejected { capacity }) => {
-                        let body = RejectBody {
-                            error: "queue_full".to_string(),
-                            queue_capacity: capacity as u64,
-                        };
-                        send_json(writer, 503, "Service Unavailable", &body)
-                    }
-                    Err(ServeError::BadRequest(detail)) => {
-                        send_error(writer, 400, "Bad Request", &detail)
-                    }
-                    Err(ServeError::ShuttingDown) => {
-                        send_error(writer, 503, "Service Unavailable", "shutting down")
-                    }
-                    Err(other) => {
-                        send_error(writer, 500, "Internal Server Error", &other.to_string())
-                    }
-                },
-                Err(detail) => send_error(writer, 400, "Bad Request", &detail),
+            let answer = PredictRequest::from_body(&request.body)
+                .and_then(|req| engine.submit_traced(req, remote));
+            match answer {
+                Ok(resp) => send_json(writer, 200, "OK", &resp),
+                Err(ServeError::Rejected { capacity }) => {
+                    let body = RejectBody {
+                        error: "queue_full".to_string(),
+                        queue_capacity: capacity as u64,
+                    };
+                    send_json(writer, 503, "Service Unavailable", &body)
+                }
+                Err(ServeError::BadRequest(detail)) => {
+                    send_error(writer, 400, "Bad Request", &detail)
+                }
+                Err(ServeError::ShuttingDown) => {
+                    send_error(writer, 503, "Service Unavailable", "shutting down")
+                }
+                Err(other) => send_error(writer, 500, "Internal Server Error", &other.to_string()),
             }
         }
         ("GET", "/healthz") => {

@@ -2,7 +2,9 @@
 //! thread calls another address; requests pipelined on one connection
 //! answered in order; a server shutdown that closes what it accepted, so
 //! a cached connection never reaches a stopped engine; and a stopping
-//! server's 503 surfacing as `ShuttingDown`, never as a bad request.
+//! server's 503 surfacing as `ShuttingDown`, never as a bad request; and
+//! a `/predict` body in any key order and layout answered as the client's
+//! own body is.
 //!
 //! Every test runs under [`within`], so a hang fails the run instead of
 //! stalling it.
@@ -249,5 +251,36 @@ fn a_deeply_nested_body_is_a_bad_request_and_the_server_keeps_serving() {
 
         assert_eq!(answered(client::predict(&addr, &request(8))).generation, 1);
         assert_eq!(server.shutdown().served, 1);
+    });
+}
+
+#[test]
+fn a_reordered_pretty_body_is_answered_as_the_canonical_one() {
+    within(60, || {
+        let server = start(&model_dir("reordered", 1), None);
+        let addr = server.local_addr();
+        let canonical = request(9);
+        let want = answered(client::predict(&addr, &canonical));
+
+        // Keys in another order, one the request type does not have, and
+        // a pretty printer's layout: the general parser reads this body.
+        let body = serde_json::to_string_pretty(&serde::Value::Object(vec![
+            ("adversarial".to_string(), serde::Value::Bool(canonical.adversarial)),
+            ("note".to_string(), serde::Value::String("reordered".to_string())),
+            ("label".to_string(), serde::Serialize::to_value(&canonical.label)),
+            ("pixels".to_string(), serde::Serialize::to_value(&canonical.pixels)),
+        ]))
+        .unwrap();
+        let mut wire = Vec::new();
+        write_request(&mut wire, "POST", "/predict", body.as_bytes()).unwrap();
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        stream.write_all(&wire).unwrap();
+        let response = read_response(&mut BufReader::new(stream)).unwrap();
+        assert_eq!(response.status, 200, "{}", String::from_utf8_lossy(&response.body));
+        let got: PredictResponse =
+            serde_json::from_str(std::str::from_utf8(&response.body).unwrap()).unwrap();
+        assert_eq!((got.prediction, got.generation), (want.prediction, want.generation));
+        assert_eq!(bits(&got.logits), bits(&want.logits));
+        assert_eq!(server.shutdown().served, 2);
     });
 }

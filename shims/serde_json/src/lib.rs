@@ -7,7 +7,7 @@
 
 #![forbid(unsafe_code)]
 
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::io::{Read, Write};
 
 use serde::{Deserialize, Serialize, Value};
@@ -51,27 +51,27 @@ pub type Result<T> = std::result::Result<T, Error>;
 // Rendering
 // ---------------------------------------------------------------------------
 
-fn escape_into(s: &str, out: &mut String) {
-    out.push('"');
+fn escape_into(s: &str, out: &mut Vec<u8>) {
+    out.push(b'"');
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
+            '"' => out.extend_from_slice(b"\\\""),
+            '\\' => out.extend_from_slice(b"\\\\"),
+            '\n' => out.extend_from_slice(b"\\n"),
+            '\r' => out.extend_from_slice(b"\\r"),
+            '\t' => out.extend_from_slice(b"\\t"),
             c if (c as u32) < 0x20 => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
-            c => out.push(c),
+            c => out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes()),
         }
     }
-    out.push('"');
+    out.push(b'"');
 }
 
 /// Appends `f` to `out`. Numbers are formatted straight into `out`
-/// (writing to a `String` cannot fail), with no `String` per number.
-fn render_f64(f: f64, out: &mut String) {
+/// (writing to a `Vec` cannot fail), with no `String` per number.
+fn render_f64(f: f64, out: &mut Vec<u8>) {
     if f.is_finite() {
         // Ryū-style shortest form is unavailable; `{}` on f64 is already
         // round-trippable in Rust.
@@ -83,7 +83,7 @@ fn render_f64(f: f64, out: &mut String) {
     } else {
         // Real serde_json errors on non-finite floats; reports in this
         // workspace occasionally carry NaN placeholders, so encode as null.
-        out.push_str("null");
+        out.extend_from_slice(b"null");
     }
 }
 
@@ -101,24 +101,57 @@ fn render_f64(f: f64, out: &mut String) {
 ///
 /// Three cases keep [`render_f64`]'s text of the widened value: integers
 /// below 1e15 (`N.0`, written here without `core::fmt`), non-finite
-/// values (`null`), and magnitudes below 2⁻⁷⁶ ≈ 1.3·10⁻²³, whose scaled
-/// significand does not fit a `u128`.
-fn render_f32(f: f32, out: &mut String) {
-    if !f.is_finite() {
-        return render_f64(f64::from(f), out);
+/// values (`null`), and magnitudes below 2⁻⁷⁶ ≈ 1.3·10⁻²³, where the
+/// product below would not fit a `u128`.
+///
+/// Everything is read from the bits. A normal `f32` is `m · 2^e` with
+/// `2²³ ≤ m < 2²⁴`: an integer when `e` plus the trailing zero bits of `m`
+/// is at least 0, and below 2²³ otherwise. Such a fraction's denominator
+/// is `2^-e`, so its nine digits take one `u128` product `m · 10^k` and
+/// one shift by `-e`.
+fn render_f32(f: f32, out: &mut Vec<u8>) {
+    let bits = f.to_bits();
+    let magnitude = bits & 0x7fff_ffff;
+    if magnitude >= f32::INFINITY.to_bits() {
+        return out.extend_from_slice(b"null");
     }
-    if f.is_sign_negative() {
-        out.push('-');
+    if bits != magnitude {
+        out.push(b'-');
     }
-    let magnitude = f.abs();
-    if magnitude == magnitude.trunc() && f64::from(magnitude) < 1e15 {
-        // Exact: an integral `f32` below 1e15 fits a `u64`.
-        push_ascii(decimal(magnitude as u64, &mut [0; 20]), out);
-        out.push_str(".0");
-    } else if let Some((digits, exp)) = nine_digits(magnitude) {
-        push_scaled(digits, exp, out);
+    let m = (magnitude & 0x7f_ffff) | 1 << 23;
+    let e = (magnitude >> 23) as i32 - 150;
+    if magnitude == 0 {
+        out.extend_from_slice(b"0.0");
+    } else if magnitude < (127 - 76) << 23 {
+        // Subnormals and normals below 2^-76.
+        render_f64(f64::from(f32::from_bits(magnitude)), out);
+    } else if e + m.trailing_zeros() as i32 >= 0 {
+        // An integer, below 2^128.
+        let n = if e >= 0 { u128::from(m) << e } else { u128::from(m >> -e) };
+        if n < POW10[15] {
+            push_integer(n as u64, out);
+            out.extend_from_slice(b".0");
+        } else {
+            // n / 10^exp has nine digits; 6 ≤ exp ≤ 31.
+            let mut exp = log10_floor(23 + e) - 8;
+            if n / POW10[exp as usize] >= POW10[9] {
+                exp += 1;
+            }
+            let den = POW10[exp as usize];
+            push_scaled(round_half_even(n / den, n % den, den / 2), exp, out);
+        }
     } else {
-        render_f64(f64::from(magnitude), out);
+        // A fraction: m · 10^k / 2^shift has nine digits; 1 ≤ shift ≤ 99
+        // and 2 ≤ k ≤ 31, so the product stays below 2^128.
+        let shift = e.unsigned_abs();
+        let mut k = 8 - log10_floor(23 + e);
+        let mut num = u128::from(m) * POW10[k as usize];
+        if num >> shift >= POW10[9] {
+            k -= 1;
+            num = u128::from(m) * POW10[k as usize];
+        }
+        let digits = round_half_even(num >> shift, num & ((1 << shift) - 1), 1 << (shift - 1));
+        push_scaled(digits, -k, out);
     }
 }
 
@@ -133,109 +166,101 @@ const POW10: [u128; 39] = {
     table
 };
 
-/// The nine significant digits of `x` (positive and finite), correctly
-/// rounded with ties to even, as `(digits, exp)` with `x ≈ digits · 10^exp`
-/// and `digits` in `[10^8, 10^9)`; `None` when `x / 10^exp` cannot be
-/// formed exactly in a `u128`.
-fn nine_digits(x: f32) -> Option<(u32, i32)> {
-    // x = m · 2^e exactly.
-    let bits = x.to_bits();
-    let (m, e) = match bits >> 23 {
-        0 => (bits & 0x7f_ffff, -149),
-        biased => ((bits & 0x7f_ffff) | 1 << 23, biased as i32 - 150),
-    };
-    // floor(log10(x)) - 8 from floor(log2(x)), good to within one; the
-    // loop settles it.
-    let mut exp = (((31 - m.leading_zeros() as i32 + e) * 1233) >> 12) - 8;
-    loop {
-        // x / 10^exp = num / den, both exact.
-        let num = (u128::from(m) << e.max(0)).checked_mul(*POW10.get((-exp).max(0) as usize)?)?;
-        let den = 1u128
-            .checked_shl(e.min(0).unsigned_abs())?
-            .checked_mul(*POW10.get(exp.max(0) as usize)?)?;
-        let (quotient, remainder) = if den.is_power_of_two() {
-            let shift = den.trailing_zeros();
-            (num >> shift, num & (den - 1))
-        } else {
-            (num / den, num % den)
-        };
-        if quotient >= POW10[9] {
-            exp += 1;
-        } else if quotient < POW10[8] {
-            exp -= 1;
-        } else {
-            let up = match remainder.cmp(&(den - remainder)) {
-                std::cmp::Ordering::Greater => true,
-                std::cmp::Ordering::Equal => quotient % 2 == 1,
-                std::cmp::Ordering::Less => false,
-            };
-            let digits = quotient as u32 + u32::from(up);
-            // Rounding up from 999 999 999 carries into a tenth digit.
-            return Some(if digits == 1_000_000_000 {
-                (100_000_000, exp + 1)
-            } else {
-                (digits, exp)
-            });
-        }
-    }
+/// `floor(log10(2^p))` for `|p| ≤ 149`, so `floor(log10(x))` is this or
+/// one more for `x` in `[2^p, 2^(p+1))`. `1233 / 4096` is `log10(2)` to
+/// within 5·10⁻⁶, and no `p · log10(2)` in that range lies within 10⁻³
+/// of an integer.
+fn log10_floor(p: i32) -> i32 {
+    (p * 1233) >> 12
 }
 
-/// Writes the decimal digits of `n` at the end of `buf` and returns them.
-fn decimal(mut n: u64, buf: &mut [u8; 20]) -> &[u8] {
+/// `quotient`, plus one when `remainder` is more than `half` the divisor,
+/// or exactly half and `quotient` is odd: rounding to nearest, ties to
+/// even.
+fn round_half_even(quotient: u128, remainder: u128, half: u128) -> u32 {
+    let up = remainder > half || (remainder == half && quotient % 2 == 1);
+    quotient as u32 + u32::from(up)
+}
+
+/// Appends the decimal digits of `n`.
+fn push_integer(mut n: u64, out: &mut Vec<u8>) {
+    let mut buf = [0; 20];
     let mut start = buf.len();
     loop {
         start -= 1;
         buf[start] = b'0' + (n % 10) as u8;
         n /= 10;
         if n == 0 {
-            return &buf[start..];
+            return out.extend_from_slice(&buf[start..]);
         }
     }
 }
 
-/// Appends ASCII bytes.
-fn push_ascii(bytes: &[u8], out: &mut String) {
-    out.extend(bytes.iter().map(|&b| char::from(b)));
-}
-
-/// Appends `digits · 10^exp` (`digits` nonzero) in plain decimal notation,
-/// without trailing zeros after the point: `1234·10^-6` is `0.001234`,
-/// `15·10^19` is `150000000000000000000`.
-fn push_scaled(mut digits: u32, mut exp: i32, out: &mut String) {
-    while digits.is_multiple_of(10) {
-        digits /= 10;
-        exp += 1;
-    }
-    let mut buf = [0; 20];
-    let text = decimal(u64::from(digits), &mut buf);
-    let point = text.len() as i32 + exp;
+/// Appends `digits · 10^exp` in plain decimal notation, without trailing
+/// zeros after the point: `123400000·10^-11` is `0.001234`,
+/// `150000000·10^12` is `150000000000000000000`. `digits` has nine
+/// digits, or is 10^9 where rounding carried.
+fn push_scaled(digits: u32, exp: i32, out: &mut Vec<u8>) {
+    let (digits, exp) =
+        if digits == 1_000_000_000 { (100_000_000, exp + 1) } else { (digits, exp) };
+    let text = nine_digit_text(digits);
+    // The point goes after `point` of the digits; `used` of them are left
+    // once trailing zeros are dropped.
+    let point = 9 + exp;
+    let used = 9 - text.iter().rev().take_while(|&&d| d == b'0').count();
     if exp >= 0 {
-        push_ascii(text, out);
-        out.extend(std::iter::repeat_n('0', exp as usize));
-    } else if point > 0 {
-        let (int, frac) = text.split_at(point as usize);
-        push_ascii(int, out);
-        out.push('.');
-        push_ascii(frac, out);
+        out.extend_from_slice(&text);
+        out.resize(out.len() + exp as usize, b'0');
+    } else if point <= 0 {
+        out.extend_from_slice(b"0.");
+        out.resize(out.len() + point.unsigned_abs() as usize, b'0');
+        out.extend_from_slice(&text[..used]);
     } else {
-        out.push_str("0.");
-        out.extend(std::iter::repeat_n('0', point.unsigned_abs() as usize));
-        push_ascii(text, out);
+        let point = point as usize;
+        out.extend_from_slice(&text[..point]);
+        if used > point {
+            out.push(b'.');
+            out.extend_from_slice(&text[point..used]);
+        }
     }
 }
 
-fn render(value: &Value, pretty: bool, indent: usize, out: &mut String) {
-    let pad = |out: &mut String, n: usize| {
+/// `"00"`, `"01"`, … `"99"`: two digits per lookup.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut table = [0; 200];
+    let mut i = 0;
+    while i < 100 {
+        table[2 * i] = b'0' + (i / 10) as u8;
+        table[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    table
+};
+
+/// The nine decimal digits of `n < 10^9`, zero-padded.
+fn nine_digit_text(n: u32) -> [u8; 9] {
+    let pair = |p: u32| &DIGIT_PAIRS[2 * p as usize..2 * p as usize + 2];
+    let (high, low) = (n / 10_000, n % 10_000);
+    let mut text = [b'0' + (high / 10_000) as u8; 9];
+    text[1..3].copy_from_slice(pair(high / 100 % 100));
+    text[3..5].copy_from_slice(pair(high % 100));
+    text[5..7].copy_from_slice(pair(low / 100));
+    text[7..9].copy_from_slice(pair(low % 100));
+    text
+}
+
+fn render(value: &Value, pretty: bool, indent: usize, out: &mut Vec<u8>) {
+    let pad = |out: &mut Vec<u8>, n: usize| {
         if pretty {
-            out.push('\n');
+            out.push(b'\n');
             for _ in 0..n {
-                out.push_str("  ");
+                out.extend_from_slice(b"  ");
             }
         }
     };
     match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::Null => out.extend_from_slice(b"null"),
+        Value::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
         Value::U64(u) => {
             let _ = write!(out, "{u}");
         }
@@ -247,67 +272,75 @@ fn render(value: &Value, pretty: bool, indent: usize, out: &mut String) {
         Value::String(s) => escape_into(s, out),
         Value::Array(items) => {
             if items.is_empty() {
-                out.push_str("[]");
+                out.extend_from_slice(b"[]");
                 return;
             }
-            out.push('[');
+            out.push(b'[');
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.push(b',');
                 }
                 pad(out, indent + 1);
                 render(item, pretty, indent + 1, out);
             }
             pad(out, indent);
-            out.push(']');
+            out.push(b']');
         }
         Value::Object(entries) => {
             if entries.is_empty() {
-                out.push_str("{}");
+                out.extend_from_slice(b"{}");
                 return;
             }
-            out.push('{');
+            out.push(b'{');
             for (i, (k, v)) in entries.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.push(b',');
                 }
                 pad(out, indent + 1);
                 escape_into(k, out);
-                out.push(':');
+                out.push(b':');
                 if pretty {
-                    out.push(' ');
+                    out.push(b' ');
                 }
                 render(v, pretty, indent + 1, out);
             }
             pad(out, indent);
-            out.push('}');
+            out.push(b'}');
         }
     }
 }
 
+/// Renders `value` as JSON bytes: always UTF-8, and checked as such once,
+/// where [`to_string`] makes them a `String`.
+fn render_bytes<T: Serialize>(value: &T, pretty: bool) -> Vec<u8> {
+    let mut out = Vec::new();
+    render(&value.to_value(), pretty, 0, &mut out);
+    out
+}
+
+fn into_string(bytes: Vec<u8>) -> Result<String> {
+    String::from_utf8(bytes).map_err(|e| Error::new(e.to_string()))
+}
+
 /// Serializes `value` as compact JSON.
 pub fn to_string<T: Serialize>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    render(&value.to_value(), false, 0, &mut out);
-    Ok(out)
+    into_string(render_bytes(value, false))
 }
 
 /// Serializes `value` as human-indented JSON.
 pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    render(&value.to_value(), true, 0, &mut out);
-    Ok(out)
+    into_string(render_bytes(value, true))
 }
 
 /// Serializes `value` as compact JSON into `writer`.
 pub fn to_writer<W: Write, T: Serialize>(mut writer: W, value: &T) -> Result<()> {
-    writer.write_all(to_string(value)?.as_bytes())?;
+    writer.write_all(&render_bytes(value, false))?;
     Ok(())
 }
 
 /// Serializes `value` as pretty JSON into `writer`.
 pub fn to_writer_pretty<W: Write, T: Serialize>(mut writer: W, value: &T) -> Result<()> {
-    writer.write_all(to_string_pretty(value)?.as_bytes())?;
+    writer.write_all(&render_bytes(value, true))?;
     Ok(())
 }
 
@@ -333,7 +366,11 @@ impl<'a> Parser<'a> {
     }
 
     fn error(&self, message: &str) -> Error {
-        Error::new(format!("{message} at byte {}", self.pos))
+        self.error_at(self.pos, message)
+    }
+
+    fn error_at(&self, pos: usize, message: &str) -> Error {
+        Error::new(format!("{message} at byte {pos}"))
     }
 
     fn skip_ws(&mut self) {
@@ -414,20 +451,7 @@ impl<'a> Parser<'a> {
                         b't' => s.push('\t'),
                         b'b' => s.push('\u{8}'),
                         b'f' => s.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.error("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.error("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.error("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not produced by the shim
-                            // serializer; map lone surrogates to U+FFFD.
-                            s.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
+                        b'u' => s.push(self.parse_unicode_escape()?),
                         other => {
                             return Err(self.error(&format!("bad escape `\\{}`", other as char)))
                         }
@@ -449,40 +473,59 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_number(&mut self) -> Result<Value> {
+    /// Reads the code point of a `\\u` escape whose four hex digits start
+    /// at the current byte. A UTF-16 high surrogate must be followed by a
+    /// `\\u` low surrogate, and the pair is one code point, as in the text
+    /// Python's `json.dumps` writes for characters beyond U+FFFF. A lone
+    /// surrogate, like a digit that is not hex, is an error at the byte
+    /// where its escape's digits start.
+    fn parse_unicode_escape(&mut self) -> Result<char> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
+        let high = self.hex4()?;
+        let code = match high {
+            0xD800..=0xDBFF => {
+                let low = match self.bytes.get(self.pos..self.pos + 2) {
+                    Some(b"\\u") => {
+                        self.pos += 2;
+                        Some(self.hex4()?)
+                    }
+                    _ => None,
+                };
+                match low {
+                    Some(low @ 0xDC00..=0xDFFF) => {
+                        0x1_0000 + ((high - 0xD800) << 10) + (low - 0xDC00)
+                    }
+                    _ => return Err(self.error_at(start, "lone surrogate in \\u escape")),
                 }
-                _ => break,
             }
+            code => code,
+        };
+        char::from_u32(code).ok_or_else(|| self.error_at(start, "lone surrogate in \\u escape"))
+    }
+
+    /// Reads four hex digits, each `0-9`, `a-f` or `A-F`.
+    fn hex4(&mut self) -> Result<u32> {
+        let start = self.pos;
+        let digits =
+            self.bytes.get(start..start + 4).ok_or_else(|| self.error("truncated \\u escape"))?;
+        let mut code = 0;
+        for &digit in digits {
+            let value =
+                char::from(digit).to_digit(16).ok_or_else(|| self.error("bad \\u escape"))?;
+            code = code * 16 + value;
         }
-        let bytes = &self.bytes[start..self.pos];
-        if is_float {
-            if let Some(f) = plain_decimal(bytes) {
-                return Ok(Value::F64(f));
-            }
-        }
-        let text = std::str::from_utf8(bytes).map_err(|_| self.error("invalid number"))?;
-        if !is_float {
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::U64(u));
-            }
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Value::I64(i));
-            }
-        }
-        text.parse::<f64>()
-            .map(Value::F64)
-            .map_err(|_| self.error(&format!("invalid number `{text}`")))
+        self.pos += 4;
+        Ok(code)
+    }
+
+    fn parse_number(&mut self) -> Result<Value> {
+        let text = &self.bytes[self.pos..];
+        let (value, len) = read_number(text);
+        self.pos += len;
+        value.ok_or_else(|| {
+            let text: String = text[..len].iter().map(|&b| char::from(b)).collect();
+            self.error(&format!("invalid number `{text}`"))
+        })
     }
 
     fn parse_array(&mut self) -> Result<Value> {
@@ -545,38 +588,73 @@ const EXACT_POW10: [f64; 23] = [
     1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 ];
 
-/// Reads a plain decimal `-?d+.d+` with one exact division, or `None` for
-/// any other text.
+/// Reads the number at the start of `bytes` as [`from_str`] reads one:
+/// a `-` or a digit, then every byte in `0-9 . e E + -`. Returns the
+/// number, or `None` when that text is not one, and the length of the
+/// text. Text that starts with neither `-` nor a digit is no number, of
+/// length 0.
 ///
-/// It takes numbers whose digits read as an integer mantissa of at most
-/// 2^53 (16 significant digits or fewer) and whose fraction has at most
-/// 22 digits. Then the mantissa and `10^fraction` are both exact `f64`s,
-/// and one correctly rounded division gives the correctly rounded value:
-/// bitwise what `str::parse::<f64>` returns (Clinger's fast path).
-fn plain_decimal(text: &[u8]) -> Option<f64> {
-    let (negative, unsigned) = match text.split_first() {
-        Some((b'-', rest)) => (true, rest),
-        _ => (false, text),
-    };
-    let (mut mantissa, mut point) = (0u64, None);
-    for (i, &b) in unsigned.iter().enumerate() {
-        match b {
-            b'0'..=b'9' => {
-                mantissa = mantissa * 10 + u64::from(b - b'0');
-                if mantissa > 1 << 53 {
-                    return None;
-                }
-            }
-            b'.' if point.is_none() && i > 0 => point = Some(i),
-            _ => return None,
+/// One pass collects the digits of an integer `-?d+` or a plain decimal
+/// `-?d+.d+` as it scans. An integer of at most 19 digits is a
+/// [`Value::U64`], or a [`Value::I64`] when it is negative and fits. A
+/// plain decimal of at most 19 digits whose digits read as an integer
+/// mantissa of at most 2^53, with at most 22 of them after the point, is
+/// one exact division: the mantissa and `10^fraction` are both exact
+/// `f64`s, and one correctly rounded division gives bitwise what
+/// `str::parse::<f64>` returns (Clinger's fast path). Any other text goes
+/// to the standard library's parsers as it always has: an integer to
+/// `u64`, then `i64`, then `f64`, anything else to `f64`.
+#[inline]
+pub fn read_number(bytes: &[u8]) -> (Option<Value>, usize) {
+    let negative = bytes.first() == Some(&b'-');
+    if !negative && !bytes.first().is_some_and(u8::is_ascii_digit) {
+        return (None, 0);
+    }
+    // The digits before and after a point, gathered into one integer.
+    let mut len = usize::from(negative);
+    let mut mantissa = 0u64;
+    let mut digits = |len: &mut usize| {
+        let start = *len;
+        while let Some(&b) = bytes.get(*len).filter(|b| b.is_ascii_digit()) {
+            mantissa = mantissa.wrapping_mul(10).wrapping_add(u64::from(b - b'0'));
+            *len += 1;
         }
+        *len - start
+    };
+    let int = digits(&mut len);
+    let fraction = (bytes.get(len) == Some(&b'.')).then(|| {
+        len += 1;
+        digits(&mut len)
+    });
+    let plain_end = len;
+    while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = bytes.get(len) {
+        len += 1;
     }
-    let fraction = unsigned.len() - point? - 1;
-    if fraction == 0 || fraction >= EXACT_POW10.len() {
-        return None;
-    }
-    let magnitude = mantissa as f64 / EXACT_POW10[fraction];
-    Some(if negative { -magnitude } else { magnitude })
+    // 19 digits always fit a `u64`; longer text takes the general path.
+    let plain = len == plain_end && int > 0 && int + fraction.unwrap_or(0) <= 19;
+    let fast = match fraction {
+        _ if !plain => None,
+        None if negative => 0i64.checked_sub_unsigned(mantissa).map(Value::I64),
+        None => Some(Value::U64(mantissa)),
+        Some(fraction) if fraction > 0 && fraction < EXACT_POW10.len() && mantissa <= 1 << 53 => {
+            let magnitude = mantissa as f64 / EXACT_POW10[fraction];
+            Some(Value::F64(if negative { -magnitude } else { magnitude }))
+        }
+        Some(_) => None,
+    };
+    let value = fast.or_else(|| {
+        let text = std::str::from_utf8(&bytes[..len]).ok()?;
+        if fraction.is_none() && len == plain_end {
+            if let Ok(u) = text.parse::<u64>() {
+                return Some(Value::U64(u));
+            }
+            if let Ok(i) = text.parse::<i64>() {
+                return Some(Value::I64(i));
+            }
+        }
+        text.parse::<f64>().ok().map(Value::F64)
+    });
+    (value, len)
 }
 
 fn utf8_width(first: u8) -> usize {
@@ -650,8 +728,7 @@ mod tests {
     #[test]
     fn float_render_round_trips() {
         for &f in &[0.1f64, 1.0, -3.25, 1e-9, 12345.678901234] {
-            let mut out = String::new();
-            render_f64(f, &mut out);
+            let out = to_string(&f).unwrap();
             assert_eq!(out.parse::<f64>().unwrap(), f, "render {f} -> {out}");
         }
     }
@@ -711,51 +788,83 @@ mod tests {
     }
 
     #[test]
-    fn nine_digits_are_the_correctly_rounded_scientific_digits() {
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        for _ in 0..200_000 {
-            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-            let x = f32::from_bits((state >> 32) as u32 & 0x7fff_ffff);
-            if !x.is_finite() || x == 0.0 {
-                continue;
+    fn read_number_takes_its_text_and_reads_it_as_std_does() {
+        for (text, len) in [
+            ("0.5,", 3),
+            ("-0.0]", 4),
+            ("000.000123 ", 10),
+            ("1234567890123.456}", 17),
+            ("12345678901234567.89", 20),
+            ("900719925474099.2", 17),
+            ("-900719925474099.3", 18),
+            ("0.00000000000000000000001", 25),
+            ("1.", 2),
+            ("-.5", 3),
+            ("1e5", 3),
+            ("1.5e-5,", 6),
+            ("99999999999999999999", 20),
+            ("-9223372036854775809", 20),
+        ] {
+            let (value, got_len) = read_number(text.as_bytes());
+            assert_eq!(got_len, len, "{text}");
+            let want = text[..len].parse::<f64>().unwrap();
+            match value {
+                Some(Value::F64(f)) => assert_eq!(f.to_bits(), want.to_bits(), "{text}"),
+                other => panic!("{text}: {other:?}"),
             }
-            // `{:.8e}` prints the exact value's nine digits, ties to even.
-            let scientific = format!("{:.8e}", f64::from(x));
-            let (mantissa, exp) = scientific.split_once('e').unwrap();
-            let want: u32 = mantissa.replace('.', "").parse().unwrap();
-            let want_exp = exp.parse::<i32>().unwrap() - 8;
-            match nine_digits(x) {
-                Some(got) => assert_eq!(got, (want, want_exp), "{x:e}"),
-                None => assert!(x < 1e-20, "{x:e} fits a u128"),
-            }
+        }
+        for (text, want) in [
+            ("0", Value::U64(0)),
+            ("-0", Value::I64(0)),
+            ("007,", Value::U64(7)),
+            ("18446744073709551615", Value::U64(u64::MAX)),
+            ("-9223372036854775808", Value::I64(i64::MIN)),
+            ("16777217", Value::U64(16_777_217)),
+        ] {
+            assert_eq!(read_number(text.as_bytes()).0, Some(want), "{text}");
+        }
+        for (text, len) in [
+            ("-", 1),
+            ("-x", 1),
+            ("1.2.3", 5),
+            ("--1", 3),
+            ("1e", 2),
+            ("+1", 0),
+            (".5", 0),
+            ("", 0),
+        ] {
+            assert_eq!(read_number(text.as_bytes()), (None, len), "{text}");
         }
     }
 
     #[test]
-    fn plain_decimals_take_the_fast_path_only_when_exact() {
-        for (text, fast) in [
-            ("0.5", true),
-            ("-0.0", true),
-            ("000.000123", true),
-            ("1234567890123.456", true),
-            ("12345678901234567.89", false),
-            ("900719925474099.1", true),
-            ("900719925474099.2", true),
-            ("-900719925474099.3", false),
-            (&format!("0.{}1", "0".repeat(21)), true),
-            (&format!("0.{}1", "0".repeat(22)), false),
-            ("1.", false),
-            ("1e5", false),
-            ("1.5e5", false),
-            ("1.2.3", false),
-            ("--1", false),
+    fn surrogate_pairs_are_one_code_point() {
+        assert_eq!(from_str::<String>(r#""\ud83d\ude00""#).unwrap(), "\u{1F600}");
+        assert_eq!(from_str::<String>(r#""a\uD83D\uDE00b""#).unwrap(), "a\u{1F600}b");
+        assert_eq!(from_str::<String>(r#""\u00e9\u0041""#).unwrap(), "\u{e9}A");
+        for (text, byte) in [
+            (r#""\ud83d""#, 3),
+            (r#""\ud83dx""#, 3),
+            (r#""\ud83d\n""#, 3),
+            (r#""\ud83d\u0041""#, 3),
+            (r#""\ud83d\ud83d""#, 3),
+            (r#""ab\ude00""#, 5),
         ] {
-            let got = plain_decimal(text.as_bytes());
-            assert_eq!(got.is_some(), fast, "{text}");
-            if let Some(f) = got {
-                assert_eq!(f.to_bits(), text.parse::<f64>().unwrap().to_bits(), "{text}");
-            }
+            let err = from_str::<String>(text).unwrap_err().to_string();
+            assert_eq!(err, format!("json: lone surrogate in \\u escape at byte {byte}"), "{text}");
         }
+    }
+
+    #[test]
+    fn a_unicode_escape_takes_four_hex_digits_and_nothing_else() {
+        for text in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u004g""#, r#""\uéé""#] {
+            let err = from_str::<String>(text).unwrap_err().to_string();
+            assert_eq!(err, "json: bad \\u escape at byte 3", "{text}");
+        }
+        let err = from_str::<String>(r#""\ud83d\u+c00""#).unwrap_err().to_string();
+        assert_eq!(err, "json: bad \\u escape at byte 9");
+        let err = from_str::<String>(r#""\u004"#).unwrap_err().to_string();
+        assert_eq!(err, "json: truncated \\u escape at byte 3");
     }
 
     #[test]

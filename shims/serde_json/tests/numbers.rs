@@ -1,11 +1,58 @@
-//! Number text: every `f32` is written as at most nine significant digits
-//! and reads back bitwise, through this crate and through the plain
-//! `str::parse::<f64>() as f32` decode older readers use; a plain decimal
-//! reads as exactly what `str::parse::<f64>` returns.
+//! Number text: every `f32` is written as its correctly rounded decimal of
+//! at most nine significant digits, exactly the text derived here from
+//! `core::fmt`'s, and reads back bitwise, through this crate and through
+//! the plain `str::parse::<f64>() as f32` decode older readers use; a
+//! plain decimal reads as exactly what `str::parse::<f64>` returns.
 
-/// Checks that `x`'s text reads back as `x`, bit for bit, both ways.
-fn assert_round_trips(x: f32) {
+use std::fmt::Write as _;
+
+/// Writes into `out` the text the crate must give the finite `x`, derived
+/// without its code: the nine digits `{:.8e}` prints for the exact value
+/// (ties to even), trailing zeros dropped, in plain notation. Integers
+/// below 1e15 are `N.0`, and magnitudes below 2⁻⁷⁶ the `{}` text of the
+/// widened `f64`.
+fn expected_text(x: f32, out: &mut String) {
+    out.clear();
+    if x.is_sign_negative() {
+        out.push('-');
+    }
+    let magnitude = x.abs();
+    if magnitude.fract() == 0.0 && f64::from(magnitude) < 1e15 {
+        let _ = write!(out, "{magnitude:.1}");
+        return;
+    }
+    if magnitude < 2f32.powi(-76) {
+        let _ = write!(out, "{}", f64::from(magnitude));
+        return;
+    }
+    let mut scientific = String::with_capacity(16);
+    let _ = write!(scientific, "{:.8e}", f64::from(magnitude));
+    let (mantissa, exp) = scientific.split_once('e').unwrap();
+    let digits: String = mantissa.chars().filter(|&c| c != '.').collect();
+    let digits = digits.trim_end_matches('0');
+    // The digits are d.ddd × 10^exp: the point goes after `exp + 1` of them.
+    let point = exp.parse::<i32>().unwrap() + 1;
+    if point <= 0 {
+        out.push_str("0.");
+        out.extend(std::iter::repeat_n('0', point.unsigned_abs() as usize));
+        out.push_str(digits);
+    } else if point as usize >= digits.len() {
+        out.push_str(digits);
+        out.extend(std::iter::repeat_n('0', point as usize - digits.len()));
+    } else {
+        let (int, frac) = digits.split_at(point as usize);
+        out.push_str(int);
+        out.push('.');
+        out.push_str(frac);
+    }
+}
+
+/// Checks that `x`'s text is [`expected_text`], reusing `want` for it,
+/// and that it reads back as `x`, bit for bit, both ways.
+fn assert_text_and_round_trip(x: f32, want: &mut String) {
     let text = serde_json::to_string(&x).unwrap();
+    expected_text(x, want);
+    assert_eq!(&text, want, "{x:e} ({:#010x})", x.to_bits());
     let back: f32 = serde_json::from_str(&text).unwrap();
     assert_eq!(back.to_bits(), x.to_bits(), "{x:e} wrote {text}, read back {back:e}");
     let parsed = text.parse::<f64>().unwrap() as f32;
@@ -20,26 +67,50 @@ fn assert_reads_like_std(text: &str) {
     assert_eq!(got.to_bits(), want.to_bits(), "{text}: read {got:e}, std reads {want:e}");
 }
 
+/// Every 997th finite `f32`, of either sign: its text, and its round trip.
 #[test]
 fn every_997th_finite_f32_round_trips_bitwise() {
     let mut checked = 0u64;
+    let mut want = String::new();
     for bits in (0..=u32::MAX).step_by(997) {
         let x = f32::from_bits(bits);
         if x.is_finite() {
-            assert_round_trips(x);
+            assert_text_and_round_trip(x, &mut want);
             checked += 1;
         }
     }
     assert!(checked > 4_000_000, "{checked} values");
 }
 
-/// Every `f32` in the pixel range [0, 1], both ways: 1 065 353 217 values,
-/// about ten minutes on one core in a release build.
+/// Every `f32` in the pixel range [0, 1], 1 065 353 217 values: its text,
+/// and its round trip both ways. A writer that printed other digits that
+/// still read back would change every model file, so the text is checked
+/// too.
 #[test]
 #[ignore = "exhaustive; run with `cargo test --release -p serde_json --test numbers -- --ignored`"]
 fn every_f32_in_the_pixel_range_round_trips_bitwise() {
+    let mut want = String::new();
     for bits in 0..=1.0f32.to_bits() {
-        assert_round_trips(f32::from_bits(bits));
+        assert_text_and_round_trip(f32::from_bits(bits), &mut want);
+    }
+}
+
+#[test]
+fn the_text_derivation_matches_pinned_texts() {
+    let mut want = String::new();
+    for (x, text) in [
+        (0.0f32, "0.0"),
+        (-0.0, "-0.0"),
+        (1.0, "1.0"),
+        (0.1, "0.100000001"),
+        (200.0 / 255.0, "0.784313738"),
+        (1e-7, "0.000000100000001"),
+        (-2.5e20, "-250000005000000000000"),
+        (f32::MAX, "340282347000000000000000000000000000000"),
+        (999_999_986_991_104.0, "999999986991104.0"),
+    ] {
+        expected_text(x, &mut want);
+        assert_eq!(want, text, "{x:e}");
     }
 }
 
