@@ -406,16 +406,14 @@ pub fn registry() -> Vec<Workload> {
         label: Some(image.labels()[0]),
         adversarial: false,
     };
-    let encoded_len = serde_json::to_string(&codec_request).map_or(0, |text| text.len());
+    let encoded_len = codec_request.to_body().len();
     workloads.push(Workload::new(
         format!("serve/json/predict_request/{px}"),
         "serve",
         &[px as u64],
         2 * encoded_len as u64,
         move || {
-            if let Ok(text) = serde_json::to_string(&codec_request) {
-                let _ = simpadv_serve::PredictRequest::from_body(text.as_bytes());
-            }
+            let _ = simpadv_serve::PredictRequest::from_body(&codec_request.to_body());
         },
     ));
     workloads

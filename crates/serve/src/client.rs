@@ -124,8 +124,7 @@ pub fn predict_with_retry(
 /// [`ServeError::Persist`] never (kept in the shared error type for
 /// uniformity).
 pub fn predict(addr: &str, request: &PredictRequest) -> Result<PredictOutcome, ServeError> {
-    let body = serde_json::to_string(request)
-        .map_err(|e| ServeError::BadRequest(format!("encode request: {e}")))?;
+    let body = request.to_body();
     // When the caller is inside a traced span, the request carries its
     // context so the server-side request span hangs under it in the
     // assembled campaign tree. Uncorrelated callers add no header.
@@ -153,7 +152,7 @@ pub fn predict(addr: &str, request: &PredictRequest) -> Result<PredictOutcome, S
 ///
 /// [`ServeError::Io`] on connection failures or non-200 answers.
 pub fn healthz(addr: &str) -> Result<HealthBody, ServeError> {
-    let response = roundtrip(addr, "GET", "/healthz", None, "")?;
+    let response = roundtrip(addr, "GET", "/healthz", None, b"")?;
     match response.status {
         200 => parse_body(&response),
         status => Err(status_error(status, &response)),
@@ -166,7 +165,7 @@ pub fn healthz(addr: &str) -> Result<HealthBody, ServeError> {
 ///
 /// [`ServeError::Io`] on connection failures or non-200 answers.
 pub fn stats(addr: &str) -> Result<StatsSnapshot, ServeError> {
-    let response = roundtrip(addr, "GET", "/stats", None, "")?;
+    let response = roundtrip(addr, "GET", "/stats", None, b"")?;
     match response.status {
         200 => parse_body(&response),
         status => Err(status_error(status, &response)),
@@ -180,7 +179,7 @@ pub fn stats(addr: &str) -> Result<StatsSnapshot, ServeError> {
 /// [`ServeError::Io`] on connection failures or non-200 answers,
 /// [`ServeError::BadRequest`] on a non-UTF-8 body.
 pub fn metrics(addr: &str) -> Result<String, ServeError> {
-    let response = roundtrip(addr, "GET", "/metrics", None, "")?;
+    let response = roundtrip(addr, "GET", "/metrics", None, b"")?;
     match response.status {
         200 => String::from_utf8(response.body)
             .map_err(|e| ServeError::BadRequest(format!("non-UTF-8 metrics body: {e}"))),
@@ -194,7 +193,7 @@ pub fn metrics(addr: &str) -> Result<String, ServeError> {
 ///
 /// [`ServeError::Io`] on connection failures or non-200 answers.
 pub fn rescan(addr: &str) -> Result<SwapReport, ServeError> {
-    let response = roundtrip(addr, "POST", "/rescan", None, "")?;
+    let response = roundtrip(addr, "POST", "/rescan", None, b"")?;
     match response.status {
         200 => parse_body(&response),
         status => Err(status_error(status, &response)),
@@ -257,7 +256,7 @@ fn roundtrip(
     method: &str,
     path: &str,
     traceparent: Option<&str>,
-    body: &str,
+    body: &[u8],
 ) -> Result<HttpResponse, ServeError> {
     let cached = CONNECTION.try_with(|slot| slot.borrow_mut().take()).ok().flatten();
     if let Some(mut conn) = cached.filter(|conn| conn.addr == addr) {
@@ -283,9 +282,9 @@ fn exchange(
     method: &str,
     path: &str,
     traceparent: Option<&str>,
-    body: &str,
+    body: &[u8],
 ) -> Result<HttpResponse, Failure> {
-    write_request_traced(reader.get_mut(), method, path, traceparent, body.as_bytes())
+    write_request_traced(reader.get_mut(), method, path, traceparent, body)
         .map_err(|e| Failure::Unanswered(ServeError::Io(format!("write: {e}"))))?;
     match reader.fill_buf() {
         Ok([]) => {

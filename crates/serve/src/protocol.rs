@@ -7,12 +7,14 @@
 //! its correctly rounded nine-significant-digit decimal, which reads back
 //! as the same `f32` through an `f64` parse.
 //!
-//! A `/predict` body is read by [`PredictRequest::from_body`]. A body
-//! shaped as the client writes one goes straight into its pixel vector,
-//! each number read by the shim's own number reader; any other body goes
-//! to the shim's general parser, which builds a value tree and refuses
-//! nesting deeper than 128 levels, so a body of brackets is a bad
-//! request, not a stack overflow. The answer is the same either way.
+//! The client writes a `/predict` body with [`PredictRequest::to_body`],
+//! straight from the request's fields, and the server reads it with
+//! [`PredictRequest::from_body`]. A body shaped as the client writes one
+//! goes straight into its pixel vector; any other body goes to the shim's
+//! general parser, which builds a value tree and refuses nesting deeper
+//! than 128 levels, so a body of brackets is a bad request, not a stack
+//! overflow. The text and the answer are the same as the derive's either
+//! way.
 
 use crate::error::ServeError;
 use serde::{Deserialize, Serialize, Value};
@@ -48,19 +50,50 @@ pub struct PredictRequest {
 }
 
 impl PredictRequest {
+    /// Writes this request as a `/predict` body: byte for byte what
+    /// `serde_json::to_string` writes for it, with no value tree, each
+    /// pixel through [`serde_json::write_f32`]. The one reservation allows
+    /// twelve bytes per pixel, the text and comma of any pixel in [0.1, 1]
+    /// or 0; only a body of longer pixels grows the vector.
+    pub fn to_body(&self) -> Vec<u8> {
+        let mut body = Vec::with_capacity(64 + 12 * self.pixels.len());
+        body.extend_from_slice(b"{\"pixels\":[");
+        for (i, &pixel) in self.pixels.iter().enumerate() {
+            if i > 0 {
+                body.push(b',');
+            }
+            serde_json::write_f32(pixel, &mut body);
+        }
+        body.extend_from_slice(b"],\"label\":");
+        match self.label {
+            // Writing to a `Vec` cannot fail.
+            Some(label) => {
+                let _ = write!(body, "{label}");
+            }
+            None => body.extend_from_slice(b"null"),
+        }
+        body.extend_from_slice(if self.adversarial {
+            b",\"adversarial\":true}"
+        } else {
+            b",\"adversarial\":false}"
+        });
+        body
+    }
+
     /// Reads a `/predict` body: exactly what
     /// `serde_json::from_str::<PredictRequest>` reads from it as text.
     ///
     /// A body in the field order the derive writes,
     /// `{"pixels":[…],"label":…,"adversarial":…}` with any JSON whitespace,
     /// a `label` of `null` or plain digits and nothing after the `}`, is
-    /// read straight into the pixel vector. Each pixel is read by
-    /// [`serde_json::read_number`] and converted as `f32::from_value`
-    /// converts that number, so `-0` is +0.0 and `1e400` is +inf (which
-    /// [`crate::Engine::submit`] then refuses). Any other body (other key
-    /// orders, extra or escaped keys, other labels, bytes that are not
-    /// UTF-8, malformed text) goes to the general parser, whose error is
-    /// the answer.
+    /// read straight into the pixel vector. Each pixel is what
+    /// [`serde_json::read_number`] reads, converted as `f32::from_value`
+    /// converts it, so `-0` is +0.0 and `1e400` is +inf (which
+    /// [`crate::Engine::submit`] then refuses); a short decimal such as
+    /// the client writes is read a word at a time to the same bits (see
+    /// `short_decimal`). Any other body (other key orders, extra, repeated
+    /// or escaped keys, other labels, bytes that are not UTF-8, malformed
+    /// text) goes to the general parser, whose error is the answer.
     ///
     /// # Errors
     ///
@@ -86,7 +119,7 @@ fn read_canonical(body: &[u8]) -> Option<PredictRequest> {
     let mut pixels = Vec::with_capacity(simpadv_data::IMAGE_PIXELS);
     if !text.eat(b"]") {
         loop {
-            pixels.push(f32::from_value(&text.number()?).ok()?);
+            pixels.push(text.pixel()?);
             match text.next()? {
                 b',' => {}
                 b']' => break,
@@ -167,6 +200,83 @@ impl Cursor<'_> {
         self.pos += len;
         value
     }
+
+    /// Skips whitespace and reads a number as a pixel: what
+    /// `f32::from_value` makes of [`Cursor::number`]'s value.
+    fn pixel(&mut self) -> Option<f32> {
+        self.skip_ws();
+        if let Some((pixel, len)) = short_decimal(&self.bytes[self.pos..]) {
+            self.pos += len;
+            return Some(pixel);
+        }
+        f32::from_value(&self.number()?).ok()
+    }
+}
+
+/// `10^i` for every `i` below 16.
+const POW10: [u64; 16] = {
+    let mut table = [1; 16];
+    let mut i = 1;
+    while i < table.len() {
+        table[i] = table[i - 1] * 10;
+        i += 1;
+    }
+    table
+};
+
+/// Reads a short decimal at the start of `bytes`: one integer digit, a
+/// `.`, one to fifteen fraction digits, then a byte that cannot continue
+/// a number (none of `0-9 . e E + -`). Returns the `f32` that
+/// `f32::from_value` makes of [`serde_json::read_number`]'s value for
+/// that text, and the text's length. `None` for any other text, for a
+/// mantissa above 2^53, and when the digits' words do not fit: fewer than
+/// eight bytes after the `.`, or fewer than sixteen when the first eight
+/// are all digits.
+///
+/// The fraction is read a word of eight bytes at a time: one check finds
+/// how many of them are digits, and one conversion gives their value.
+/// With at most 2^53 as the mantissa and at most fifteen fraction digits,
+/// the one division is Clinger's exact fast path, which `read_number`
+/// takes for this text too: the same `f64`, then the same `as f32`.
+fn short_decimal(bytes: &[u8]) -> Option<(f32, usize)> {
+    let [int @ b'0'..=b'9', b'.', ref fraction @ ..] = *bytes else {
+        return None;
+    };
+    let mut mantissa = u64::from(int - b'0');
+    let mut len = 0;
+    for word in fraction.chunks_exact(8).take(2) {
+        let values = u64::from_le_bytes(word.try_into().ok()?) ^ 0x3030_3030_3030_3030;
+        // A byte is a digit when its value is below 10: its high nibble
+        // is clear, and stays clear when 6 is added. A carry out of a
+        // byte that is no digit can only flag bytes after it.
+        let flags = (values | values.wrapping_add(0x0606_0606_0606_0606)) & 0xf0f0_f0f0_f0f0_f0f0;
+        let digits = (flags.trailing_zeros() / 8) as usize;
+        if digits == 8 {
+            mantissa = mantissa * POW10[8] + eight_digit_value(values);
+            len += 8;
+            continue;
+        }
+        len += digits;
+        if len == 0 || matches!(fraction[len], b'.' | b'e' | b'E' | b'+' | b'-') {
+            return None;
+        }
+        if digits > 0 {
+            // The digits move to the top bytes; the bytes after them drop out.
+            mantissa = mantissa * POW10[digits] + eight_digit_value(values << (64 - 8 * digits));
+        }
+        return (mantissa <= 1 << 53)
+            .then(|| ((mantissa as f64 / POW10[len] as f64) as f32, 2 + len));
+    }
+    None
+}
+
+/// The value of eight digits, one per byte as values 0–9, the first in
+/// the lowest byte: adjacent bytes combine into two-digit 16-bit lanes,
+/// those into four-digit 32-bit lanes, and those into the value.
+fn eight_digit_value(digits: u64) -> u64 {
+    let pairs = (digits * 10 + (digits >> 8)) & 0x00ff_00ff_00ff_00ff;
+    let quads = (pairs * 100 + (pairs >> 16)) & 0x0000_ffff_0000_ffff;
+    (quads * 10_000 + (quads >> 32)) & 0xffff_ffff
 }
 
 /// One inference answer.
@@ -525,9 +635,9 @@ mod tests {
         read_canonical(body).is_some()
     }
 
-    /// 300 synth-mnist requests as the client encodes them; every tenth is
-    /// perturbed by a seeded ±0.1 step, clipped to [0, 1].
-    fn synth_bodies() -> Vec<String> {
+    /// 300 synth-mnist requests; every tenth is perturbed by a seeded
+    /// ±0.1 step, clipped to [0, 1].
+    fn synth_requests() -> Vec<PredictRequest> {
         let data =
             simpadv_data::SynthDataset::Mnist.generate(&simpadv_data::SynthConfig::new(300, 2311));
         let mut state = 0x5eed_2311_u64;
@@ -542,10 +652,34 @@ mod tests {
                         *p = (*p + step).clamp(0.0, 1.0);
                     }
                 }
-                let request = PredictRequest { pixels, label: Some(data.labels()[i]), adversarial };
-                serde_json::to_string(&request).unwrap()
+                PredictRequest { pixels, label: Some(data.labels()[i]), adversarial }
             })
             .collect()
+    }
+
+    /// [`synth_requests`] as the client writes them.
+    fn synth_bodies() -> Vec<String> {
+        synth_requests().iter().map(|r| String::from_utf8(r.to_body()).unwrap()).collect()
+    }
+
+    #[test]
+    fn to_body_writes_what_the_derive_writes() {
+        let mut requests = synth_requests();
+        requests.push(PredictRequest { pixels: Vec::new(), label: None, adversarial: false });
+        requests.push(PredictRequest {
+            pixels: vec![-0.0, 1e-24, f32::MAX, 1e-3, 0.099_999_994, 1.0, -2.5, f32::NAN],
+            label: None,
+            adversarial: false,
+        });
+        for mut request in requests {
+            for label in [None, Some(0), Some(usize::MAX)] {
+                for adversarial in [false, true] {
+                    (request.label, request.adversarial) = (label, adversarial);
+                    let want = serde_json::to_string(&request).unwrap();
+                    assert_eq!(String::from_utf8(request.to_body()).unwrap(), want);
+                }
+            }
+        }
     }
 
     #[test]
@@ -592,7 +726,8 @@ mod tests {
             "1.",
             "-.5",
         ];
-        let all: Vec<&str> = written.iter().map(String::as_str).chain(texts).collect();
+        let all: Vec<&str> =
+            written.iter().map(String::as_str).chain(texts).chain(SWAR_EDGES).collect();
         for text in &all {
             let body = format!(r#"{{"pixels":[{text}],"label":3,"adversarial":false}}"#);
             assert!(assert_reads_as_the_general_parser(body.as_bytes()), "{body}");
@@ -603,6 +738,93 @@ mod tests {
         assert_eq!(request.pixels[5 + 1].to_bits(), 0, "-0 reads as +0.0");
         assert_eq!(request.pixels[5 + 5], 16_777_216.0, "16777217 reads as u64 as f32");
         assert_eq!(request.pixels[5 + 8], f32::INFINITY, "1e400 reads as +inf");
+    }
+
+    /// Pixel texts at the edges of [`short_decimal`]: one, eight, nine,
+    /// ten, fifteen and sixteen fraction digits, a mantissa above 2^53,
+    /// and texts it must leave to [`serde_json::read_number`].
+    const SWAR_EDGES: [&str; 20] = [
+        "0.5",
+        "0.12345678",
+        "0.123456789",
+        "0.1234567891",
+        "9.99999999",
+        "9.999999999",
+        "0.000000001",
+        "1.0000000000",
+        "0.123456789012345",
+        "9.007199254740992",
+        "9.999999999999999",
+        "0.1234567890123456",
+        "0.",
+        "0.5e3",
+        "0.5E-1",
+        "00.5",
+        "-0.0",
+        "1.00",
+        "1.0",
+        "0.99999999",
+    ];
+
+    #[test]
+    fn short_decimals_read_as_read_number_does() {
+        for text in SWAR_EDGES {
+            for end in ["", ",", "]", " ", "}", "x", "0", ".", "e1", "+", "-", "é", ",1.5e3"] {
+                let padded = format!("{text}{end}                ");
+                for bytes in [format!("{text}{end}"), padded] {
+                    let bytes = bytes.as_bytes();
+                    let Some((pixel, len)) = short_decimal(bytes) else { continue };
+                    let (value, want_len) = serde_json::read_number(bytes);
+                    let want = f32::from_value(&value.unwrap()).unwrap();
+                    assert_eq!((pixel.to_bits(), len), (want.to_bits(), want_len), "{text}{end}");
+                }
+            }
+        }
+        // The fast path takes the short decimals with room for its words,
+        // and nothing else.
+        let taken = |text: &str| short_decimal(format!("{text},        ").as_bytes()).is_some();
+        let fast: Vec<&str> = SWAR_EDGES.into_iter().filter(|t| taken(t)).collect();
+        assert_eq!(
+            fast,
+            [
+                "0.5",
+                "0.12345678",
+                "0.123456789",
+                "0.1234567891",
+                "9.99999999",
+                "9.999999999",
+                "0.000000001",
+                "1.0000000000",
+                "0.123456789012345",
+                "9.007199254740992",
+                "1.00",
+                "1.0",
+                "0.99999999",
+            ]
+        );
+        assert!(short_decimal(b"0.5,     ").is_none(), "seven bytes after the point");
+        assert!(short_decimal(b"0.5,      ").is_some(), "eight bytes after the point");
+        assert!(short_decimal(b"0.12345678,      ").is_none(), "eight digits, then seven bytes");
+        assert!(short_decimal(b"0.12345678,       ").is_some(), "eight digits, then eight bytes");
+        // Every 9973rd bit pattern in [0, 1], written by the shim: its text
+        // reads back, and takes the fast path unless it has more than
+        // fifteen fraction digits.
+        let mut buf = Vec::new();
+        for bits in (0..=1.0f32.to_bits()).step_by(9973) {
+            buf.clear();
+            serde_json::write_f32(f32::from_bits(bits), &mut buf);
+            let text = String::from_utf8(buf.clone()).unwrap();
+            buf.extend_from_slice(b",0.5,0.5,0.5,0.5");
+            let (value, want_len) = serde_json::read_number(&buf);
+            let want = f32::from_value(&value.unwrap()).unwrap();
+            assert_eq!(want.to_bits(), bits, "{text}");
+            match short_decimal(&buf) {
+                Some((pixel, len)) => {
+                    assert_eq!((pixel.to_bits(), len), (bits, want_len), "{text}")
+                }
+                None => assert!(text.len() > 2 + 15, "{text} is short and should be taken"),
+            }
+        }
     }
 
     #[test]
@@ -629,6 +851,14 @@ mod tests {
             r#"{"pixels":[1.2.3],"label":3,"adversarial":false}"#.to_string(),
             r#"{"pixels":[0.5],"label":nul,"adversarial":false}"#.to_string(),
             r#"{"pixels":[0.5],"label":null,"adversarial":truee}"#.to_string(),
+            // Bodies that end less than a word after a pixel's point.
+            r#"{"pixels":[0.5"#.to_string(),
+            r#"{"pixels":[0.5]"#.to_string(),
+            r#"{"pixels":[0.1234567"#.to_string(),
+            r#"{"pixels":[0.12345678"#.to_string(),
+            r#"{"pixels":[0.123456789"#.to_string(),
+            r#"{"pixels":[0.5,0."#.to_string(),
+            r#"{"pixels":[1.0,0.25]}"#.to_string(),
             "[".repeat(200),
             String::new(),
         ] {
@@ -685,7 +915,7 @@ mod tests {
     fn mutated_bodies_read_as_the_general_parser() {
         let mut rng = Lcg(2311);
         let full = synth_bodies();
-        let short: Vec<String> = (0..20u8)
+        let mut short: Vec<String> = (0..20u8)
             .map(|i| {
                 let pixels = (0..4).map(|j| f32::from(i * 4 + j) / 97.0).collect();
                 let label = (i % 3 != 0).then_some(usize::from(i % 10));
@@ -693,6 +923,9 @@ mod tests {
                     .unwrap()
             })
             .collect();
+        short.extend(SWAR_EDGES.chunks(4).map(|texts| {
+            format!(r#"{{"pixels":[{}],"label":5,"adversarial":false}}"#, texts.join(","))
+        }));
         let mut typed = 0;
         for round in 0..4000 {
             let pool = if round % 4 == 0 { &full } else { &short };
@@ -704,7 +937,7 @@ mod tests {
             }
             typed += usize::from(assert_reads_as_the_general_parser(&mutated));
         }
-        // Both reads get hundreds of mutants (575 take the typed one).
+        // Both reads get hundreds of mutants (566 take the typed one).
         assert!((400..3600).contains(&typed), "{typed} of 4000 took the typed read");
     }
 

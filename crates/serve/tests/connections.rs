@@ -2,9 +2,9 @@
 //! thread calls another address; requests pipelined on one connection
 //! answered in order; a server shutdown that closes what it accepted, so
 //! a cached connection never reaches a stopped engine; and a stopping
-//! server's 503 surfacing as `ShuttingDown`, never as a bad request; and
-//! a `/predict` body in any key order and layout answered as the client's
-//! own body is.
+//! server's 503 surfacing as `ShuttingDown`, never as a bad request; a
+//! `/predict` body in any key order and layout answered as the client's
+//! own body is; and one with a repeated key refused.
 //!
 //! Every test runs under [`within`], so a hang fails the run instead of
 //! stalling it.
@@ -250,6 +250,32 @@ fn a_deeply_nested_body_is_a_bad_request_and_the_server_keeps_serving() {
         assert!(body.contains("nesting deeper than 128 levels"), "{body}");
 
         assert_eq!(answered(client::predict(&addr, &request(8))).generation, 1);
+        assert_eq!(server.shutdown().served, 1);
+    });
+}
+
+#[test]
+fn a_body_with_a_repeated_key_is_a_bad_request_and_the_server_keeps_serving() {
+    within(60, || {
+        let server = start(&model_dir("duplicate", 1), None);
+        let addr = server.local_addr();
+        // A reader keeping the first `label` and one keeping the last would
+        // disagree on what these bodies say, so neither is answered.
+        for (body, field) in [
+            (r#"{"pixels":[0.5],"label":3,"label":4,"adversarial":false}"#, "label"),
+            (r#"{"pixels":[0.5],"label":3,"adversarial":false,"adversarial":true}"#, "adversarial"),
+            (r#"{"pixels":[0.5],"label":3,"adversarial":false,"pixels":[0.25]}"#, "pixels"),
+        ] {
+            let mut wire = Vec::new();
+            write_request(&mut wire, "POST", "/predict", body.as_bytes()).unwrap();
+            let mut stream = TcpStream::connect(&addr).unwrap();
+            stream.write_all(&wire).unwrap();
+            let response = read_response(&mut BufReader::new(stream)).unwrap();
+            assert_eq!(response.status, 400, "{body}");
+            let detail = String::from_utf8_lossy(&response.body);
+            assert!(detail.contains(&format!("duplicate field `{field}`")), "{body}: {detail}");
+        }
+        assert_eq!(answered(client::predict(&addr, &request(10))).generation, 1);
         assert_eq!(server.shutdown().served, 1);
     });
 }

@@ -92,9 +92,21 @@ pub trait Deserialize: Sized {
 }
 
 /// Extracts and deserializes a named field of an object — the helper the
-/// derive macro calls for every struct field.
+/// derive macro calls for every struct field. A key that occurs more than
+/// once is an error, as in real `serde_json`'s derive: readers that keep
+/// the first or the last of repeated keys would disagree on what the
+/// object says.
 pub fn object_field<T: Deserialize>(value: &Value, name: &str) -> Result<T, Error> {
-    let field = value.get(name).ok_or_else(|| Error::custom(format!("missing field `{name}`")))?;
+    let entries = match value {
+        Value::Object(entries) => entries.as_slice(),
+        _ => &[],
+    };
+    let mut fields = entries.iter().filter(|(key, _)| key == name);
+    let (_, field) =
+        fields.next().ok_or_else(|| Error::custom(format!("missing field `{name}`")))?;
+    if fields.next().is_some() {
+        return Err(Error::custom(format!("duplicate field `{name}`")));
+    }
     T::from_value(field).map_err(|e| Error::custom(format!("field `{name}`: {e}")))
 }
 
@@ -358,5 +370,24 @@ mod tests {
         let obj = Value::Object(vec![("a".to_string(), Value::U64(1))]);
         let err = object_field::<u64>(&obj, "b").unwrap_err();
         assert!(err.to_string().contains("missing field `b`"));
+    }
+
+    #[test]
+    fn a_repeated_key_is_a_duplicate_field() {
+        let obj = Value::Object(vec![
+            ("a".to_string(), Value::U64(1)),
+            ("b".to_string(), Value::U64(2)),
+            ("a".to_string(), Value::U64(3)),
+        ]);
+        let err = object_field::<u64>(&obj, "a").unwrap_err();
+        assert_eq!(err.to_string(), "serde: duplicate field `a`");
+        // Even when the values agree, and before either is read.
+        let same = Value::Object(vec![("a".into(), Value::U64(1)), ("a".into(), Value::U64(1))]);
+        assert!(object_field::<u64>(&same, "a").is_err());
+        let mixed = Value::Object(vec![("a".into(), Value::Null), ("a".into(), Value::U64(1))]);
+        assert_eq!(object_field::<u64>(&mixed, "a").unwrap_err(), err);
+        // Other keys of the object read as before; `Value::get` keeps the first.
+        assert_eq!(object_field::<u64>(&obj, "b").unwrap(), 2);
+        assert_eq!(obj.get("a"), Some(&Value::U64(1)));
     }
 }

@@ -3,7 +3,8 @@
 //! Renders the shim `serde`'s [`Value`] tree as JSON text and parses JSON
 //! text back into it. Covers the workspace's call surface: [`to_string`],
 //! [`to_string_pretty`], [`to_writer`], [`to_writer_pretty`], [`from_str`],
-//! and [`from_reader`].
+//! and [`from_reader`], plus [`write_f32`] and [`read_number`] for callers
+//! that write or read numbers without a tree.
 
 #![forbid(unsafe_code)]
 
@@ -87,8 +88,12 @@ fn render_f64(f: f64, out: &mut Vec<u8>) {
     }
 }
 
-/// Appends `f` with at most nine significant digits: its correctly
-/// rounded nine-digit decimal (ties to even), trailing zeros dropped, in
+/// Appends `f`'s JSON text to `out`: what [`to_string`] writes for an
+/// `f32`, without a [`Value`]. Every `f32` the derive lowers is written
+/// here too.
+///
+/// The text has at most nine significant digits: `f`'s correctly rounded
+/// nine-digit decimal (ties to even), trailing zeros dropped, in
 /// [`render_f64`]'s plain layout, using integer arithmetic rather than
 /// `core::fmt`.
 ///
@@ -107,9 +112,10 @@ fn render_f64(f: f64, out: &mut Vec<u8>) {
 /// Everything is read from the bits. A normal `f32` is `m · 2^e` with
 /// `2²³ ≤ m < 2²⁴`: an integer when `e` plus the trailing zero bits of `m`
 /// is at least 0, and below 2²³ otherwise. Such a fraction's denominator
-/// is `2^-e`, so its nine digits take one `u128` product `m · 10^k` and
-/// one shift by `-e`.
-fn render_f32(f: f32, out: &mut Vec<u8>) {
+/// is `2^-e`, so its nine digits take a product `m · 10^k` and one shift
+/// by `-e`. The product is a `u64` while `10^k < 2⁴⁰` (`k ≤ 12`, every
+/// fraction of at least 2⁻¹³) and a `u128` below that.
+pub fn write_f32(f: f32, out: &mut Vec<u8>) {
     let bits = f.to_bits();
     let magnitude = bits & 0x7fff_ffff;
     if magnitude >= f32::INFINITY.to_bits() {
@@ -138,19 +144,30 @@ fn render_f32(f: f32, out: &mut Vec<u8>) {
                 exp += 1;
             }
             let den = POW10[exp as usize];
-            push_scaled(round_half_even(n / den, n % den, den / 2), exp, out);
+            let (rest, half) = (n % den, den / 2);
+            push_scaled(round_half_even((n / den) as u64, rest > half, rest == half), exp, out);
         }
     } else {
         // A fraction: m · 10^k / 2^shift has nine digits; 1 ≤ shift ≤ 99
-        // and 2 ≤ k ≤ 31, so the product stays below 2^128.
+        // and 2 ≤ k ≤ 31. With k ≤ 12 the product is below 2^64 and the
+        // shift below 38. Whether k must drop by one, like the rounding,
+        // depends on m, so both are computed without a branch: on pixels
+        // either way is about as likely, and a mispredicted branch costs
+        // more than computing the product again.
         let shift = e.unsigned_abs();
         let mut k = 8 - log10_floor(23 + e);
-        let mut num = u128::from(m) * POW10[k as usize];
-        if num >> shift >= POW10[9] {
-            k -= 1;
-            num = u128::from(m) * POW10[k as usize];
-        }
-        let digits = round_half_even(num >> shift, num & ((1 << shift) - 1), 1 << (shift - 1));
+        let digits = if k <= 12 {
+            let ten_digits = (u64::from(m) * POW10[k as usize] as u64) >> shift >= POW10[9] as u64;
+            k -= i32::from(ten_digits);
+            let num = u64::from(m) * POW10[k as usize] as u64;
+            let (rest, half) = (num & ((1 << shift) - 1), 1 << (shift - 1));
+            round_half_even(num >> shift, rest > half, rest == half)
+        } else {
+            k -= i32::from((u128::from(m) * POW10[k as usize]) >> shift >= POW10[9]);
+            let num = u128::from(m) * POW10[k as usize];
+            let (rest, half) = (num & ((1 << shift) - 1), 1 << (shift - 1));
+            round_half_even((num >> shift) as u64, rest > half, rest == half)
+        };
         push_scaled(digits, -k, out);
     }
 }
@@ -174,12 +191,12 @@ fn log10_floor(p: i32) -> i32 {
     (p * 1233) >> 12
 }
 
-/// `quotient`, plus one when `remainder` is more than `half` the divisor,
-/// or exactly half and `quotient` is odd: rounding to nearest, ties to
-/// even.
-fn round_half_even(quotient: u128, remainder: u128, half: u128) -> u32 {
-    let up = remainder > half || (remainder == half && quotient % 2 == 1);
-    quotient as u32 + u32::from(up)
+/// `quotient`, plus one when the remainder is `above` half the divisor,
+/// or exactly `half` of it and `quotient` is odd: rounding to nearest,
+/// ties to even. The operators do not short-circuit, so there is no
+/// branch to mispredict.
+fn round_half_even(quotient: u64, above: bool, half: bool) -> u32 {
+    quotient as u32 + u32::from(above | (half & (quotient % 2 == 1)))
 }
 
 /// Appends the decimal digits of `n`.
@@ -199,54 +216,55 @@ fn push_integer(mut n: u64, out: &mut Vec<u8>) {
 /// Appends `digits · 10^exp` in plain decimal notation, without trailing
 /// zeros after the point: `123400000·10^-11` is `0.001234`,
 /// `150000000·10^12` is `150000000000000000000`. `digits` has nine
-/// digits, or is 10^9 where rounding carried.
+/// digits, or is 10^9 where rounding carried, and `-31 ≤ exp ≤ 31`.
+///
+/// The text is laid out in a buffer of zeros on the stack and copied into
+/// `out` once. The nine digits are the first, then [`eight_digits`] as
+/// one word; the word's high zero bytes are the trailing zeros.
 fn push_scaled(digits: u32, exp: i32, out: &mut Vec<u8>) {
     let (digits, exp) =
         if digits == 1_000_000_000 { (100_000_000, exp + 1) } else { (digits, exp) };
-    let text = nine_digit_text(digits);
+    let tail = eight_digits(digits % 100_000_000);
     // The point goes after `point` of the digits; `used` of them are left
-    // once trailing zeros are dropped.
+    // once trailing zeros are dropped. The longest text is 39 digits
+    // (`exp` 30) or `0.` and 22 zeros before the nine digits.
     let point = 9 + exp;
-    let used = 9 - text.iter().rev().take_while(|&&d| d == b'0').count();
-    if exp >= 0 {
-        out.extend_from_slice(&text);
-        out.resize(out.len() + exp as usize, b'0');
+    let used = 9 - (tail.leading_zeros() / 8) as usize;
+    let mut text = [b'0'; 40];
+    let start = if point <= 0 { 2 + point.unsigned_abs() as usize } else { 0 };
+    text[start] = b'0' + (digits / 100_000_000) as u8;
+    text[start + 1..start + 9].copy_from_slice(&(tail | 0x3030_3030_3030_3030).to_le_bytes());
+    let len = if exp >= 0 {
+        9 + exp as usize
     } else if point <= 0 {
-        out.extend_from_slice(b"0.");
-        out.resize(out.len() + point.unsigned_abs() as usize, b'0');
-        out.extend_from_slice(&text[..used]);
+        text[1] = b'.';
+        start + used
     } else {
         let point = point as usize;
-        out.extend_from_slice(&text[..point]);
         if used > point {
-            out.push(b'.');
-            out.extend_from_slice(&text[point..used]);
+            text.copy_within(point..used, point + 1);
+            text[point] = b'.';
+            used + 1
+        } else {
+            point
         }
-    }
+    };
+    out.extend_from_slice(&text[..len]);
 }
 
-/// `"00"`, `"01"`, … `"99"`: two digits per lookup.
-const DIGIT_PAIRS: [u8; 200] = {
-    let mut table = [0; 200];
-    let mut i = 0;
-    while i < 100 {
-        table[2 * i] = b'0' + (i / 10) as u8;
-        table[2 * i + 1] = b'0' + (i % 10) as u8;
-        i += 1;
-    }
-    table
-};
-
-/// The nine decimal digits of `n < 10^9`, zero-padded.
-fn nine_digit_text(n: u32) -> [u8; 9] {
-    let pair = |p: u32| &DIGIT_PAIRS[2 * p as usize..2 * p as usize + 2];
-    let (high, low) = (n / 10_000, n % 10_000);
-    let mut text = [b'0' + (high / 10_000) as u8; 9];
-    text[1..3].copy_from_slice(pair(high / 100 % 100));
-    text[3..5].copy_from_slice(pair(high % 100));
-    text[5..7].copy_from_slice(pair(low / 100));
-    text[7..9].copy_from_slice(pair(low % 100));
-    text
+/// The eight decimal digits of `n < 10^8`, zero-padded, one per byte as
+/// values 0–9 with the first in the lowest byte, computed a word at a
+/// time: the two four-digit halves go in 32-bit lanes, which split into
+/// two-digit 16-bit lanes and then one-digit bytes. `x · 5243 >> 19` is
+/// `x / 100` for every `x < 10^4`, and `x · 103 >> 10` is `x / 10` for
+/// every `x < 100`; no lane's product reaches the next lane, and the
+/// masks drop what a higher lane's product shifts into a lower one.
+fn eight_digits(n: u32) -> u64 {
+    let halves = u64::from(n / 10_000) | u64::from(n % 10_000) << 32;
+    let hundreds = ((halves * 5243) >> 19) & 0x0000_007f_0000_007f;
+    let pairs = hundreds | (halves - hundreds * 100) << 16;
+    let tens = ((pairs * 103) >> 10) & 0x000f_000f_000f_000f;
+    tens | (pairs - tens * 10) << 8
 }
 
 fn render(value: &Value, pretty: bool, indent: usize, out: &mut Vec<u8>) {
@@ -268,7 +286,7 @@ fn render(value: &Value, pretty: bool, indent: usize, out: &mut Vec<u8>) {
             let _ = write!(out, "{i}");
         }
         Value::F64(f) => render_f64(*f, out),
-        Value::F32(f) => render_f32(*f, out),
+        Value::F32(f) => write_f32(*f, out),
         Value::String(s) => escape_into(s, out),
         Value::Array(items) => {
             if items.is_empty() {
