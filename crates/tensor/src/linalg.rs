@@ -10,13 +10,15 @@
 //! **Gather, then strip.** For each output row `i`, the kernel first
 //! gathers the nonzero pairs `(p, a[i][p])` of the left operand's row, in
 //! increasing `p` and without a branch. It then fills the row in strips
-//! of 32 columns, with the remainder in 16-, 8- and 4-wide strips. A
-//! strip keeps one accumulator per column in registers while it walks the
-//! gathered pairs, and stores its columns once at the end. The last one
-//! to three columns of a row at least 4 wide run in a 4-wide strip that
-//! ends at column `n`; rows narrower than 4 run 1-wide strips. Zeros are
-//! common: synthetic images are about 40 % zeros and ReLU-masked
-//! gradients about half, so the skip saves real work on every path.
+//! of 64 columns on a CPU with AVX2 and of 32 elsewhere (see
+//! [`gemm_rows_dispatch`]), with the remainder in 32- (AVX2 only), 16-,
+//! 8- and 4-wide strips. A strip keeps one accumulator per column in
+//! registers while it walks the gathered pairs, and stores its columns
+//! once at the end. The last one to three columns of a row at least 4
+//! wide run in a 4-wide strip that ends at column `n`; rows narrower
+//! than 4 run 1-wide strips. Zeros are common: synthetic images are
+//! about 40 % zeros and ReLU-masked gradients about half, so the skip
+//! saves real work on every path.
 //!
 //! **Accumulation order.** Output element `(i, j)` starts at `+0.0` and
 //! adds `a[i][p] * b[p][j]` in increasing `p` in one accumulator, for
@@ -69,9 +71,12 @@ pub fn matmul_bytes(m: usize, k: usize, n: usize) -> u64 {
 /// Rows `rows` of `A @ b`, where `A[i][p] = a[i * rs + p * cs]` and
 /// `b: [k, n]` is row-major: the one accumulation loop behind every
 /// matmul variant. Each output row gathers its nonzero `(p, A[i][p])`
-/// pairs once, then fills its columns in register strips (see the module
-/// docs for the accumulation order).
-fn gemm_rows(
+/// pairs once, then fills its columns in register strips at most `W`
+/// wide (see the module docs for the accumulation order). `W` is 32 or
+/// 64; it is inlined into each caller so that the strips compile to the
+/// caller's target features.
+#[inline(always)]
+fn gemm_rows<const W: usize>(
     a: &[f32],
     (rs, cs): (usize, usize),
     b: &[f32],
@@ -87,7 +92,7 @@ fn gemm_rows(
     // Fills `$orow[$j..$j + $w]` in `$w` accumulators that each start at
     // `+0.0` and add the first `$nz` gathered pairs in order.
     macro_rules! strip {
-        ($w:literal, $orow:ident, $j:ident, $nz:ident) => {{
+        ($w:expr, $orow:ident, $j:ident, $nz:ident) => {{
             let mut acc = [0.0f32; $w];
             for (&off, &av) in offsets[..$nz].iter().zip(&values[..$nz]) {
                 for (s, &bv) in acc.iter_mut().zip(&b[off + $j..][..$w]) {
@@ -110,7 +115,10 @@ fn gemm_rows(
         }
         let orow = &mut out[row_idx * n..(row_idx + 1) * n];
         let mut j = 0;
-        while j + 32 <= n {
+        while j + W <= n {
+            strip!(W, orow, j, nz);
+        }
+        if W > 32 && j + 32 <= n {
             strip!(32, orow, j, nz);
         }
         if j + 16 <= n {
@@ -135,6 +143,49 @@ fn gemm_rows(
     out
 }
 
+/// [`gemm_rows`] as this CPU runs it fastest: with 64-wide strips in
+/// eight 256-bit accumulators where AVX2 is present, and with the
+/// portable 32-wide strips (eight 128-bit SSE2 accumulators on x86_64)
+/// everywhere else. Under Miri, whose feature detection reports only the
+/// features the target enables at compile time, that is the portable
+/// build. Both builds add the same products in the same order with a
+/// separate multiply and add, so they return the same bits.
+fn gemm_rows_dispatch(
+    a: &[f32],
+    strides: (usize, usize),
+    b: &[f32],
+    rows: Range<usize>,
+    k: usize,
+    n: usize,
+) -> Vec<f32> {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `gemm_rows_avx2` requires only the `avx2` target
+        // feature, and `is_x86_feature_detected!` just found it on the
+        // CPU running this code.
+        #[expect(unsafe_code, reason = "calls the AVX2 build of gemm_rows after detecting AVX2")]
+        return unsafe { gemm_rows_avx2(a, strides, b, rows, k, n) };
+    }
+    gemm_rows::<32>(a, strides, b, rows, k, n)
+}
+
+/// [`gemm_rows`] with 64-wide strips, compiled for AVX2 and nothing
+/// more. The strips keep a separate multiply and add, which round twice
+/// where a fused `mul_add` would round once, so `fma` has nothing to
+/// speed up without changing the bits.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_rows_avx2(
+    a: &[f32],
+    strides: (usize, usize),
+    b: &[f32],
+    rows: Range<usize>,
+    k: usize,
+    n: usize,
+) -> Vec<f32> {
+    gemm_rows::<64>(a, strides, b, rows, k, n)
+}
+
 /// Ticks the product's flops and computes `A @ b` (see [`gemm_rows`]),
 /// row-blocked across the global runtime above [`PAR_WORK_THRESHOLD`].
 fn gemm(a: &[f32], strides: (usize, usize), b: &[f32], m: usize, k: usize, n: usize) -> Tensor {
@@ -142,10 +193,10 @@ fn gemm(a: &[f32], strides: (usize, usize), b: &[f32], m: usize, k: usize, n: us
     let rt = Runtime::global();
     if rt.threads() > 1 && m > 1 && m.saturating_mul(k).saturating_mul(n) >= PAR_WORK_THRESHOLD {
         let chunk = m.div_ceil(KERNEL_CHUNKS).max(1);
-        let blocks = rt.par_chunks(m, chunk, |rows| gemm_rows(a, strides, b, rows, k, n));
+        let blocks = rt.par_chunks(m, chunk, |rows| gemm_rows_dispatch(a, strides, b, rows, k, n));
         return Tensor::from_vec(blocks.concat(), &[m, n]);
     }
-    Tensor::from_vec(gemm_rows(a, strides, b, 0..m, k, n), &[m, n])
+    Tensor::from_vec(gemm_rows_dispatch(a, strides, b, 0..m, k, n), &[m, n])
 }
 
 impl Tensor {
@@ -368,6 +419,36 @@ mod tests {
         [a.matmul(b), a.transpose().matmul_tn(b), a.matmul_nt(&b.transpose())]
     }
 
+    /// The bits of `a @ b` from the portable 32-wide build of
+    /// [`gemm_rows`], called directly, with `a` read row-major (as
+    /// `matmul` and `matmul_nt` read it) and transposed in place (as
+    /// `matmul_tn` reads it). The variants run [`gemm_rows_dispatch`],
+    /// which is the AVX2 build on a host with AVX2, so comparing the two
+    /// checks one build against the other. Under Miri and on hosts
+    /// without AVX2 the dispatched arm is this same portable build
+    /// (std's feature detection under Miri reports only the features
+    /// enabled at compile time).
+    fn portable(a: &Tensor, b: &Tensor) -> [Vec<u32>; 2] {
+        let (m, k, n) = (a.shape()[0], a.shape()[1], b.shape()[1]);
+        let at = a.transpose();
+        [
+            gemm_rows::<32>(a.as_slice(), (k, 1), b.as_slice(), 0..m, k, n),
+            gemm_rows::<32>(at.as_slice(), (1, m), b.as_slice(), 0..m, k, n),
+        ]
+        .map(|v| v.iter().map(|x| x.to_bits()).collect())
+    }
+
+    /// Asserts that every variant through the dispatched kernel, and the
+    /// portable build in both layouts, return the bits `want`.
+    fn assert_bits(a: &Tensor, b: &Tensor, want: &[u32], ctx: &str) {
+        for (v, c) in variants(a, b).iter().enumerate() {
+            assert_eq!(bits(c), want, "dispatched variant {v}, {ctx}");
+        }
+        for (l, p) in portable(a, b).iter().enumerate() {
+            assert_eq!(p, want, "portable layout {l}, {ctx}");
+        }
+    }
+
     /// The bits of `a @ b` as a scalar dot product computes them: one
     /// accumulator per element, from `+0.0`, adding every `p` in order.
     fn reference(a: &Tensor, b: &Tensor) -> Vec<u32> {
@@ -386,16 +467,14 @@ mod tests {
         let _g = global_lock();
         for (m, k, n, seed) in [(1, 1, 1, 1), (5, 9, 3, 2), (16, 128, 784, 3)] {
             let (a, b) = (masked(seed, m, k), masked(seed + 10, k, n));
-            for (v, c) in variants(&a, &b).iter().enumerate() {
-                assert_eq!(bits(c), reference(&a, &b), "variant {v} at {m}x{k}x{n}");
-            }
+            assert_bits(&a, &b, &reference(&a, &b), &format!("{m}x{k}x{n}"));
         }
     }
 
-    /// The output widths the sweeps run: every remainder of the 32-,
-    /// 16-, 8-, 4- and 1-wide strips, and the Dense input width.
+    /// The output widths the sweeps run: every remainder of the 64-,
+    /// 32-, 16-, 8-, 4- and 1-wide strips, and the Dense input width.
     fn widths() -> impl Iterator<Item = usize> {
-        (1..=70).chain([784])
+        (1..=130).chain([784])
     }
 
     #[test]
@@ -413,10 +492,7 @@ mod tests {
             simpadv_runtime::set_global_threads(threads);
             for n in widths() {
                 let b = masked(n as u64, k, n);
-                let want = reference(&a, &b);
-                for (v, c) in variants(&a, &b).iter().enumerate() {
-                    assert_eq!(bits(c), want, "variant {v}, n={n}, threads={threads}");
-                }
+                assert_bits(&a, &b, &reference(&a, &b), &format!("n={n}, threads={threads}"));
             }
         }
         simpadv_runtime::set_global_threads(1);
@@ -436,11 +512,12 @@ mod tests {
                     &Tensor::full(&[1, n], f32::INFINITY),
                     &Tensor::full(&[1, n], f32::NEG_INFINITY),
                 ]);
-                for (v, c) in variants(&a, &b).iter().enumerate() {
-                    let ctx = format!("variant {v}, n={n}, threads={threads}");
-                    assert_eq!(c.rows(0..1).as_slice(), &finite[..], "{ctx}");
-                    assert!(c.rows(1..2).as_slice().iter().all(|x| x.is_nan()), "{ctx}");
-                }
+                let ctx = format!("n={n}, threads={threads}");
+                let [want, _] = portable(&a, &b);
+                let (row0, row1) = want.split_at(n);
+                assert!(row0.iter().zip(&finite).all(|(&w, f)| w == f.to_bits()), "{ctx}");
+                assert!(row1.iter().all(|&w| f32::from_bits(w).is_nan()), "{ctx}");
+                assert_bits(&a, &b, &want, &ctx);
             }
         }
         simpadv_runtime::set_global_threads(1);
@@ -452,12 +529,10 @@ mod tests {
         let _g = global_lock();
         simpadv_runtime::set_global_threads(4);
         let (a, b) = (masked(4, 64, 128), masked(5, 128, 784));
-        let batched = variants(&a, &b);
-        for i in 0..64 {
-            let single = variants(&a.rows(i..i + 1), &b);
-            for (v, (one, all)) in single.iter().zip(&batched).enumerate() {
-                assert_eq!(bits(one), bits(&all.rows(i..i + 1)), "variant {v}, row {i}");
-            }
+        let batched = reference(&a, &b);
+        assert_bits(&a, &b, &batched, "batch of 64");
+        for (i, row) in batched.chunks(784).enumerate() {
+            assert_bits(&a.rows(i..i + 1), &b, row, &format!("row {i}"));
         }
         simpadv_runtime::set_global_threads(1);
     }
@@ -468,13 +543,10 @@ mod tests {
         const { assert!(64 * 128 * 784 >= PAR_WORK_THRESHOLD) };
         let _g = global_lock();
         let (a, b) = (masked(6, 64, 128), masked(7, 128, 784));
-        simpadv_runtime::set_global_threads(1);
-        let serial = variants(&a, &b);
-        for threads in [2, 4] {
+        let want = reference(&a, &b);
+        for threads in [1, 2, 4] {
             simpadv_runtime::set_global_threads(threads);
-            for (v, (par, ser)) in variants(&a, &b).iter().zip(&serial).enumerate() {
-                assert_eq!(bits(par), bits(ser), "variant {v}, threads={threads}");
-            }
+            assert_bits(&a, &b, &want, &format!("threads={threads}"));
         }
         simpadv_runtime::set_global_threads(1);
     }
