@@ -7,6 +7,9 @@
 //! is checked bitwise against offline single-input inference on the same
 //! generation — the serving path must not change a single logit bit.
 //!
+//! A queue-full 503 is no failure, but the server's `rejected` count
+//! must equal the 503s its clients received.
+//!
 //! Emits `BENCH_serve.json` (`simpadv_obs::artifact`, tagged `serve`):
 //! the load scale and per-generation clean-vs-adversarial accuracy
 //! counters as logical rows, throughput and backpressure rejections
@@ -307,7 +310,7 @@ fn main() {
         "serve bench: generation {generation}, {} served / {} rejected, \
          {:.1} rps, p50 {} us, p99 {} us, mean batch {:.2}",
         snapshot.served,
-        snapshot.rejected.max(client_rejected),
+        snapshot.rejected,
         throughput_rps,
         snapshot.latency_us.p50_us,
         snapshot.latency_us.p99_us,
@@ -326,6 +329,13 @@ fn main() {
     }
     if mismatches > 0 {
         eprintln!("{mismatches} responses deviated bitwise from offline inference");
+        std::process::exit(1);
+    }
+    if snapshot.rejected != client_rejected {
+        eprintln!(
+            "the server rejected {} requests, but its clients received {client_rejected} 503s",
+            snapshot.rejected
+        );
         std::process::exit(1);
     }
     if snapshot.served == 0 || answered == 0 {

@@ -1,13 +1,11 @@
 //! Capped exponential backoff with seeded-deterministic jitter.
 //!
-//! Both retry loops in the workspace — the sweep orchestrator's cell
-//! supervision (`crates/sweep`) and the serve client's 503 handling
-//! (`simpadv_serve::client::predict_with_retry`) — share this schedule,
-//! so "how long until the next attempt" is a pure function of
-//! `(policy, seed, retry index)`. That purity is what makes retry
-//! behaviour replayable: a resumed campaign recomputes exactly the
-//! delays the killed one would have used, and property tests can pin
-//! the schedule down bitwise (see `tests/backoff_props.rs`).
+//! The sweep orchestrator's cell supervision (`crates/sweep`) paces its
+//! retries with this schedule, so "how long until the next attempt" is
+//! a pure function of `(policy, seed, retry index)`. That purity is what
+//! makes retry behaviour replayable: a resumed campaign recomputes
+//! exactly the delays the killed one would have used, and property tests
+//! can pin the schedule down bitwise (see `tests/backoff_props.rs`).
 //!
 //! The shape is the classic one: the raw delay doubles per retry, a
 //! jitter fraction drawn from a [`splitmix64`] stream stretches it by at

@@ -1,20 +1,23 @@
 //! Dynamic request batching with backpressure and hot-swap.
 //!
-//! Requests land on a bounded queue. A single dispatcher takes the
-//! oldest one plus whatever else is queued at that moment, up to
-//! `batch_max`, runs ONE batched forward pass over them, and fans the
-//! rows back out to the waiting callers. Dispatch is work-conserving: a
-//! lone request never waits for company, and under load the requests
-//! that queued during one forward form the next batch. The MLP/CNN
-//! forward in eval mode is row-independent, so each row of the batched
-//! logits is bitwise equal to a single-input forward — the determinism
-//! suite asserts this.
+//! Requests land on a bounded queue, and the threads that submit them
+//! run the batches. After queueing its request, [`Engine::submit`]
+//! takes the model lock. If another thread's batch has already answered
+//! the request, it returns that answer; otherwise it takes the oldest
+//! queued requests, up to `batch_max`, runs ONE batched forward pass
+//! over them, and stores each answer in its request's slot before it
+//! releases the lock. Batching is work-conserving: a lone request never
+//! waits for company, and under load the requests that queue during one
+//! forward form the next batch. The MLP/CNN forward in eval mode is
+//! row-independent, so each row of the batched logits is bitwise equal
+//! to a single-input forward — the determinism suite asserts this.
 //!
-//! Hot-swap: the serving `(generation, Classifier)` pair sits behind a
-//! mutex the dispatcher holds for the duration of one batch. A
-//! [`Engine::rescan`] that finds a newer valid generation installs it
-//! under that same mutex, so swaps land exactly on batch boundaries and
-//! in-flight batches always finish on the generation they started on.
+//! Hot-swap: the serving `(generation, Classifier)` pair sits behind that
+//! model lock, held by a batch from taking its requests to storing their
+//! answers. A [`Engine::rescan`] that finds a newer valid generation
+//! installs it under the same lock, so swaps land exactly on batch
+//! boundaries and in-flight batches always finish on the generation they
+//! started on.
 //! Boot and rescans share one scan ([`crate::model::newest_servable`]):
 //! generations that fail to load, decode or restore are skipped (counter
 //! `serve/generation_skipped`, and the engine's `skipped_generations`),
@@ -24,7 +27,8 @@
 //!
 //! Backpressure: when the queue holds `queue_cap` requests,
 //! [`Engine::submit`] fails fast with [`ServeError::Rejected`] — the
-//! caller maps that to HTTP 503. Nothing is dropped silently.
+//! caller maps that to HTTP 503. Nothing is dropped silently: every
+//! queued request is answered, also once [`Engine::shutdown`] has begun.
 
 use crate::error::ServeError;
 use crate::model::newest_servable;
@@ -37,7 +41,7 @@ use simpadv_trace::clock::WallTimer;
 use simpadv_trace::{FieldValue, TraceContext};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Batching and backpressure knobs.
@@ -65,21 +69,23 @@ pub struct SwapReport {
     pub skipped: u64,
 }
 
-/// One response slot a submitting thread parks on.
-struct ResponseSlot {
-    result: Mutex<Option<Result<PredictResponse, ServeError>>>,
-    ready: Condvar,
-}
-
-/// A queued request plus where to deliver its answer.
+/// A queued request plus where its answer goes.
 struct Pending {
     request: PredictRequest,
     timer: WallTimer,
-    slot: std::sync::Arc<ResponseSlot>,
+    /// The batch that runs the request fills this and the request's own
+    /// thread empties it, each under the model lock.
+    slot: Arc<Mutex<Option<PredictResponse>>>,
     /// Caller's trace context (from `X-Simpadv-Traceparent`), carried
     /// through coalescing so the request span opens under the remote
-    /// parent even though a dispatcher thread executes it.
+    /// parent even when another request's thread runs the batch.
     remote: Option<TraceContext>,
+}
+
+impl Pending {
+    fn new(request: PredictRequest) -> Self {
+        Pending { request, timer: WallTimer::start(), slot: Arc::default(), remote: None }
+    }
 }
 
 /// Locks a mutex, recovering from poisoning: what the serve crate locks
@@ -92,14 +98,15 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
-/// The batching inference engine. Shared between the listener threads
-/// (submitting), the dispatcher (coalescing + forward), and the
-/// checkpoint watcher (rescans).
+/// The batching inference engine. Shared between the connection threads
+/// (submitting requests and running batches) and the checkpoint watcher
+/// (rescans).
 pub struct Engine {
     cfg: BatchConfig,
     store: CheckpointStore,
     queue: Mutex<VecDeque<Pending>>,
-    queue_cv: Condvar,
+    /// The serving generation and model. Holding it is the right to run
+    /// a batch, and a swap waits for it.
     model: Mutex<(u64, Classifier)>,
     current_gen: AtomicU64,
     /// Where the next rescan starts: the serving generation, or past it
@@ -136,7 +143,6 @@ impl Engine {
             cfg,
             store,
             queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
             model: Mutex::new((generation, clf)),
             current_gen: AtomicU64::new(generation),
             scan_floor: AtomicU64::new(scan.next_floor),
@@ -180,33 +186,30 @@ impl Engine {
         self.stop.load(Ordering::SeqCst)
     }
 
-    /// Submits one request and blocks until its answer is ready.
+    /// Submits one request and returns its answer. The calling thread
+    /// runs batches itself, each under the model lock, until one of them
+    /// (its own or another thread's) has answered the request.
+    ///
+    /// `remote` is the caller's propagated trace context: the answered
+    /// request's `serve/request` span opens under it instead of the
+    /// server's own span chain, stitching the request into the caller's
+    /// campaign tree.
     ///
     /// # Errors
     ///
     /// [`ServeError::Rejected`] when the queue is at capacity (the
     /// request was NOT enqueued), [`ServeError::BadRequest`] on a wrong
-    /// pixel count, [`ServeError::ShuttingDown`] during drain.
-    pub fn submit(&self, request: PredictRequest) -> Result<PredictResponse, ServeError> {
-        self.submit_traced(request, None)
-    }
-
-    /// [`Engine::submit`] with the caller's propagated trace context
-    /// attached: the answered request's `serve/request` span opens under
-    /// `remote` instead of the server's own span chain, stitching the
-    /// request into the caller's campaign tree.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Engine::submit`].
-    pub fn submit_traced(
+    /// pixel count, [`ServeError::ShuttingDown`] once [`Engine::shutdown`]
+    /// has begun, [`ServeError::BatchPanicked`] when the batch that took
+    /// the request panicked before answering it.
+    pub fn submit(
         &self,
         request: PredictRequest,
         remote: Option<TraceContext>,
     ) -> Result<PredictResponse, ServeError> {
         self.validate(&request)?;
-        let slot =
-            std::sync::Arc::new(ResponseSlot { result: Mutex::new(None), ready: Condvar::new() });
+        let pending = Pending { remote, ..Pending::new(request) };
+        let slot = Arc::clone(&pending.slot);
         {
             let mut q = lock(&self.queue);
             if self.stopping() {
@@ -215,26 +218,25 @@ impl Engine {
             if q.len() >= self.cfg.queue_cap {
                 drop(q);
                 self.stats.record_rejected();
-                self.notify_progress();
                 return Err(ServeError::Rejected { capacity: self.cfg.queue_cap });
             }
-            q.push_back(Pending {
-                request,
-                timer: WallTimer::start(),
-                slot: std::sync::Arc::clone(&slot),
-                remote,
-            });
+            q.push_back(pending);
         }
-        self.queue_cv.notify_all();
-        let mut result = lock(&slot.result);
         loop {
-            if let Some(outcome) = result.take() {
-                return outcome;
+            let mut model = lock(&self.model);
+            if let Some(answer) = lock(&slot).take() {
+                return Ok(answer);
             }
-            result = match slot.ready.wait(result) {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            // A batch stores its answers before it releases the lock, so
+            // a request unanswered with nothing left queued was taken by
+            // a batch that panicked.
+            let batch = self.coalesce();
+            if batch.is_empty() {
+                return Err(ServeError::BatchPanicked);
+            }
+            for (pending, answer) in batch.iter().zip(self.forward_batch(&mut model, &batch)) {
+                *lock(&pending.slot) = Some(answer);
+            }
         }
     }
 
@@ -243,7 +245,7 @@ impl Engine {
     /// drive the exact batch path without timing.
     ///
     /// Requests are processed in order, `batch_max` at a time, emitting
-    /// the same trace events and stats the dispatcher would.
+    /// the same trace events and stats a submitted batch would.
     ///
     /// # Errors
     ///
@@ -258,42 +260,15 @@ impl Engine {
         }
         let mut out = Vec::with_capacity(requests.len());
         for chunk in requests.chunks(self.cfg.batch_max.max(1)) {
-            let timers: Vec<WallTimer> = chunk.iter().map(|_| WallTimer::start()).collect();
-            let remotes = vec![None; chunk.len()];
-            out.extend(self.forward_batch(chunk, &timers, &remotes));
+            let batch: Vec<Pending> = chunk.iter().cloned().map(Pending::new).collect();
+            out.extend(self.forward_batch(&mut lock(&self.model), &batch));
         }
         Ok(out)
     }
 
-    /// The dispatcher loop: coalesce, forward, deliver. Returns once
-    /// [`Engine::shutdown`] has been called and the queue is drained.
-    pub fn run_dispatch(&self) {
-        loop {
-            let first = {
-                let mut q = lock(&self.queue);
-                loop {
-                    if let Some(p) = q.pop_front() {
-                        break p;
-                    }
-                    if self.stopping() {
-                        return;
-                    }
-                    q = match self.queue_cv.wait(q) {
-                        Ok(g) => g,
-                        Err(poisoned) => poisoned.into_inner(),
-                    };
-                }
-            };
-            let batch = self.coalesce(first);
-            self.dispatch(batch);
-            self.notify_progress();
-        }
-    }
-
-    /// Blocks until `target` requests have been answered (used by the
-    /// CLI's `--requests` exit condition and by tests). Progress is
-    /// signalled by the dispatcher; the periodic timeout guards against
-    /// a missed wakeup.
+    /// Blocks until `target` requests have been answered or shutdown
+    /// begins (the CLI's `--requests` exit condition). It reads the
+    /// served count every 50 ms; [`Engine::shutdown`] wakes it at once.
     pub fn wait_served(&self, target: u64) {
         let mut guard = lock(&self.progress);
         while self.stats.served() < target && !self.stopping() {
@@ -304,19 +279,12 @@ impl Engine {
         }
     }
 
-    /// Initiates shutdown: new submissions fail, the dispatcher drains
-    /// the queue and exits, waiters are woken.
+    /// Initiates shutdown: new submissions fail and waiters are woken.
+    /// Requests already queued are still run by their own threads.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        self.queue_cv.notify_all();
-        self.notify_progress();
-        // Fail any requests still queued after the dispatcher exits;
-        // run_dispatch drains before honoring stop, so this only fires
-        // for submissions that raced the flag.
-        let drained: Vec<Pending> = lock(&self.queue).drain(..).collect();
-        for pending in drained {
-            deliver(&pending.slot, Err(ServeError::ShuttingDown));
-        }
+        drop(lock(&self.progress));
+        self.progress_cv.notify_all();
     }
 
     /// Rescans the checkpoint store for generations newer than the one
@@ -361,65 +329,39 @@ impl Engine {
         Ok(())
     }
 
-    /// Joins whatever is queued behind `first`, oldest first, up to
-    /// `batch_max` in all, without waiting for more to arrive.
-    fn coalesce(&self, first: Pending) -> Vec<Pending> {
+    /// Takes the oldest queued requests, up to `batch_max`, without
+    /// waiting for more to arrive.
+    fn coalesce(&self) -> Vec<Pending> {
         let mut q = lock(&self.queue);
-        let more = q.len().min(self.cfg.batch_max.saturating_sub(1));
-        let mut batch = Vec::with_capacity(1 + more);
-        batch.push(first);
-        batch.extend(q.drain(..more));
-        batch
+        let n = q.len().min(self.cfg.batch_max.max(1));
+        q.drain(..n).collect()
     }
 
-    /// Runs one coalesced batch and delivers every answer. The requests
-    /// move out of their entries: their pixels are copied once, into the
-    /// batch tensor.
-    fn dispatch(&self, batch: Vec<Pending>) {
-        let n = batch.len();
-        let mut requests = Vec::with_capacity(n);
-        let mut timers = Vec::with_capacity(n);
-        let mut remotes = Vec::with_capacity(n);
-        let mut slots = Vec::with_capacity(n);
-        for pending in batch {
-            requests.push(pending.request);
-            timers.push(pending.timer);
-            remotes.push(pending.remote);
-            slots.push(pending.slot);
-        }
-        let responses = self.forward_batch(&requests, &timers, &remotes);
-        for (slot, response) in slots.iter().zip(responses) {
-            deliver(slot, Ok(response));
-        }
-    }
-
-    /// One batched forward pass plus per-request accounting. The model
-    /// mutex is held across the forward, so a concurrent rescan can only
-    /// install a new generation between batches.
+    /// One batched forward pass plus per-request accounting, on a model
+    /// whose lock the caller holds, so a concurrent rescan can only
+    /// install a new generation between batches. The requests' pixels
+    /// are copied once, into the batch tensor.
     fn forward_batch(
         &self,
-        requests: &[PredictRequest],
-        timers: &[WallTimer],
-        remotes: &[Option<TraceContext>],
+        model: &mut (u64, Classifier),
+        batch: &[Pending],
     ) -> Vec<PredictResponse> {
-        let n = requests.len();
+        let n = batch.len();
         let mut pixels = Vec::with_capacity(n * self.input_len);
-        for request in requests {
-            pixels.extend_from_slice(&request.pixels);
+        for pending in batch {
+            pixels.extend_from_slice(&pending.request.pixels);
         }
         let x = Tensor::from_vec(pixels, &[n, self.input_len]);
-        let mut model = lock(&self.model);
-        let (generation, clf) = &mut *model;
+        let (generation, clf) = model;
         let generation = *generation;
         let span = simpadv_trace::span!("serve/batch", generation = generation, size = n as u64);
         let logits = clf.logits(&x);
         drop(span);
-        drop(model);
         let predictions = logits.argmax_rows();
         self.stats.record_batch(n);
         simpadv_trace::observe("serve/batch_occupancy", n as f64);
         let mut out = Vec::with_capacity(n);
-        for (i, request) in requests.iter().enumerate() {
+        for (i, Pending { request, timer, remote, .. }) in batch.iter().enumerate() {
             let prediction = predictions[i];
             let row = logits.row(i).into_vec();
             let correct = request.label.map(|l| l == prediction);
@@ -433,7 +375,7 @@ impl Engine {
                     ("adversarial".to_string(), FieldValue::Bool(request.adversarial)),
                     ("prediction".to_string(), FieldValue::U64(prediction as u64)),
                 ],
-                remotes.get(i).copied().flatten(),
+                *remote,
             );
             drop(request_span);
             let mut fields: Vec<(&str, FieldValue)> = vec![
@@ -452,25 +394,12 @@ impl Engine {
                 request.adversarial,
                 request.label,
                 prediction,
-                timers[i].elapsed_us(),
+                timer.elapsed_us(),
             );
             out.push(PredictResponse { prediction, logits: row, generation });
         }
         out
     }
-
-    fn notify_progress(&self) {
-        drop(lock(&self.progress));
-        self.progress_cv.notify_all();
-    }
-}
-
-/// Places an outcome in a slot and wakes its waiter.
-fn deliver(slot: &ResponseSlot, outcome: Result<PredictResponse, ServeError>) {
-    let mut result = lock(&slot.result);
-    *result = Some(outcome);
-    drop(result);
-    slot.ready.notify_all();
 }
 
 #[cfg(test)]
@@ -478,6 +407,7 @@ mod tests {
     use super::*;
     use crate::model::ServedModel;
     use simpadv::ModelSpec;
+    use simpadv_runtime::Runtime;
 
     fn temp_store(tag: &str) -> CheckpointStore {
         let dir = std::env::temp_dir().join(format!("simpadv-serve-batcher-{tag}"));
@@ -500,19 +430,48 @@ mod tests {
 
     /// A queued request numbered by its label.
     fn pending(n: usize) -> Pending {
-        Pending {
-            request: PredictRequest { pixels: Vec::new(), label: Some(n), adversarial: false },
-            timer: WallTimer::start(),
-            slot: std::sync::Arc::new(ResponseSlot {
-                result: Mutex::new(None),
-                ready: Condvar::new(),
-            }),
-            remote: None,
-        }
+        Pending::new(PredictRequest { pixels: Vec::new(), label: Some(n), adversarial: false })
     }
 
     fn numbers<'a>(batch: impl IntoIterator<Item = &'a Pending>) -> Vec<usize> {
         batch.into_iter().map(|p| p.request.label.unwrap()).collect()
+    }
+
+    fn bits(logits: &[f32]) -> Vec<u32> {
+        logits.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Submits each of `requests` from a runtime task of its own while
+    /// this test holds the model lock, so all of them queue and none can
+    /// run. Once every one is queued, `held` runs, still under the lock;
+    /// then the lock is released. Returns the submissions' outcomes, in
+    /// request order, and what `held` returned.
+    fn submit_behind_held_model<T: Send>(
+        engine: &Engine,
+        requests: &[PredictRequest],
+        held: impl FnOnce() -> T + Send,
+    ) -> (Vec<Result<PredictResponse, ServeError>>, T) {
+        let locked = AtomicBool::new(false);
+        Runtime::new(2).par_join(
+            || {
+                while !locked.load(Ordering::SeqCst) {
+                    std::hint::spin_loop();
+                }
+                // One worker per request: each blocks in its submission.
+                Runtime::new(requests.len())
+                    .par_map(requests, |request| engine.submit(request.clone(), None))
+            },
+            || {
+                let model = lock(&engine.model);
+                locked.store(true, Ordering::SeqCst);
+                while lock(&engine.queue).len() < requests.len() {
+                    std::hint::spin_loop();
+                }
+                let out = held();
+                drop(model);
+                out
+            },
+        )
     }
 
     #[test]
@@ -521,16 +480,86 @@ mod tests {
         publish_tiny(&store, 6);
         let engine = Engine::new(store, BatchConfig { batch_max: 4, queue_cap: 16 }).unwrap();
         // Nothing else queues or signals here, so a wait for company would
-        // never end: the first request has to go alone, at once.
-        assert_eq!(numbers(&engine.coalesce(pending(0))), [0]);
-        for k in 1..=6 {
-            lock(&engine.queue).extend((1..=k).map(pending));
-            let taken = (k + 1).min(4);
-            assert_eq!(numbers(&engine.coalesce(pending(0))), (0..taken).collect::<Vec<_>>());
+        // never end: an empty queue gives an empty batch, at once.
+        assert!(engine.coalesce().is_empty());
+        for k in 1..=7 {
+            lock(&engine.queue).extend((0..k).map(pending));
+            let taken = k.min(4);
+            assert_eq!(numbers(&engine.coalesce()), (0..taken).collect::<Vec<_>>());
             // The rest stay queued, in arrival order.
             let left: Vec<Pending> = lock(&engine.queue).drain(..).collect();
-            assert_eq!(numbers(&left), (taken..=k).collect::<Vec<_>>(), "{k} queued");
+            assert_eq!(numbers(&left), (taken..k).collect::<Vec<_>>(), "{k} queued");
         }
+    }
+
+    #[test]
+    fn a_full_queue_rejects_the_next_request_at_once() {
+        let store = temp_store("full");
+        publish_tiny(&store, 7);
+        let engine = Engine::new(store, BatchConfig { batch_max: 4, queue_cap: 4 }).unwrap();
+        let requests: Vec<PredictRequest> = (0..4).map(clean_request).collect();
+        let (answers, (rejection, stats)) = submit_behind_held_model(&engine, &requests, || {
+            (engine.submit(clean_request(4), None), engine.stats())
+        });
+        assert!(matches!(rejection, Err(ServeError::Rejected { capacity: 4 })), "{rejection:?}");
+        assert_eq!((stats.rejected, stats.served), (1, 0));
+        assert!(answers.iter().all(Result::is_ok), "{answers:?}");
+        assert_eq!(engine.stats().served, 4);
+    }
+
+    #[test]
+    fn queued_requests_are_answered_bitwise_in_full_batches() {
+        let store = temp_store("queued");
+        publish_tiny(&store, 8);
+        let (batch_max, queue_cap) = (2, 5);
+        let engine = Engine::new(store, BatchConfig { batch_max, queue_cap }).unwrap();
+        let requests: Vec<PredictRequest> = (0..5).map(clean_request).collect();
+        let (answers, ()) = submit_behind_held_model(&engine, &requests, || ());
+        // Nothing new arrives once the lock is free, so every batch but
+        // the last takes `batch_max` requests, whichever thread runs it.
+        let stats = engine.stats();
+        assert_eq!(stats.served, 5);
+        assert_eq!(stats.batch_occupancy.batches, queue_cap.div_ceil(batch_max) as u64);
+        for (i, (answer, request)) in answers.into_iter().zip(&requests).enumerate() {
+            let answer = answer.unwrap();
+            let single = engine.infer_batch(std::slice::from_ref(request)).unwrap().remove(0);
+            assert_eq!(
+                (answer.prediction, answer.generation),
+                (single.prediction, single.generation)
+            );
+            assert_eq!(bits(&answer.logits), bits(&single.logits), "request {i}");
+        }
+    }
+
+    #[test]
+    fn requests_queued_at_shutdown_are_answered() {
+        let store = temp_store("shutdown");
+        publish_tiny(&store, 9);
+        let engine = Engine::new(store, BatchConfig { batch_max: 2, queue_cap: 3 }).unwrap();
+        let requests: Vec<PredictRequest> = (0..3).map(clean_request).collect();
+        let (answers, late) = submit_behind_held_model(&engine, &requests, || {
+            engine.shutdown();
+            engine.submit(clean_request(3), None)
+        });
+        assert!(matches!(late, Err(ServeError::ShuttingDown)), "{late:?}");
+        assert!(answers.iter().all(Result::is_ok), "{answers:?}");
+        assert_eq!(engine.stats().served, 3);
+    }
+
+    #[test]
+    fn a_request_whose_batch_panicked_gets_an_error_not_a_hang() {
+        let store = temp_store("lost");
+        publish_tiny(&store, 10);
+        let engine = Engine::new(store, BatchConfig { batch_max: 4, queue_cap: 4 }).unwrap();
+        let requests: Vec<PredictRequest> = (0..2).map(clean_request).collect();
+        // What a batch that panics leaves behind: its requests taken off
+        // the queue, their answers never stored.
+        let (answers, ()) =
+            submit_behind_held_model(&engine, &requests, || drop(engine.coalesce()));
+        for answer in answers {
+            assert!(matches!(answer, Err(ServeError::BatchPanicked)), "{answer:?}");
+        }
+        assert_eq!(engine.stats().served, 0);
     }
 
     #[test]

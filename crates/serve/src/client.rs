@@ -17,7 +17,9 @@
 //! it sat idle. So a request on a reused connection that fails before
 //! the first byte of an answer (the write fails, or the read meets
 //! end-of-stream or an error) is sent once more, on a new connection.
-//! Nothing else is resent.
+//! Nothing else is resent: a 503 comes back as
+//! [`PredictOutcome::Rejected`], and the caller decides what to do with
+//! it (the load generator and perfbench count them).
 
 use crate::batcher::SwapReport;
 use crate::error::ServeError;
@@ -26,7 +28,6 @@ use crate::protocol::{
     RejectBody,
 };
 use crate::stats::StatsSnapshot;
-use simpadv_resilience::BackoffPolicy;
 use simpadv_trace::clock::WallTimer;
 use std::cell::RefCell;
 use std::io::{BufRead, BufReader};
@@ -39,79 +40,6 @@ pub enum PredictOutcome {
     Predicted(PredictResponse),
     /// The request was shed by backpressure (HTTP 503).
     Rejected(RejectBody),
-}
-
-/// How [`predict_with_retry`] paces itself between 503 rejections.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Total attempts (the first try plus retries) before giving up.
-    pub max_attempts: u32,
-    /// Capped exponential backoff with deterministic seeded jitter
-    /// (the workspace-shared [`BackoffPolicy`]).
-    pub backoff: BackoffPolicy,
-    /// Jitter seed; give each client its own so a rejected cohort does
-    /// not retry in lockstep, while any one client's schedule stays
-    /// reproducible.
-    pub seed: u64,
-    /// Estimated per-request service time. Multiplied by the reject
-    /// body's `queue_capacity` hint it approximates a full-queue drain
-    /// time, which floors the wait (see [`retry_delay_us`]).
-    pub slot_us: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_attempts: 5, backoff: BackoffPolicy::default(), seed: 0, slot_us: 500 }
-    }
-}
-
-/// The wait before 0-based retry `retry`: the seeded backoff delay,
-/// floored by the server's sizing hint — a 503's `queue_capacity` times
-/// [`RetryPolicy::slot_us`] approximates how long the server needs to
-/// drain a full queue, so retrying sooner than that mostly buys another
-/// rejection. The hint is clamped to the backoff cap so the schedule
-/// stays bounded whatever the server claims.
-pub fn retry_delay_us(policy: &RetryPolicy, reject: &RejectBody, retry: u32) -> u64 {
-    let backoff = policy.backoff.delay_us(policy.seed, retry);
-    let hint = reject.queue_capacity.saturating_mul(policy.slot_us).min(policy.backoff.cap_us);
-    backoff.max(hint)
-}
-
-/// Submits one inference request, retrying bounded-many times with
-/// backoff when the server sheds it with a 503.
-///
-/// Only backpressure rejections are retried: connection and protocol
-/// failures surface immediately, because they are not the transient
-/// signal the reject body explicitly encodes.
-///
-/// # Errors
-///
-/// [`ServeError::Rejected`] when every attempt was shed (carrying the
-/// last hinted queue capacity); any non-503 failure is propagated
-/// unchanged from [`predict`].
-#[expect(
-    clippy::disallowed_methods,
-    reason = "client-side retry backoff sleeps on the current thread; no parallelism involved"
-)]
-pub fn predict_with_retry(
-    addr: &str,
-    request: &PredictRequest,
-    policy: &RetryPolicy,
-) -> Result<PredictResponse, ServeError> {
-    let mut attempt = 0u32;
-    loop {
-        match predict(addr, request)? {
-            PredictOutcome::Predicted(response) => return Ok(response),
-            PredictOutcome::Rejected(reject) => {
-                attempt += 1;
-                if attempt >= policy.max_attempts.max(1) {
-                    return Err(ServeError::Rejected { capacity: reject.queue_capacity as usize });
-                }
-                let delay_us = retry_delay_us(policy, &reject, attempt - 1);
-                std::thread::sleep(std::time::Duration::from_micros(delay_us));
-            }
-        }
-    }
 }
 
 /// Submits one inference request.
@@ -317,63 +245,5 @@ fn status_error(status: u16, response: &HttpResponse) -> ServeError {
     match status {
         400 => ServeError::BadRequest(detail),
         _ => ServeError::Io(format!("unexpected status {status}: {detail}")),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn reject(capacity: u64) -> RejectBody {
-        RejectBody { error: "queue_full".into(), queue_capacity: capacity }
-    }
-
-    #[test]
-    fn retry_delays_are_deterministic_and_capped() {
-        let policy = RetryPolicy {
-            max_attempts: 6,
-            backoff: BackoffPolicy::new(1_000, 64_000),
-            seed: 7,
-            slot_us: 100,
-        };
-        let a: Vec<u64> = (0..8).map(|r| retry_delay_us(&policy, &reject(4), r)).collect();
-        let b: Vec<u64> = (0..8).map(|r| retry_delay_us(&policy, &reject(4), r)).collect();
-        assert_eq!(a, b, "same policy and seed, same schedule");
-        assert!(a.iter().all(|d| *d <= 64_000), "cap bounds every delay: {a:?}");
-        assert!(a[0] >= 1_000, "never below the base");
-        for w in a.windows(2) {
-            assert!(w[1] >= w[0], "monotone: {a:?}");
-        }
-    }
-
-    #[test]
-    fn queue_capacity_hint_floors_the_early_delays() {
-        let policy = RetryPolicy {
-            max_attempts: 4,
-            backoff: BackoffPolicy::new(100, 1_000_000).with_jitter_permille(0),
-            seed: 0,
-            slot_us: 1_000,
-        };
-        // a 64-deep queue hints a 64ms drain, dominating the 100us backoff
-        assert_eq!(retry_delay_us(&policy, &reject(64), 0), 64_000);
-        // no hint: pure backoff
-        assert_eq!(retry_delay_us(&policy, &reject(0), 0), 100);
-        // the hint is clamped to the cap, whatever the server claims
-        assert_eq!(retry_delay_us(&policy, &reject(u64::MAX), 0), 1_000_000);
-        // once the exponential outgrows the hint, backoff wins again
-        assert!(retry_delay_us(&policy, &reject(64), 12) > 64_000);
-    }
-
-    #[test]
-    fn different_seeds_decorrelate_retry_storms() {
-        let policy = |seed| RetryPolicy {
-            max_attempts: 3,
-            backoff: BackoffPolicy::new(10_000, 10_000_000),
-            seed,
-            slot_us: 0,
-        };
-        let a: Vec<u64> = (0..6).map(|r| retry_delay_us(&policy(1), &reject(0), r)).collect();
-        let b: Vec<u64> = (0..6).map(|r| retry_delay_us(&policy(2), &reject(0), r)).collect();
-        assert_ne!(a, b, "clients with different seeds must not retry in lockstep");
     }
 }

@@ -29,6 +29,8 @@ pub enum ServeError {
     ShuttingDown,
     /// No valid model generation exists in the watched store.
     NoModel(String),
+    /// The batch that took the request panicked before answering it.
+    BatchPanicked,
 }
 
 impl fmt::Display for ServeError {
@@ -42,6 +44,7 @@ impl fmt::Display for ServeError {
             ServeError::Io(detail) => write!(f, "io error: {detail}"),
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
             ServeError::NoModel(detail) => write!(f, "no servable model: {detail}"),
+            ServeError::BatchPanicked => write!(f, "the batch running this request panicked"),
         }
     }
 }

@@ -6,17 +6,19 @@
 //! dependencies) with four production-shaped behaviors layered on the
 //! existing subsystems:
 //!
-//! * **Dynamic batching** ([`batcher`]) — the dispatcher takes every
-//!   request queued when it comes free, up to `batch_max`, and runs them
-//!   as ONE forward pass; a lone request never waits for company.
-//!   Eval-mode forwards are row-independent, so the batched rows are
-//!   bitwise identical to single-input inference (the determinism suite
-//!   asserts it).
+//! * **Dynamic batching** ([`batcher`]) — a request's own connection
+//!   thread takes the model lock and runs every request queued at that
+//!   moment, up to `batch_max`, as ONE forward pass, unless another
+//!   thread's batch has already answered it; a lone request never waits
+//!   for company. Eval-mode forwards are row-independent, so the batched
+//!   rows are bitwise identical to single-input inference (the
+//!   determinism suite asserts it).
 //! * **Kept-alive connections** ([`server`], [`client`]) — a client
 //!   thread keeps one connection open, each message goes out in one
 //!   write, and shutdown closes every connection it accepted.
 //! * **Backpressure** — a full queue rejects loudly (HTTP 503 with a
-//!   typed body), never silently drops.
+//!   typed body), never silently drops; a queued request is answered,
+//!   also during shutdown.
 //! * **Hot-swap** — the server watches a
 //!   [`simpadv_resilience::CheckpointStore`] directory and atomically
 //!   installs newer generations at batch boundaries; generations that

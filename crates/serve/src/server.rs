@@ -2,11 +2,12 @@
 //!
 //! This file is the only place in the workspace that spawns raw
 //! `std::thread`s outside `crates/runtime` (each site carries an
-//! `#[expect(clippy::disallowed_methods)]`): the dispatcher, the accept
-//! loop, per-connection handlers, and the optional checkpoint watcher
-//! are all I/O-bound coordination threads, not data parallelism — the
-//! batched forward itself still runs through the deterministic runtime
-//! pool via the tensor kernels.
+//! `#[expect(clippy::disallowed_methods)]`): the accept loop, one handler
+//! per connection, and the optional checkpoint watcher are all I/O-bound
+//! coordination threads, not data parallelism. A handler runs its own
+//! `/predict` batches ([`Engine::submit`]), and the batched forward itself
+//! still runs through the deterministic runtime pool via the tensor
+//! kernels.
 //!
 //! Connections are kept alive: a handler answers requests in order until
 //! the peer closes, and [`Server::shutdown`] half-closes every open
@@ -75,13 +76,13 @@ pub struct Server {
     connections: Arc<Connections>,
     /// The accept loop; it returns the handler threads still running.
     acceptor: JoinHandle<Vec<JoinHandle<()>>>,
-    /// The dispatcher and, when configured, the checkpoint watcher.
-    threads: Vec<JoinHandle<()>>,
+    /// The checkpoint watcher, when configured.
+    watcher: Option<JoinHandle<()>>,
 }
 
 impl Server {
     /// Binds the listener, loads the newest servable generation, and
-    /// starts the dispatcher (plus the watcher when configured).
+    /// starts the accept loop (plus the watcher when configured).
     ///
     /// # Errors
     ///
@@ -94,23 +95,17 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)
             .map_err(|e| ServeError::Io(format!("bind {}: {e}", cfg.addr)))?;
         let addr = listener.local_addr().map_err(|e| ServeError::Io(format!("local_addr: {e}")))?;
-        let mut threads = Vec::new();
-
-        let dispatch_engine = Arc::clone(&engine);
-        threads.push(std::thread::spawn(move || dispatch_engine.run_dispatch()));
-
         let connections = Arc::new(Connections::default());
         let (accept_engine, accept_connections) = (Arc::clone(&engine), Arc::clone(&connections));
         let acceptor =
             std::thread::spawn(move || accept_loop(&listener, &accept_engine, &accept_connections));
 
-        if cfg.watch_interval_us > 0 {
-            let watch_engine = Arc::clone(&engine);
-            let interval = cfg.watch_interval_us;
-            threads.push(std::thread::spawn(move || watch_loop(&watch_engine, interval)));
-        }
+        let watcher = (cfg.watch_interval_us > 0).then(|| {
+            let (watch_engine, interval) = (Arc::clone(&engine), cfg.watch_interval_us);
+            std::thread::spawn(move || watch_loop(&watch_engine, interval))
+        });
 
-        Ok(Server { engine, addr, connections, acceptor, threads })
+        Ok(Server { engine, addr, connections, acceptor, watcher })
     }
 
     /// The bound address, e.g. `127.0.0.1:41347`.
@@ -142,8 +137,9 @@ impl Server {
         self.engine.wait_served(target);
     }
 
-    /// Drains the queue, closes every connection, stops every background
-    /// thread, and returns the final statistics snapshot.
+    /// Stops taking requests, closes every connection once its handler
+    /// has answered what it read, stops every background thread, and
+    /// returns the final statistics snapshot.
     pub fn shutdown(self) -> StatsSnapshot {
         self.engine.shutdown();
         // The accept loop blocks in accept(); a throwaway connection
@@ -156,7 +152,7 @@ impl Server {
         for stream in lock(&self.connections).values() {
             let _ = stream.shutdown(Shutdown::Read);
         }
-        for handle in handlers.into_iter().chain(self.threads) {
+        for handle in handlers.into_iter().chain(self.watcher) {
             let _ = handle.join();
         }
         self.engine.stats()
@@ -253,8 +249,8 @@ fn respond(writer: &mut TcpStream, engine: &Arc<Engine>, request: &HttpRequest) 
             // part of the request contract.
             let remote =
                 request.traceparent.as_deref().and_then(simpadv_trace::TraceContext::parse);
-            let answer = PredictRequest::from_body(&request.body)
-                .and_then(|req| engine.submit_traced(req, remote));
+            let answer =
+                PredictRequest::from_body(&request.body).and_then(|req| engine.submit(req, remote));
             match answer {
                 Ok(resp) => send_json(writer, 200, "OK", &resp),
                 Err(ServeError::Rejected { capacity }) => {

@@ -119,7 +119,7 @@ impl StatsRegistry {
 
     /// Takes a consistent snapshot with derived percentiles. The latency
     /// window is copied under the lock and sorted after it is released,
-    /// so a scrape stalls the dispatcher for a copy, not a sort.
+    /// so a scrape holds up a batch runner for a copy, not a sort.
     pub fn snapshot(&self) -> StatsSnapshot {
         let inner = lock(&self.inner);
         let mut generations: Vec<GenerationClassStats> = Vec::new();

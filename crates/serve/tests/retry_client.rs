@@ -1,22 +1,22 @@
-//! `predict_with_retry` against a stub endpoint with scripted
-//! backpressure: the listener sheds the first N attempts with a 503
-//! carrying the queue-capacity hint, then answers. This pins the whole
-//! loop — bounded attempts, hint-floored backoff, typed exhaustion —
-//! without depending on racing a real queue full.
+//! `client::predict` against a stub endpoint that closes every connection
+//! after one answer. A thread's next call finds its kept-alive
+//! connection dead before any answer arrives, so the client's resend
+//! rule (DESIGN.md §11) has to carry each call to a new connection. The
+//! stub can also shed requests with a 503 carrying the queue-capacity
+//! hint, which must come back as a typed rejection.
 
 #![expect(clippy::disallowed_types, reason = "a stub listener stands in for the server")]
 
-use simpadv_resilience::BackoffPolicy;
-use simpadv_serve::client::{predict_with_retry, RetryPolicy};
+use simpadv_serve::client::{predict, PredictOutcome};
 use simpadv_serve::protocol::{
     read_request, write_response, PredictRequest, PredictResponse, RejectBody,
 };
-use simpadv_serve::ServeError;
 use std::io::BufReader;
 use std::net::TcpListener;
 
-/// Serves exactly `connections` requests on an ephemeral port: 503 for
-/// the first `shed` of them, 200 afterwards. Returns the bound address.
+/// Serves exactly `connections` requests on an ephemeral port, one per
+/// connection, closing each connection after its answer: 503 for the
+/// first `shed` of them, 200 afterwards. Returns the bound address.
 #[expect(
     clippy::disallowed_methods,
     reason = "scripted stub listener runs on a test thread while the client under test blocks"
@@ -55,35 +55,32 @@ fn request() -> PredictRequest {
     PredictRequest { pixels: vec![0.5; 4], label: Some(3), adversarial: false }
 }
 
-/// Fast test policy: microsecond-scale backoff, tiny slot estimate.
-fn quick_policy(max_attempts: u32) -> RetryPolicy {
-    RetryPolicy { max_attempts, backoff: BackoffPolicy::new(200, 5_000), seed: 42, slot_us: 10 }
-}
-
 #[test]
-fn rejected_attempts_are_retried_until_the_server_answers() {
-    let (addr, server) = scripted_server(2, 3);
-    let response = predict_with_retry(&addr, &request(), &quick_policy(5)).unwrap();
-    assert_eq!(response.prediction, 3);
-    assert_eq!(response.generation, 1);
-    server.join().unwrap();
-}
-
-#[test]
-fn exhausted_attempts_surface_the_typed_rejection() {
-    let (addr, server) = scripted_server(3, 3);
-    let err = predict_with_retry(&addr, &request(), &quick_policy(3)).unwrap_err();
-    match err {
-        ServeError::Rejected { capacity } => assert_eq!(capacity, 8, "hint is carried through"),
-        other => panic!("expected Rejected, got {other}"),
+fn calls_on_a_connection_the_server_closed_are_resent_on_a_new_one() {
+    let (addr, server) = scripted_server(0, 3);
+    for call in 0..3 {
+        match predict(&addr, &request()).unwrap() {
+            PredictOutcome::Predicted(response) => {
+                assert_eq!((response.prediction, response.generation), (3, 1), "call {call}");
+                assert_eq!(response.logits.len(), 4);
+            }
+            PredictOutcome::Rejected(reject) => panic!("call {call} was shed: {reject:?}"),
+        }
     }
     server.join().unwrap();
 }
 
 #[test]
-fn an_immediately_healthy_server_needs_exactly_one_attempt() {
-    let (addr, server) = scripted_server(0, 1);
-    let response = predict_with_retry(&addr, &request(), &quick_policy(1)).unwrap();
-    assert_eq!(response.logits.len(), 4);
+fn a_shed_request_comes_back_as_a_typed_rejection() {
+    let (addr, server) = scripted_server(1, 2);
+    match predict(&addr, &request()).unwrap() {
+        PredictOutcome::Rejected(reject) => {
+            assert_eq!(reject.error, "queue_full");
+            assert_eq!(reject.queue_capacity, 8, "the hint is carried through");
+        }
+        PredictOutcome::Predicted(response) => panic!("expected a rejection, got {response:?}"),
+    }
+    // The rejection did not retry; the next call is answered.
+    assert!(matches!(predict(&addr, &request()).unwrap(), PredictOutcome::Predicted(_)));
     server.join().unwrap();
 }

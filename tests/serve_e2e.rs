@@ -7,7 +7,9 @@
 //!    inference on the generation that answered it;
 //! 2. the hot swap happens without a single rejected in-flight request;
 //! 3. the per-generation clean/adversarial accuracy counters in the
-//!    trace match an offline evaluation of the same inputs;
+//!    trace match an offline evaluation of the same inputs, and the
+//!    `serve/batch` spans the connection threads close cover every
+//!    request served;
 //! 4. the benchmark artifact records latency percentiles with all
 //!    wall-clock numbers outside its logical rows.
 //!
@@ -24,7 +26,7 @@ use simpadv_serve::{
     client, BatchConfig, PredictRequest, PredictResponse, ServeConfig, ServedModel, Server,
 };
 use simpadv_trace::clock::WallTimer;
-use simpadv_trace::FieldValue;
+use simpadv_trace::{Event, EventKind, FieldValue};
 use std::collections::BTreeMap;
 
 const SAMPLES: usize = 12;
@@ -180,16 +182,18 @@ fn hot_swap_under_concurrent_adversarial_traffic() {
             cell.1 += 1;
         }
     }
+    let events = handle.take();
+    let field = |event: &Event, name: &str| {
+        event.fields.iter().find(|(k, _)| k == name).map(|(_, v)| v.clone())
+    };
     let mut traced: BTreeMap<(u64, bool), (u64, u64)> = BTreeMap::new();
-    for event in handle.take() {
+    for event in &events {
         if event.path != "serve/served" && event.path != "serve/correct" {
             continue;
         }
-        let field =
-            |name: &str| event.fields.iter().find(|(k, _)| k == name).map(|(_, v)| v.clone());
-        let Some(FieldValue::U64(generation)) = field("generation") else { continue };
-        let Some(FieldValue::Bool(adversarial)) = field("adversarial") else { continue };
-        let Some(FieldValue::U64(value)) = field("value") else { continue };
+        let Some(FieldValue::U64(generation)) = field(event, "generation") else { continue };
+        let Some(FieldValue::Bool(adversarial)) = field(event, "adversarial") else { continue };
+        let Some(FieldValue::U64(value)) = field(event, "value") else { continue };
         let cell = traced.entry((generation, adversarial)).or_insert((0, 0));
         if event.path == "serve/served" {
             cell.0 += value;
@@ -198,6 +202,25 @@ fn hot_swap_under_concurrent_adversarial_traffic() {
         }
     }
     assert_eq!(traced, expected, "trace counters must match the offline evaluation");
+    // Connection threads run the batches, one at a time under the model
+    // lock, so each `serve/batch` span closes before the next opens; the
+    // sizes of the closed batches add up to every request served.
+    let (mut open_size, mut batched) = (None, 0);
+    for event in events.iter().filter(|e| e.path == "serve/batch") {
+        match event.kind {
+            EventKind::SpanOpen => {
+                assert_eq!(open_size, None, "batch spans must not overlap");
+                let Some(FieldValue::U64(size)) = field(event, "size") else {
+                    panic!("a batch span without a size: {event:?}")
+                };
+                open_size = Some(size);
+            }
+            EventKind::SpanClose => batched += open_size.take().expect("a close follows an open"),
+            _ => {}
+        }
+    }
+    assert_eq!(open_size, None, "every batch span closes");
+    assert_eq!(batched, expected_total, "closed batches must cover every request served");
     // ... and the /stats registry agrees with the trace.
     for row in &snapshot.generations {
         let key = (row.generation, row.traffic == "adversarial");
