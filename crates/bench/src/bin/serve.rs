@@ -22,6 +22,7 @@ use simpadv_obs::Artifact;
 use simpadv_runtime::{split_seed, Runtime};
 use simpadv_serve::{client, newest_servable, BatchConfig, PredictRequest, ServeConfig, Server};
 use simpadv_trace::clock::WallTimer;
+use std::io::{self, Write};
 
 /// Parsed command line of the load generator.
 struct ServeBenchOpts {
@@ -121,6 +122,20 @@ fn parse_args(args: &[String]) -> Result<ServeBenchOpts, String> {
         return Err("--requests, --clients, --samples and --batch-max must be positive".to_string());
     }
     Ok(opts)
+}
+
+/// Writes the run summary to `out`. A reader that has gone (a closed
+/// pipe, as under `| head -1`) is no failure: the exit code is decided
+/// before the summary is written, and the artifact is already on disk.
+///
+/// # Errors
+///
+/// Any other write error.
+fn write_summary(out: &mut impl Write, summary: &str) -> io::Result<()> {
+    match out.write_all(summary.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),
+        written => written,
+    }
 }
 
 /// Deterministic adversarial schedule: request `i` is adversarial iff
@@ -306,9 +321,22 @@ fn main() {
         std::process::exit(1);
     }
 
-    println!(
+    let failure = if mismatches > 0 {
+        Some(format!("{mismatches} responses deviated bitwise from offline inference"))
+    } else if snapshot.rejected != client_rejected {
+        Some(format!(
+            "the server rejected {} requests, but its clients received {client_rejected} 503s",
+            snapshot.rejected
+        ))
+    } else if snapshot.served == 0 || answered == 0 {
+        Some("no requests were served".to_string())
+    } else {
+        None
+    };
+
+    let mut summary = format!(
         "serve bench: generation {generation}, {} served / {} rejected, \
-         {:.1} rps, p50 {} us, p99 {} us, mean batch {:.2}",
+         {:.1} rps, p50 {} us, p99 {} us, mean batch {:.2}\n",
         snapshot.served,
         snapshot.rejected,
         throughput_rps,
@@ -317,29 +345,52 @@ fn main() {
         snapshot.batch_occupancy.mean,
     );
     for g in &snapshot.generations {
-        println!(
-            "  gen {} {:<11} {:>5} requests, accuracy {}/{}",
+        summary += &format!(
+            "  gen {} {:<11} {:>5} requests, accuracy {}/{}\n",
             g.generation, g.traffic, g.requests, g.correct, g.labeled
         );
     }
-    println!("artifact: {}", opts.out.display());
+    summary += &format!("artifact: {}\n", opts.out.display());
+    let written = write_summary(&mut io::stdout().lock(), &summary);
 
     if opts.trace.is_some() {
         simpadv_trace::uninstall();
     }
-    if mismatches > 0 {
-        eprintln!("{mismatches} responses deviated bitwise from offline inference");
+    if let Err(e) = written {
+        eprintln!("cannot write the summary: {e}");
         std::process::exit(1);
     }
-    if snapshot.rejected != client_rejected {
-        eprintln!(
-            "the server rejected {} requests, but its clients received {client_rejected} 503s",
-            snapshot.rejected
-        );
+    if let Some(message) = failure {
+        eprintln!("{message}");
         std::process::exit(1);
     }
-    if snapshot.served == 0 || answered == 0 {
-        eprintln!("no requests were served");
-        std::process::exit(1);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A stdout whose reader has gone, or that fails some other way.
+    struct Failing(io::ErrorKind);
+
+    impl Write for Failing {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(self.0.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Err(self.0.into())
+        }
+    }
+
+    #[test]
+    fn a_closed_stdout_is_no_failure_and_other_write_errors_are() {
+        let summary = "serve bench: generation 3\nartifact: BENCH_serve.json\n";
+        let mut out = Vec::new();
+        write_summary(&mut out, summary).unwrap();
+        assert_eq!(out, summary.as_bytes());
+        write_summary(&mut Failing(io::ErrorKind::BrokenPipe), summary).unwrap();
+        let err = write_summary(&mut Failing(io::ErrorKind::StorageFull), summary).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::StorageFull);
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! The analyzer parses every `.rs` file in the workspace with a
 //! self-contained lexer (no external parser dependency — the build
-//! environment is offline) and enforces thirteen invariants the stack's
-//! correctness rests on: eight file-local syntactic rules (R1–R4, R6,
-//! R8–R10) and five workspace-wide semantic rules (S1–S5) that reason
+//! environment is offline) and enforces ten invariants the stack's
+//! correctness rests on: seven file-local syntactic rules (R1–R4,
+//! R8–R10) and three workspace-wide semantic rules (S2–S4) that reason
 //! over a symbol table, call graph and taint lattice. See
 //! [`rules::RULES`] for the catalogue and `DESIGN.md` for the rationale
 //! behind each. Bans that need no parser (threads, sockets, child
@@ -115,7 +115,7 @@ pub struct Workspace {
 /// One finding.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Rule id (`R1`..`R10`, `S1`..`S5`).
+    /// Rule id (`R1`..`R10`, `S2`..`S4`).
     pub rule: &'static str,
     /// Workspace-relative path.
     pub path: String,
@@ -410,11 +410,11 @@ mod tests {
     #[test]
     fn chain_renders_as_note_lines_and_json_array() {
         let d = Diagnostic {
-            rule: "S1",
+            rule: "S3",
             path: "a.rs".into(),
             line: 3,
             item: "entry".into(),
-            message: "reachable panic".into(),
+            message: "unordered reduction".into(),
             chain: vec!["a::entry (a.rs:3)".into(), "a::deep (a.rs:9)".into()],
         };
         let text = d.render();
@@ -434,6 +434,6 @@ mod tests {
         let cfg = config::Config::default();
         // R1 fires under a range spec that includes it, not under S-only.
         assert!(!run(&ws, &cfg, Some("R1-R3")).is_empty());
-        assert!(run(&ws, &cfg, Some("S1-S5")).is_empty());
+        assert!(run(&ws, &cfg, Some("S2-S4")).is_empty());
     }
 }

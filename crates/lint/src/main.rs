@@ -35,7 +35,7 @@ fn usage() -> &'static str {
      \n\
      --root DIR       workspace root to analyze (default: current directory)\n\
      --config FILE    lint.toml (default: <root>/lint.toml if present)\n\
-     --rules SPEC     comma list of ids/ranges: R1, R1-R10, S1-S5, R2,S4 ...;\n\
+     --rules SPEC     comma list of ids/ranges: R1, R1-R10, S2-S4, R2,S4 ...;\n\
      \x20                a range selects the registered ids inside it\n\
      --rule RN        alias for --rules with a single id\n\
      --json           emit diagnostics as a JSON array\n\
@@ -78,7 +78,7 @@ fn parse_args() -> Result<Args, String> {
             "--rules" | "--rule" => {
                 let spec = it
                     .next()
-                    .ok_or_else(|| format!("{a} requires a spec (e.g. R1, R1-R10, S1-S5)"))?;
+                    .ok_or_else(|| format!("{a} requires a spec (e.g. R1, R1-R10, S2-S4)"))?;
                 rules::expand_spec(&spec)?;
                 args.rules = Some(spec);
             }

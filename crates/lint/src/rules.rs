@@ -1,7 +1,9 @@
-//! The rule registry: eight syntactic invariants (R1–R4, R6, R8–R10)
-//! and five semantic ones (S1–S5). The ids R5, R7, R11 and R12 are
-//! retired: those rules only banned paths, and the root `clippy.toml`
-//! bans the same paths with name resolution.
+//! The rule registry: seven syntactic invariants (R1–R4, R8–R10) and
+//! three semantic ones (S2–S4). The ids R5, R7, R11 and R12 are retired:
+//! those rules only banned paths, and the root `clippy.toml` bans the
+//! same paths with name resolution. R6, S1 and S5 are retired too: R6
+//! and S5 kept fallible `try_*` twins beside panicking ops that nothing
+//! called, and S1 found no site that R1 does not already report.
 //!
 //! Each R-rule is a pure function from a [`Workspace`] to diagnostics —
 //! token-accurate but file-local: comments and string literals can never
@@ -17,8 +19,7 @@ use crate::parse::ParsedFile;
 use crate::semrules::{self, SemanticCtx};
 use crate::{Diagnostic, FileKind, FileUnit, Workspace};
 
-/// Library crates whose `src/` must be free of ad-hoc panics (R1, S1)
-/// and whose `try_*` APIs need delegating twins (S5).
+/// Library crates whose `src/` must be free of ad-hoc panics (R1).
 pub const PANIC_FREE_CRATES: &[&str] = &[
     "simpadv-trace",
     "simpadv-runtime",
@@ -40,7 +41,7 @@ pub enum Check {
 
 /// A rule's identity and entry point.
 pub struct Rule {
-    /// Stable id (`R1`..`R10`, `S1`..`S5`), referenced from `lint.toml`.
+    /// Stable id (`R1`..`R10`, `S2`..`S4`), referenced from `lint.toml`.
     pub id: &'static str,
     /// One-line summary shown by `--list`.
     pub summary: &'static str,
@@ -53,7 +54,7 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "R1",
         summary: "no unwrap()/expect()/bare panic! in library crate non-test code; \
-                  the sanctioned form is try_*().unwrap_or_else(|e| panic!(\"{e}\"))",
+                  assert the invariant, or panic inside unwrap_or_else(|e| panic!(\"{e}\"))",
         check: Check::Syntactic(rule_r1_panic_hygiene),
     },
     Rule {
@@ -74,12 +75,6 @@ pub const RULES: &[Rule] = &[
         check: Check::Syntactic(rule_r4_projection_routing),
     },
     Rule {
-        id: "R6",
-        summary: "panicking tensor ops built on the unwrap_or_else wrapper must \
-                  expose a try_* sibling returning TensorError",
-        check: Check::Syntactic(rule_r6_try_siblings),
-    },
-    Rule {
         id: "R8",
         summary: "println!/eprintln! only in the cli, lint and bench crates and the \
                   trace sinks; library crates report through simpadv-trace events",
@@ -96,12 +91,6 @@ pub const RULES: &[Rule] = &[
         summary: "std::time::Instant/SystemTime only in crates/trace/src/clock.rs; \
                   production timing goes through the span clock's WallTimer",
         check: Check::Syntactic(rule_r10_wall_clock_quarantine),
-    },
-    Rule {
-        id: "S1",
-        summary: "no public API of a panic-free crate may transitively reach an \
-                  unsanctioned unwrap/expect/panic! site; diagnostics carry the call chain",
-        check: Check::Semantic(semrules::s1_panic_reachability),
     },
     Rule {
         id: "S2",
@@ -124,16 +113,10 @@ pub const RULES: &[Rule] = &[
                   accumulation order",
         check: Check::Semantic(semrules::s4_float_accumulation),
     },
-    Rule {
-        id: "S5",
-        summary: "every try_* function in a panic-free crate has a panicking twin \
-                  implemented as a delegating wrapper (checked structurally)",
-        check: Check::Semantic(semrules::s5_fallible_siblings),
-    },
 ];
 
 /// Every registered id, as a `--rules` spec; the default scope.
-pub const ALL_RULES_SPEC: &str = "R1-R4,R6,R8-R10,S1-S5";
+pub const ALL_RULES_SPEC: &str = "R1-R4,R8-R10,S2-S4";
 
 /// Looks up a rule by id.
 pub fn rule_by_id(id: &str) -> Option<&'static Rule> {
@@ -141,7 +124,7 @@ pub fn rule_by_id(id: &str) -> Option<&'static Rule> {
 }
 
 /// Expands a `--rules` spec — a comma list of ids and ranges
-/// (`R1,R3`, `R1-R10,S2`, `S1-S5`) — into rule ids. A range selects the
+/// (`R1,R3`, `R1-R10,S2`, `S2-S4`) — into rule ids. A range selects the
 /// registered ids inside it, so it may span retired ones.
 ///
 /// # Errors
@@ -235,8 +218,9 @@ fn rule_r1_panic_hygiene(ws: &Workspace) -> Vec<Diagnostic> {
                         p.line(i),
                         m,
                         format!(
-                            ".{m}() in library code; propagate the error or use the \
-                             sanctioned `try_*().unwrap_or_else(|e| panic!(\"{{e}}\"))` wrapper"
+                            ".{m}() in library code; propagate the error, assert the \
+                             invariant, or use the sanctioned \
+                             `unwrap_or_else(|e| panic!(\"{{e}}\"))` wrapper"
                         ),
                     ));
                 }
@@ -251,7 +235,7 @@ fn rule_r1_panic_hygiene(ws: &Workspace) -> Vec<Diagnostic> {
                         file,
                         p.line(i),
                         "panic",
-                        "bare `panic!` in library code; return a TensorError (or use \
+                        "bare `panic!` in library code; return a typed error (or use \
                          an assert with an invariant message) instead"
                             .to_string(),
                     ));
@@ -426,49 +410,6 @@ fn rule_r4_projection_routing(ws: &Workspace) -> Vec<Diagnostic> {
     out
 }
 
-/// R6: wrapper-pattern tensor ops expose `try_*` siblings.
-fn rule_r6_try_siblings(ws: &Workspace) -> Vec<Diagnostic> {
-    // Collect every function name defined in tensor src (cross-file).
-    let mut tensor_fns: Vec<&str> = Vec::new();
-    for file in &ws.files {
-        if file.kind == FileKind::Src && file.crate_name == "simpadv-tensor" {
-            tensor_fns.extend(file.parsed.functions.iter().map(|f| f.name.as_str()));
-        }
-    }
-    let mut out = Vec::new();
-    for file in &ws.files {
-        if file.kind != FileKind::Src || file.crate_name != "simpadv-tensor" {
-            continue;
-        }
-        let p = &file.parsed;
-        for f in &p.functions {
-            if !f.is_pub || f.in_test || f.body.is_empty() || f.name.starts_with("try_") {
-                continue;
-            }
-            let uses_wrapper =
-                f.body.clone().any(|i| p.ident(i) == Some("unwrap_or_else") && p.is_method_call(i));
-            if !uses_wrapper {
-                continue;
-            }
-            let sibling = format!("try_{}", f.name);
-            if !tensor_fns.iter().any(|n| *n == sibling) {
-                out.push(diag(
-                    "R6",
-                    file,
-                    f.line,
-                    &f.name,
-                    format!(
-                        "panicking op `{}` wraps a fallible computation but no \
-                         `{sibling}` sibling exists; expose the Result-returning form",
-                        f.name
-                    ),
-                ));
-            }
-        }
-    }
-    out
-}
-
 /// Crates whose `src/` may print to stdout/stderr directly (R8): the
 /// user-facing CLI, the lint tool itself, and the bench/regeneration
 /// binaries.
@@ -635,17 +576,17 @@ mod tests {
     fn expand_spec_handles_ids_ranges_and_errors() {
         assert_eq!(expand_spec("R1").unwrap(), vec!["R1"]);
         assert_eq!(expand_spec("R1,R3").unwrap(), vec!["R1", "R3"]);
-        assert_eq!(expand_spec("S1-S5").unwrap(), vec!["S1", "S2", "S3", "S4", "S5"]);
+        assert_eq!(expand_spec("S1-S5").unwrap(), vec!["S2", "S3", "S4"]);
         assert_eq!(expand_spec("R8-R10,S2").unwrap(), vec!["R8", "R9", "R10", "S2"]);
         // Duplicates collapse.
         assert_eq!(expand_spec("R1,R1-R2").unwrap(), vec!["R1", "R2"]);
         // Ranges select the registered ids inside them, across retired ones.
-        assert_eq!(
-            expand_spec("R1-R12").unwrap(),
-            vec!["R1", "R2", "R3", "R4", "R6", "R8", "R9", "R10"]
-        );
+        assert_eq!(expand_spec("R1-R12").unwrap(), vec!["R1", "R2", "R3", "R4", "R8", "R9", "R10"]);
         assert_eq!(expand_spec("R1-R99").unwrap(), expand_spec("R1-R12").unwrap());
         assert!(expand_spec("R5-R5").is_err());
+        assert!(expand_spec("R6").is_err());
+        assert!(expand_spec("S1").is_err());
+        assert!(expand_spec("S5-S9").is_err());
         assert!(expand_spec("R11-R99").is_err());
         assert!(expand_spec("R7").is_err());
         assert!(expand_spec("R13").is_err());
@@ -684,8 +625,8 @@ fn b() { panic!("no"); }
     #[test]
     fn r1_allows_sanctioned_wrapper_and_test_code() {
         let src = r#"
-pub fn matmul(&self, o: &T) -> T {
-    self.try_matmul(o).unwrap_or_else(|e| panic!("{e}"))
+pub fn set_global_threads(threads: usize) {
+    try_set_global_threads(threads).unwrap_or_else(|e| panic!("{e}"));
 }
 
 #[cfg(test)]
@@ -694,7 +635,7 @@ mod tests {
     fn t() { x.unwrap(); y.expect("fine"); panic!("fine"); }
 }
 "#;
-        assert!(run("R1", &[("crates/tensor/src/linalg.rs", src)]).is_empty());
+        assert!(run("R1", &[("crates/runtime/src/lib.rs", src)]).is_empty());
     }
 
     #[test]
@@ -819,44 +760,6 @@ fn step(&self, x: &T, orig: &T) -> T {
         let src = "fn f(&self) -> T { d.max(-eps).min(eps) }";
         let d = run("R4", &[("crates/attacks/src/custom.rs", src)]);
         assert_eq!(d.len(), 2);
-    }
-
-    // ---- R6 ----
-
-    #[test]
-    fn r6_fires_when_wrapper_has_no_try_sibling() {
-        let src = r#"
-pub fn matmul(&self, o: &T) -> T {
-    self.inner_mul(o).unwrap_or_else(|e| panic!("{e}"))
-}
-"#;
-        let d = run("R6", &[("crates/tensor/src/linalg.rs", src)]);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].item, "matmul");
-    }
-
-    #[test]
-    fn r6_satisfied_by_cross_file_sibling() {
-        let files = [
-            (
-                "crates/tensor/src/linalg.rs",
-                "pub fn matmul(&self, o: &T) -> T { self.try_matmul(o).unwrap_or_else(|e| panic!(\"{e}\")) }",
-            ),
-            (
-                "crates/tensor/src/fallible.rs",
-                "pub fn try_matmul(&self, o: &T) -> Result<T, TensorError> { todo_body() }",
-            ),
-        ];
-        assert!(run("R6", &files).is_empty());
-    }
-
-    #[test]
-    fn r6_skips_non_wrapper_and_try_fns() {
-        let src = r#"
-pub fn shape(&self) -> &[usize] { &self.shape }
-pub fn try_reshape(&self, s: &[usize]) -> Result<T, E> { inner(s) }
-"#;
-        assert!(run("R6", &[("crates/tensor/src/ops.rs", src)]).is_empty());
     }
 
     // ---- R8 ----

@@ -1,4 +1,4 @@
-//! The five semantic rules (S1–S5).
+//! The three semantic rules (S2–S4).
 //!
 //! Where the R-rules are per-file and token-local, the S-rules reason over
 //! the whole workspace at once: a symbol table ([`crate::symbols`]), a
@@ -10,10 +10,9 @@ use crate::callgraph::{call_sites, CallGraph, Resolver};
 use crate::config::Config;
 use crate::flow::{self, SourceKind};
 use crate::parse::ParsedFile;
-use crate::rules::PANIC_FREE_CRATES;
 use crate::symbols::{FnId, FnInfo, SymbolTable};
 use crate::{Diagnostic, FileKind, Workspace};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// Everything the semantic rules need, built once per run.
@@ -87,81 +86,6 @@ fn is_library_fn(f: &FnInfo) -> bool {
 /// token kinds (`Open`/`Close`), so `is_punct` never matches them.
 fn is_close(p: &ParsedFile, i: usize, c: char) -> bool {
     matches!(p.tokens.get(i).map(|t| &t.kind), Some(crate::lexer::TokenKind::Close(x)) if *x == c)
-}
-
-// ---------------------------------------------------------------------
-// S1: panic reachability
-// ---------------------------------------------------------------------
-
-/// Collects functions in panic-free crates whose bodies contain an
-/// unsanctioned panic site (same detection as R1, minus the allowlist).
-fn panic_site_fns(ctx: &SemanticCtx) -> BTreeSet<FnId> {
-    let mut sites = BTreeSet::new();
-    for (id, f) in ctx.fns().iter().enumerate() {
-        if !is_library_fn(f) || !PANIC_FREE_CRATES.contains(&f.crate_name.as_str()) {
-            continue;
-        }
-        let p = ctx.parsed(f);
-        for i in f.body.clone() {
-            let hit = match p.ident(i) {
-                Some(m @ ("unwrap" | "expect")) if p.is_method_call(i) => {
-                    !ctx.cfg.is_allowed("R1", &f.path, m)
-                }
-                Some("panic") if p.is_punct(i + 1, '!') => {
-                    !p.enclosing_calls(i).contains(&"unwrap_or_else")
-                        && !ctx.cfg.is_allowed("R1", &f.path, "panic")
-                }
-                _ => false,
-            };
-            if hit {
-                sites.insert(id as FnId);
-                break;
-            }
-        }
-    }
-    sites
-}
-
-/// S1: a public API of a panic-free crate must not transitively reach an
-/// unsanctioned panic site. Direct sites in the same function are R1's
-/// job; S1 fires only on chains of length ≥ 2, and carries the chain.
-pub fn s1_panic_reachability(ctx: &SemanticCtx) -> Vec<Diagnostic> {
-    let sites = panic_site_fns(ctx);
-    let mut out = Vec::new();
-    if sites.is_empty() {
-        return out;
-    }
-    for (id, f) in ctx.fns().iter().enumerate() {
-        let id = id as FnId;
-        if !is_library_fn(f)
-            || !f.is_pub
-            || !PANIC_FREE_CRATES.contains(&f.crate_name.as_str())
-            || sites.contains(&id)
-        {
-            continue;
-        }
-        if let Some(path) = ctx.model.graph.path_to(id, &|t| sites.contains(&t)) {
-            let Some((&site, _)) = path.split_last() else { continue };
-            if path.len() < 2 {
-                continue;
-            }
-            let site_label = ctx.model.symbols.label(site);
-            out.push(ctx.diag(
-                "S1",
-                f,
-                &f.name,
-                format!(
-                    "public `{}` can reach an unsanctioned panic site in `{site_label}` \
-                     ({} calls deep); propagate the error or route through the \
-                     `try_*().unwrap_or_else(|e| panic!(\"{{e}}\"))` wrapper",
-                    f.name,
-                    path.len() - 1
-                ),
-                ctx.chain(&path),
-            ));
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -263,8 +187,7 @@ pub fn s2_determinism_taint(ctx: &SemanticCtx) -> Vec<Diagnostic> {
 /// Parallel-dispatch methods whose closure arguments S3 inspects: every
 /// closure in the argument list, so both `par_chunks_with`'s per-worker
 /// `init` and its chunk closure.
-const PAR_ENTRY_POINTS: &[&str] =
-    &["par_map", "par_chunks", "par_chunks_with", "par_join", "try_par_map", "try_par_chunks"];
+const PAR_ENTRY_POINTS: &[&str] = &["par_map", "par_chunks", "par_chunks_with", "par_join"];
 
 /// Method calls that combine values in an order the scheduler picks.
 const UNORDERED_COMBINATORS: &[&str] = &[
@@ -623,113 +546,6 @@ pub fn s4_float_accumulation(ctx: &SemanticCtx) -> Vec<Diagnostic> {
     out
 }
 
-// ---------------------------------------------------------------------
-// S5: fallible-sibling coverage
-// ---------------------------------------------------------------------
-
-/// Whether a body contains panic-capable tokens (macro or method forms).
-fn body_can_panic(p: &ParsedFile, body: Range<usize>) -> bool {
-    for i in body {
-        if let Some(id) = p.ident(i) {
-            match id {
-                "panic" | "assert" | "assert_eq" | "assert_ne" | "unreachable" | "todo"
-                | "unimplemented"
-                    if p.is_punct(i + 1, '!') =>
-                {
-                    return true;
-                }
-                "unwrap" | "expect" if p.is_method_call(i) => return true,
-                _ => {}
-            }
-        }
-    }
-    false
-}
-
-/// Whether `body` calls `callee(` anywhere.
-fn body_calls(p: &ParsedFile, body: Range<usize>, callee: &str) -> bool {
-    body.into_iter().any(|i| p.ident(i) == Some(callee) && p.is_open(i + 1, '('))
-}
-
-/// S5: every `try_*` function in a panic-free crate must have its
-/// panicking twin implemented as a delegating wrapper — structurally:
-/// the twin exists, and either cannot panic at all or panics only by
-/// delegating through the `try_*` form. A twin that re-implements the
-/// checked logic with its own `assert!`/`unwrap` drifts from the
-/// fallible form the moment one of them changes.
-pub fn s5_fallible_siblings(ctx: &SemanticCtx) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for (fid, f) in ctx.fns().iter().enumerate() {
-        let fid = fid as FnId;
-        if !is_library_fn(f)
-            || !PANIC_FREE_CRATES.contains(&f.crate_name.as_str())
-            || !f.name.starts_with("try_")
-        {
-            continue;
-        }
-        let twin_name = &f.name["try_".len()..];
-        // Candidate twins: same crate, same name; prefer the same impl
-        // type when the try_* form is a method.
-        let candidates: Vec<FnId> = ctx
-            .fns()
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| {
-                g.crate_name == f.crate_name
-                    && g.name == twin_name
-                    && g.kind == FileKind::Src
-                    && !g.in_test
-                    && (f.impl_type.is_none() || g.impl_type == f.impl_type)
-            })
-            .map(|(gid, _)| gid as FnId)
-            .collect();
-        if candidates.is_empty() {
-            out.push(ctx.diag(
-                "S5",
-                f,
-                &f.name,
-                format!(
-                    "`{}` has no panicking twin `{twin_name}` in `{}`; expose the \
-                     wrapper so callers get both forms of the contract",
-                    f.name, f.crate_name
-                ),
-                Vec::new(),
-            ));
-            continue;
-        }
-        // Violation when every candidate twin is panic-capable on its own
-        // yet never delegates to the try_* form. (A bodiless trait
-        // declaration or a panic-free twin satisfies the rule; this is a
-        // deliberate under-approximation — see DESIGN.md §8.)
-        let all_bad = candidates.iter().all(|&gid| {
-            let g = &ctx.fns()[gid as usize];
-            if g.body.is_empty() {
-                return false;
-            }
-            let gp = &ctx.ws.files[g.file].parsed;
-            body_can_panic(gp, g.body.clone()) && !body_calls(gp, g.body.clone(), &f.name)
-        });
-        if all_bad {
-            let gid = candidates[0];
-            let g = &ctx.fns()[gid as usize];
-            out.push(ctx.diag(
-                "S5",
-                g,
-                &g.name,
-                format!(
-                    "`{}` can panic but re-implements its checks instead of \
-                     delegating to `{}`; rewrite as \
-                     `{}(..).unwrap_or_else(|e| panic!(\"{{e}}\"))` so the two \
-                     forms cannot drift",
-                    g.name, f.name, f.name
-                ),
-                ctx.chain(&[gid, fid]),
-            ));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -746,36 +562,6 @@ mod tests {
         let cfg = crate::config::parse(toml).expect("config");
         let model = SemanticModel::build(&ws);
         rule(&SemanticCtx { ws: &ws, cfg: &cfg, model: &model })
-    }
-
-    #[test]
-    fn s1_flags_multi_hop_chain_with_call_chain() {
-        let files = [(
-            "crates/tensor/src/a.rs",
-            r#"
-pub fn entry(x: Option<f32>) -> f32 { middle(x) }
-fn middle(x: Option<f32>) -> f32 { deep(x) }
-fn deep(x: Option<f32>) -> f32 { x.unwrap() }
-"#,
-        )];
-        let d = ctx_run(s1_panic_reachability, &files, "");
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].item, "entry");
-        assert_eq!(d[0].chain.len(), 3);
-        assert!(d[0].chain[2].contains("deep"));
-    }
-
-    #[test]
-    fn s1_skips_direct_sites_and_sanctioned_wrappers() {
-        let files = [(
-            "crates/tensor/src/a.rs",
-            r#"
-pub fn direct(x: Option<f32>) -> f32 { x.unwrap() }
-pub fn wrapped(&self) -> f32 { self.try_get().unwrap_or_else(|e| panic!("{e}")) }
-"#,
-        )];
-        // `direct` is R1's job (chain length 1); `wrapped` is sanctioned.
-        assert!(ctx_run(s1_panic_reachability, &files, "").is_empty());
     }
 
     #[test]
@@ -903,39 +689,5 @@ pub fn wrapped(&self) -> f32 { self.try_get().unwrap_or_else(|e| panic!("{e}")) 
             "pub fn total(xs: &[Vec<f32>]) -> usize { let mut n = 0; for x in xs { n += x.len(); } n }",
         )];
         assert!(ctx_run(s4_float_accumulation, &files, "").is_empty());
-    }
-
-    #[test]
-    fn s5_flags_missing_and_non_delegating_twins() {
-        let files = [(
-            "crates/tensor/src/ops.rs",
-            r#"
-impl Tensor {
-    pub fn try_halve(&self) -> Result<Tensor, TensorError> { Ok(self.clone()) }
-    pub fn try_scale(&self, s: f32) -> Result<Tensor, TensorError> { Ok(self.clone()) }
-    pub fn scale(&self, s: f32) -> Tensor { assert!(s.is_finite()); self.clone() }
-}
-"#,
-        )];
-        let d = ctx_run(s5_fallible_siblings, &files, "");
-        assert_eq!(d.len(), 2);
-        assert!(d.iter().any(|x| x.item == "try_halve" && x.message.contains("no panicking twin")));
-        assert!(d.iter().any(|x| x.item == "scale" && x.message.contains("delegating")));
-    }
-
-    #[test]
-    fn s5_accepts_delegating_and_panic_free_twins() {
-        let files = [(
-            "crates/tensor/src/ops.rs",
-            r#"
-impl Tensor {
-    pub fn reshape(&self, s: &[usize]) -> Tensor { self.try_reshape(s).unwrap_or_else(|e| panic!("{e}")) }
-    pub fn try_reshape(&self, s: &[usize]) -> Result<Tensor, TensorError> { Ok(self.clone()) }
-    pub fn sum(&self) -> f32 { 0.0 }
-    pub fn try_sum(&self) -> Result<f32, TensorError> { Ok(0.0) }
-}
-"#,
-        )];
-        assert!(ctx_run(s5_fallible_siblings, &files, "").is_empty());
     }
 }

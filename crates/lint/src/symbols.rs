@@ -256,8 +256,8 @@ fn impl_is_item(p: &ParsedFile, i: usize) -> bool {
 /// Extracts `impl` blocks as (body token range, subject type name).
 ///
 /// For `impl Trait for Type { .. }` the subject is `Type`; path prefixes
-/// and generic arguments are dropped (`impl fmt::Display for TensorError`
-/// → `TensorError`).
+/// and generic arguments are dropped (`impl fmt::Display for ServeError`
+/// → `ServeError`).
 fn impl_blocks(p: &ParsedFile) -> Vec<(Range<usize>, String)> {
     let n = p.tokens.len();
     let mut out = Vec::new();
@@ -462,7 +462,7 @@ mod tests {
 impl Tensor {
     pub fn map(&self) -> Tensor { self.clone() }
 }
-impl std::fmt::Display for TensorError {
+impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result { write!(f, "x") }
 }
 pub fn free_fn() {}
@@ -471,7 +471,7 @@ pub fn free_fn() {}
         let map = &t.fns[0];
         assert_eq!(map.impl_type.as_deref(), Some("Tensor"));
         let fmt = &t.fns[1];
-        assert_eq!(fmt.impl_type.as_deref(), Some("TensorError"));
+        assert_eq!(fmt.impl_type.as_deref(), Some("ServeError"));
         let free = &t.fns[2];
         assert_eq!(free.impl_type, None);
         assert!(t.by_method.contains_key(&("Tensor".to_string(), "map".to_string())));

@@ -42,13 +42,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Environment variable overriding the default global thread count.
 pub const THREADS_ENV: &str = "SIMPADV_THREADS";
 
-/// Errors from the fallible runtime constructors.
+/// Errors from the runtime's fallible entry points: a thread count from
+/// a flag ([`try_set_global_threads`]) or from [`THREADS_ENV`]
+/// ([`Runtime::try_from_env`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RuntimeError {
     /// A thread count of zero was requested.
     ZeroThreads,
-    /// A chunk size of zero was requested.
-    ZeroChunk,
     /// The [`THREADS_ENV`] variable is set but not a positive integer.
     InvalidEnv(String),
 }
@@ -57,7 +57,6 @@ impl std::fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RuntimeError::ZeroThreads => write!(f, "thread count must be at least 1"),
-            RuntimeError::ZeroChunk => write!(f, "chunk size must be at least 1"),
             RuntimeError::InvalidEnv(v) => {
                 write!(f, "{THREADS_ENV}={v:?} is not a positive integer")
             }
@@ -153,22 +152,10 @@ impl Runtime {
     ///
     /// # Panics
     ///
-    /// Panics when `threads == 0`; use [`Runtime::try_new`] for the
-    /// fallible form.
+    /// Panics when `threads == 0`.
     pub fn new(threads: usize) -> Self {
-        Runtime::try_new(threads).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`Runtime::new`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::ZeroThreads`] when `threads == 0`.
-    pub fn try_new(threads: usize) -> Result<Self, RuntimeError> {
-        if threads == 0 {
-            return Err(RuntimeError::ZeroThreads);
-        }
-        Ok(Runtime { threads })
+        assert!(threads > 0, "{}", RuntimeError::ZeroThreads);
+        Runtime { threads }
     }
 
     /// A strictly serial runtime (one thread, no spawning).
@@ -178,17 +165,6 @@ impl Runtime {
 
     /// A runtime sized from the environment: [`THREADS_ENV`] when set,
     /// otherwise [`available_threads`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when [`THREADS_ENV`] is set to something other than a
-    /// positive integer; use [`Runtime::try_from_env`] for the fallible
-    /// form.
-    pub fn from_env() -> Self {
-        Runtime::try_from_env().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`Runtime::from_env`].
     ///
     /// # Errors
     ///
@@ -209,8 +185,9 @@ impl Runtime {
     /// Resolution order: the last [`set_global_threads`] call, else a
     /// valid [`THREADS_ENV`] value, else [`available_threads`]. An
     /// invalid [`THREADS_ENV`] falls back to hardware parallelism here
-    /// (library call sites must not abort); binaries surface the error
-    /// through [`Runtime::from_env`] / CLI parsing instead.
+    /// (library call sites must not abort). The CLI's `--threads` flag
+    /// goes through [`try_set_global_threads`], which reports a zero
+    /// count as an error.
     ///
     /// On a thread that is itself a runtime worker this returns
     /// [`Runtime::serial`]: nested parallel regions run serially rather
@@ -343,25 +320,6 @@ impl Runtime {
         self.run_tasks(items.len(), || (), |(), i| f(&items[i]))
     }
 
-    /// Fallible form of [`Runtime::par_map`].
-    ///
-    /// All items are evaluated (no early abort — that keeps the error
-    /// deterministic), and the error of the lowest-index failing item is
-    /// returned.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first (lowest-index) error produced by `f`.
-    pub fn try_par_map<T, R, E, F>(&self, items: &[T], f: F) -> Result<Vec<R>, E>
-    where
-        T: Sync,
-        R: Send,
-        E: Send,
-        F: Fn(&T) -> Result<R, E> + Sync,
-    {
-        self.run_tasks(items.len(), || (), |(), i| f(&items[i])).into_iter().collect()
-    }
-
     /// Splits `0..len` into fixed chunks of `chunk` indices (the last may
     /// be short) and applies `f` to each range in parallel, returning the
     /// per-chunk results in range order.
@@ -372,36 +330,13 @@ impl Runtime {
     ///
     /// # Panics
     ///
-    /// Panics when `chunk == 0`; use [`Runtime::try_par_chunks`] for the
-    /// fallible form. Panics raised by `f` are propagated.
+    /// Panics when `chunk == 0`. Panics raised by `f` are propagated.
     pub fn par_chunks<R, F>(&self, len: usize, chunk: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(Range<usize>) -> R + Sync,
     {
-        self.try_par_chunks(len, chunk, f).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`Runtime::par_chunks`]: reports an invalid chunk
-    /// size as an error instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::ZeroChunk`] when `chunk == 0`.
-    pub fn try_par_chunks<R, F>(
-        &self,
-        len: usize,
-        chunk: usize,
-        f: F,
-    ) -> Result<Vec<R>, RuntimeError>
-    where
-        R: Send,
-        F: Fn(Range<usize>) -> R + Sync,
-    {
-        if chunk == 0 {
-            return Err(RuntimeError::ZeroChunk);
-        }
-        Ok(self.par_chunks_with(len, chunk, || (), |(), r| f(r)))
+        self.par_chunks_with(len, chunk, || (), |(), r| f(r))
     }
 
     /// [`Runtime::par_chunks`] with per-worker state: each worker builds
@@ -427,7 +362,7 @@ impl Runtime {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, Range<usize>) -> R + Sync,
     {
-        assert!(chunk > 0, "{}", RuntimeError::ZeroChunk);
+        assert!(chunk > 0, "chunk size must be at least 1");
         self.run_tasks(len.div_ceil(chunk), init, |state, i| {
             f(state, i * chunk..((i + 1) * chunk).min(len))
         })
@@ -496,13 +431,12 @@ mod tests {
 
     #[test]
     fn zero_threads_is_rejected() {
-        assert_eq!(Runtime::try_new(0), Err(RuntimeError::ZeroThreads));
         assert_eq!(try_set_global_threads(0), Err(RuntimeError::ZeroThreads));
-        assert!(Runtime::try_new(3).is_ok());
+        assert_eq!(Runtime::new(3).threads(), 3);
     }
 
     #[test]
-    #[should_panic(expected = "at least 1")]
+    #[should_panic(expected = "thread count must be at least 1")]
     fn new_panics_on_zero() {
         let _ = Runtime::new(0);
     }
@@ -533,25 +467,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "chunk size")]
+    #[should_panic(expected = "chunk size must be at least 1")]
     fn par_chunks_rejects_zero_chunk() {
         let _ = Runtime::new(2).par_chunks(10, 0, |r| r);
-    }
-
-    #[test]
-    fn try_par_chunks_reports_zero_chunk_as_error() {
-        assert_eq!(Runtime::new(2).try_par_chunks(10, 0, |r| r), Err(RuntimeError::ZeroChunk));
-        assert_eq!(Runtime::new(2).try_par_chunks(4, 2, |r| r.len()), Ok(vec![2, 2]));
-    }
-
-    #[test]
-    fn try_par_map_returns_lowest_index_error() {
-        let rt = Runtime::new(4);
-        let items: Vec<usize> = (0..64).collect();
-        let out = rt.try_par_map(&items, |&i| if i == 50 || i == 7 { Err(i) } else { Ok(i) });
-        assert_eq!(out, Err(7));
-        let ok = rt.try_par_map(&items, |&i| Ok::<_, usize>(i * 2));
-        assert_eq!(ok, Ok(items.iter().map(|i| i * 2).collect::<Vec<_>>()));
     }
 
     #[test]

@@ -64,29 +64,6 @@ proptest! {
     }
 
     #[test]
-    fn try_par_map_error_choice_is_deterministic(
-        len in 1usize..120,
-        fail_a in 0usize..120,
-        fail_b in 0usize..120,
-        threads in 1usize..9,
-    ) {
-        let items: Vec<usize> = (0..len).collect();
-        let expected = items
-            .iter()
-            .copied()
-            .map(|i| if i == fail_a || i == fail_b { Err(i) } else { Ok(i) })
-            .collect::<Result<Vec<_>, _>>();
-        let got = Runtime::new(threads)
-            .par_map(&items, |&i| if i == fail_a || i == fail_b { Err(i) } else { Ok(i) })
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>();
-        prop_assert_eq!(got.clone(), expected.clone());
-        let via_try = Runtime::new(threads)
-            .try_par_map(&items, |&i| if i == fail_a || i == fail_b { Err(i) } else { Ok(i) });
-        prop_assert_eq!(via_try, expected);
-    }
-
-    #[test]
     fn split_seed_is_injective_on_small_streams(base in 0u64..u64::MAX) {
         let seeds: Vec<u64> = (0..64).map(|s| split_seed(base, s)).collect();
         let mut sorted = seeds.clone();

@@ -316,6 +316,43 @@ mod tests {
         assert_eq!(ServedModel::load_file(&path).unwrap(), model);
     }
 
+    #[test]
+    fn a_weight_whose_data_does_not_fill_its_shape_is_a_decode_error() {
+        // The first `data` array in document order is the first weight's.
+        fn cut_first_data(value: &mut Value) -> bool {
+            match value {
+                Value::Object(entries) => entries.iter_mut().any(|(key, v)| match v {
+                    Value::Array(items) if key == "data" => {
+                        items.truncate(1);
+                        true
+                    }
+                    _ => cut_first_data(v),
+                }),
+                Value::Array(items) => items.iter_mut().any(cut_first_data),
+                _ => false,
+            }
+        }
+        let (spec, clf) = tiny_model();
+        let mut value = ServedModel::capture(&spec, &clf, "mnist", "vanilla").to_value();
+        assert!(cut_first_data(&mut value));
+        let text = serde_json::to_string(&value).unwrap();
+        // the legacy plain-JSON path, which no checksum guards
+        let path = temp_dir("short-data").join("legacy.json");
+        simpadv_resilience::atomic_write(&path, text.as_bytes()).unwrap();
+        for err in [
+            persist_err(ServedModel::load_file(&path)),
+            persist_err(ServedModel::decode(text.as_bytes())),
+        ] {
+            match err {
+                PersistError::Decode(detail) => assert!(
+                    detail.contains("data length 1 does not match shape element count"),
+                    "{detail}"
+                ),
+                other => panic!("expected a decode error, got {other:?}"),
+            }
+        }
+    }
+
     /// The entry a failed restore names.
     fn misfit(model: &ServedModel) -> String {
         match persist_err(model.restore()) {

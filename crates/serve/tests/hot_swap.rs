@@ -9,6 +9,7 @@
 //! neither piece of global state can bleed across test binaries. Its
 //! tests take [`trace_lock`] so they do not share the tracer either.
 
+use serde::{Serialize, Value};
 use simpadv::ModelSpec;
 use simpadv_resilience::{failpoint, CheckpointStore};
 use simpadv_serve::{
@@ -169,4 +170,51 @@ fn boot_skips_a_newest_generation_that_does_not_restore() {
     let events = handle.take();
     simpadv_trace::uninstall();
     assert_eq!(skipped_generations(&events), [g2], "one skip event, naming the misfit generation");
+}
+
+/// `model`'s payload with the last value of its first `data` array, the
+/// first weight's, dropped: it parses, but that tensor's data no longer
+/// fills its shape.
+fn short_data_payload(model: &ServedModel) -> Vec<u8> {
+    fn drop_last_data_value(value: &mut Value) -> bool {
+        match value {
+            Value::Object(entries) => entries.iter_mut().any(|(key, v)| match v {
+                Value::Array(items) if key == "data" => items.pop().is_some(),
+                _ => drop_last_data_value(v),
+            }),
+            Value::Array(items) => items.iter_mut().any(drop_last_data_value),
+            _ => false,
+        }
+    }
+    let mut value = model.to_value();
+    assert!(drop_last_data_value(&mut value));
+    serde_json::to_string(&value).unwrap().into_bytes()
+}
+
+#[test]
+fn a_generation_whose_weights_do_not_fill_their_shape_is_skipped_once() {
+    let _trace = trace_lock();
+    let handle = simpadv_trace::install_memory();
+    let dir = temp_dir("short-data");
+    let store = CheckpointStore::open(&dir).unwrap();
+    let g1 = publish(&store, 1);
+    let spec = ModelSpec::small_mlp();
+    let model = ServedModel::capture(&spec, &spec.build(2), "mnist", "test");
+    let g2 = store.save(&short_data_payload(&model)).unwrap();
+
+    let engine = Engine::new(store, BatchConfig::default()).unwrap();
+    assert_eq!(engine.current_generation(), g1, "boot serves the last valid generation");
+    assert_eq!(engine.stats().skipped_generations, 1);
+    assert_eq!(engine.infer_batch(&[request(0)]).unwrap()[0].generation, g1);
+
+    // The same damage after boot: a rescan skips it, the next starts above it.
+    let g3 = CheckpointStore::open(&dir).unwrap().save(&short_data_payload(&model)).unwrap();
+    assert_eq!(engine.rescan().unwrap(), SwapReport { installed: None, skipped: 1 });
+    assert_eq!(engine.rescan().unwrap(), SwapReport { installed: None, skipped: 0 });
+    assert_eq!(engine.stats().skipped_generations, 2, "each generation is counted once");
+    assert_eq!(engine.current_generation(), g1);
+
+    let events = handle.take();
+    simpadv_trace::uninstall();
+    assert_eq!(skipped_generations(&events), [g2, g3]);
 }

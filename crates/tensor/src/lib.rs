@@ -32,13 +32,15 @@
 //!
 //! ## Error handling
 //!
-//! Shape-sensitive operations have two flavours: a panicking method (the
-//! ergonomic default, used pervasively in hot paths) and a fallible `try_*`
-//! variant returning [`TensorError`] for call sites that process untrusted
-//! shapes. Panicking methods document their panic conditions.
+//! Each operation has one form. One whose shape contract is broken panics
+//! with a message naming the operation and the shapes (`shape mismatch in
+//! matmul: [2, 3] vs [4, 2]`), and documents the conditions under
+//! `# Panics`. Shapes from outside the process arrive through `Tensor`'s
+//! `Deserialize`, which refuses a `data` whose length is not its shape's
+//! element count: a decoder returns that as a typed error, so no op is
+//! handed a tensor it would index out of bounds.
 
 mod conv;
-mod error;
 mod linalg;
 mod ops;
 mod reduce;
@@ -47,11 +49,7 @@ mod shape;
 mod tensor;
 
 pub use conv::{col2im, im2col, Conv2dGeometry};
-pub use error::TensorError;
 pub use linalg::{matmul_bytes, matmul_flops};
 pub use rng::{shuffled_indices, NormalSampler};
 pub use shape::{broadcast_shapes, Shape};
 pub use tensor::Tensor;
-
-/// Convenient result alias for fallible tensor operations.
-pub type Result<T> = std::result::Result<T, TensorError>;

@@ -38,7 +38,6 @@
 //! thread count, and row `i` of a batched product equals the product of
 //! row `i` alone.
 
-use crate::error::TensorError;
 use crate::tensor::Tensor;
 use simpadv_runtime::Runtime;
 use std::ops::Range;
@@ -209,28 +208,11 @@ impl Tensor {
     /// Panics if either operand is not rank 2 or the inner dimensions
     /// disagree.
     pub fn matmul(&self, rhs: &Tensor) -> Tensor {
-        self.try_matmul(rhs).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible version of [`Tensor::matmul`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] for non-2-D operands and
-    /// [`TensorError::ShapeMismatch`] when inner dimensions disagree.
-    pub fn try_matmul(&self, rhs: &Tensor) -> Result<Tensor, TensorError> {
-        check_rank2(self, "matmul")?;
-        check_rank2(rhs, "matmul")?;
+        assert_rank2(self, rhs, "matmul");
         let (m, k) = (self.shape()[0], self.shape()[1]);
         let (k2, n) = (rhs.shape()[0], rhs.shape()[1]);
-        if k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape().to_vec(),
-                rhs: rhs.shape().to_vec(),
-                op: "matmul",
-            });
-        }
-        Ok(gemm(self.as_slice(), (k, 1), rhs.as_slice(), m, k, n))
+        assert!(k == k2, "shape mismatch in matmul: {:?} vs {:?}", self.shape(), rhs.shape());
+        gemm(self.as_slice(), (k, 1), rhs.as_slice(), m, k, n)
     }
 
     /// `selfᵀ @ rhs` without materializing the transpose.
@@ -242,28 +224,11 @@ impl Tensor {
     /// Panics if either operand is not rank 2 or the shared dimension
     /// disagrees.
     pub fn matmul_tn(&self, rhs: &Tensor) -> Tensor {
-        self.try_matmul_tn(rhs).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible version of [`Tensor::matmul_tn`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] for non-2-D operands and
-    /// [`TensorError::ShapeMismatch`] when the shared dimension disagrees.
-    pub fn try_matmul_tn(&self, rhs: &Tensor) -> Result<Tensor, TensorError> {
-        check_rank2(self, "matmul_tn")?;
-        check_rank2(rhs, "matmul_tn")?;
+        assert_rank2(self, rhs, "matmul_tn");
         let (k, m) = (self.shape()[0], self.shape()[1]);
         let (k2, n) = (rhs.shape()[0], rhs.shape()[1]);
-        if k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape().to_vec(),
-                rhs: rhs.shape().to_vec(),
-                op: "matmul_tn",
-            });
-        }
-        Ok(gemm(self.as_slice(), (1, m), rhs.as_slice(), m, k, n))
+        assert!(k == k2, "shape mismatch in matmul_tn: {:?} vs {:?}", self.shape(), rhs.shape());
+        gemm(self.as_slice(), (1, m), rhs.as_slice(), m, k, n)
     }
 
     /// `self @ rhsᵀ`; `rhsᵀ` is packed once per call so the product runs
@@ -276,28 +241,11 @@ impl Tensor {
     /// Panics if either operand is not rank 2 or the shared dimension
     /// disagrees.
     pub fn matmul_nt(&self, rhs: &Tensor) -> Tensor {
-        self.try_matmul_nt(rhs).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible version of [`Tensor::matmul_nt`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] for non-2-D operands and
-    /// [`TensorError::ShapeMismatch`] when the shared dimension disagrees.
-    pub fn try_matmul_nt(&self, rhs: &Tensor) -> Result<Tensor, TensorError> {
-        check_rank2(self, "matmul_nt")?;
-        check_rank2(rhs, "matmul_nt")?;
+        assert_rank2(self, rhs, "matmul_nt");
         let (m, k) = (self.shape()[0], self.shape()[1]);
         let (n, k2) = (rhs.shape()[0], rhs.shape()[1]);
-        if k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape().to_vec(),
-                rhs: rhs.shape().to_vec(),
-                op: "matmul_nt",
-            });
-        }
-        Ok(gemm(self.as_slice(), (k, 1), rhs.transpose().as_slice(), m, k, n))
+        assert!(k == k2, "shape mismatch in matmul_nt: {:?} vs {:?}", self.shape(), rhs.shape());
+        gemm(self.as_slice(), (k, 1), rhs.transpose().as_slice(), m, k, n)
     }
 
     /// Inner (dot) product of two 1-D tensors.
@@ -336,11 +284,11 @@ impl Tensor {
     }
 }
 
-fn check_rank2(t: &Tensor, op: &'static str) -> Result<(), TensorError> {
-    if t.rank() != 2 {
-        return Err(TensorError::RankMismatch { expected: 2, got: t.rank(), op });
+/// The first check every matmul variant makes: both operands rank 2.
+fn assert_rank2(lhs: &Tensor, rhs: &Tensor, op: &str) {
+    for t in [lhs, rhs] {
+        assert!(t.rank() == 2, "{op} expects rank 2, got rank {}", t.rank());
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -373,10 +321,27 @@ mod tests {
     }
 
     #[test]
-    fn try_matmul_errors() {
-        let a = Tensor::ones(&[2, 3]);
-        assert!(a.try_matmul(&Tensor::ones(&[4, 2])).is_err());
-        assert!(a.try_matmul(&Tensor::ones(&[3])).is_err());
+    #[should_panic(expected = "shape mismatch in matmul: [2, 3] vs [4, 2]")]
+    fn matmul_checks_the_inner_dimension() {
+        let _ = Tensor::ones(&[2, 3]).matmul(&Tensor::ones(&[4, 2]));
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul expects rank 2, got rank 1")]
+    fn matmul_checks_the_rank() {
+        let _ = Tensor::ones(&[2, 3]).matmul(&Tensor::ones(&[3]));
+    }
+
+    #[test]
+    #[should_panic(expected = "shape mismatch in matmul_tn: [3, 2] vs [4, 2]")]
+    fn matmul_tn_checks_the_shared_dimension() {
+        let _ = Tensor::ones(&[3, 2]).matmul_tn(&Tensor::ones(&[4, 2]));
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul_nt expects rank 2, got rank 3")]
+    fn matmul_nt_checks_the_rank() {
+        let _ = Tensor::ones(&[2, 3]).matmul_nt(&Tensor::ones(&[1, 2, 3]));
     }
 
     #[test]
@@ -393,8 +358,7 @@ mod tests {
         assert_eq!(a.matmul_nt(&b), a.matmul(&b.transpose()));
     }
 
-    /// Serializes the tests that set the global thread count or read
-    /// flop deltas off the process-global trace clock.
+    /// Serializes the tests that set the global thread count.
     fn global_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -566,19 +530,6 @@ mod tests {
         let t = Tensor::from_slice(&[3.0, -4.0]);
         assert_eq!(t.norm_linf(), 4.0);
         assert_eq!(Tensor::default().norm_linf(), 0.0);
-    }
-
-    #[test]
-    fn flop_formula_matches_the_clock_tick() {
-        use simpadv_trace::clock;
-        let _g = global_lock();
-        let a = Tensor::ones(&[3, 5]);
-        let b = Tensor::ones(&[5, 7]);
-        let before = clock::snapshot();
-        let _ = a.matmul(&b);
-        let delta = clock::snapshot().delta_since(&before);
-        assert_eq!(delta.flops, matmul_flops(3, 5, 7));
-        assert_eq!(matmul_flops(3, 5, 7), 105);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Element-wise arithmetic, broadcasting binary operations and operator
 //! overloads for [`Tensor`].
 
-use crate::error::TensorError;
 use crate::shape::{broadcast_shapes, broadcast_strides};
 use crate::tensor::Tensor;
 use std::ops::{Add, Div, Mul, Neg, Sub};
@@ -132,38 +131,26 @@ impl Tensor {
     ///
     /// Panics when the shapes cannot be broadcast together.
     pub fn zip_map<F: Fn(f32, f32) -> f32>(&self, other: &Tensor, f: F) -> Tensor {
-        self.try_zip_map(other, f).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible version of [`Tensor::zip_map`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when the shapes cannot be
-    /// broadcast together.
-    pub fn try_zip_map<F: Fn(f32, f32) -> f32>(
-        &self,
-        other: &Tensor,
-        f: F,
-    ) -> Result<Tensor, TensorError> {
         // Fast path: identical shapes.
         if self.shape() == other.shape() {
             let data =
                 self.as_slice().iter().zip(other.as_slice()).map(|(&a, &b)| f(a, b)).collect();
-            return Ok(Tensor::from_vec(data, self.shape()));
+            return Tensor::from_vec(data, self.shape());
         }
         // Fast path: one shape is a suffix of the other (a bias row, a
         // rank-0 scalar). Pairing every row of the larger operand with the
         // smaller one visits the elements in the strided loop's order.
         if self.rank() > other.rank() && self.shape().ends_with(other.shape()) {
             let data = zip_rows(self.as_slice(), other.as_slice(), &f);
-            return Ok(Tensor::from_vec(data, self.shape()));
+            return Tensor::from_vec(data, self.shape());
         }
         if other.rank() > self.rank() && other.shape().ends_with(self.shape()) {
             let data = zip_rows(other.as_slice(), self.as_slice(), |b, a| f(a, b));
-            return Ok(Tensor::from_vec(data, other.shape()));
+            return Tensor::from_vec(data, other.shape());
         }
-        let out_shape = broadcast_shapes(self.shape(), other.shape())?;
+        let out_shape = broadcast_shapes(self.shape(), other.shape()).unwrap_or_else(|| {
+            panic!("shape mismatch in broadcast: {:?} vs {:?}", self.shape(), other.shape())
+        });
         let sa = broadcast_strides(self.shape(), &out_shape);
         let sb = broadcast_strides(other.shape(), &out_shape);
         let len: usize = out_shape.iter().product();
@@ -186,7 +173,7 @@ impl Tensor {
                 index[axis] = 0;
             }
         }
-        Ok(Tensor::from_vec(data, &out_shape))
+        Tensor::from_vec(data, &out_shape)
     }
 
     /// Element-wise addition with broadcasting.
@@ -411,7 +398,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "broadcast")]
+    #[should_panic(expected = "shape mismatch in broadcast: [2, 3] vs [4]")]
     fn incompatible_broadcast_panics() {
         let _ = t2x3().add(&Tensor::zeros(&[4]));
     }

@@ -1,6 +1,5 @@
 //! Global and per-axis reductions.
 
-use crate::error::TensorError;
 use crate::shape::row_major_strides;
 use crate::tensor::Tensor;
 
@@ -30,20 +29,9 @@ impl Tensor {
     ///
     /// Panics on an empty tensor.
     pub fn max(&self) -> f32 {
-        self.try_max().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible version of [`Tensor::max`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::EmptyReduction`] on an empty tensor.
-    pub fn try_max(&self) -> Result<f32, TensorError> {
-        self.as_slice()
-            .iter()
-            .copied()
-            .reduce(f32::max)
-            .ok_or(TensorError::EmptyReduction { op: "max" })
+        assert!(!self.is_empty(), "max over an empty tensor");
+        let s = self.as_slice();
+        s[1..].iter().copied().fold(s[0], f32::max)
     }
 
     /// Minimum element.
@@ -52,20 +40,9 @@ impl Tensor {
     ///
     /// Panics on an empty tensor.
     pub fn min(&self) -> f32 {
-        self.try_min().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible version of [`Tensor::min`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::EmptyReduction`] on an empty tensor.
-    pub fn try_min(&self) -> Result<f32, TensorError> {
-        self.as_slice()
-            .iter()
-            .copied()
-            .reduce(f32::min)
-            .ok_or(TensorError::EmptyReduction { op: "min" })
+        assert!(!self.is_empty(), "min over an empty tensor");
+        let s = self.as_slice();
+        s[1..].iter().copied().fold(s[0], f32::min)
     }
 
     /// Flat index of the maximum element (first occurrence).
@@ -182,8 +159,15 @@ mod tests {
     }
 
     #[test]
-    fn try_max_on_empty() {
-        assert!(Tensor::default().try_max().is_err());
+    #[should_panic(expected = "max over an empty tensor")]
+    fn max_on_empty() {
+        let _ = Tensor::default().max();
+    }
+
+    #[test]
+    #[should_panic(expected = "min over an empty tensor")]
+    fn min_on_empty() {
+        let _ = Tensor::default().min();
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Shape arithmetic: element counts, strides, and NumPy-style broadcasting.
 
-use crate::error::TensorError;
-
 /// A thin helper around a dimension list.
 ///
 /// [`crate::Tensor`] stores its shape as a `Vec<usize>`; `Shape` groups the
@@ -94,12 +92,8 @@ pub(crate) fn row_major_strides(dims: &[usize]) -> Vec<usize> {
 /// Computes the broadcast shape of two dimension lists under NumPy rules.
 ///
 /// Trailing axes are aligned; each pair of sizes must be equal or one of
-/// them must be 1.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when the shapes are incompatible.
-pub fn broadcast_shapes(a: &[usize], b: &[usize]) -> Result<Vec<usize>, TensorError> {
+/// them must be 1. Returns `None` when the shapes are incompatible.
+pub fn broadcast_shapes(a: &[usize], b: &[usize]) -> Option<Vec<usize>> {
     let rank = a.len().max(b.len());
     let mut out = vec![0usize; rank];
     for i in 0..rank {
@@ -112,14 +106,10 @@ pub fn broadcast_shapes(a: &[usize], b: &[usize]) -> Result<Vec<usize>, TensorEr
         } else if db == 1 {
             da
         } else {
-            return Err(TensorError::ShapeMismatch {
-                lhs: a.to_vec(),
-                rhs: b.to_vec(),
-                op: "broadcast",
-            });
+            return None;
         };
     }
-    Ok(out)
+    Some(out)
 }
 
 /// Strides to iterate a tensor of shape `from` as if it had the broadcast
@@ -183,8 +173,8 @@ mod tests {
 
     #[test]
     fn broadcast_incompatible() {
-        assert!(broadcast_shapes(&[2, 3], &[4]).is_err());
-        assert!(broadcast_shapes(&[2], &[3]).is_err());
+        assert_eq!(broadcast_shapes(&[2, 3], &[4]), None);
+        assert_eq!(broadcast_shapes(&[2], &[3]), None);
     }
 
     #[test]

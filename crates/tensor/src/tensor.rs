@@ -1,9 +1,8 @@
 //! The [`Tensor`] type: storage, constructors, shape manipulation, slicing.
 
-use crate::error::TensorError;
 use crate::shape::row_major_strides;
 use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 
 /// A dense, row-major, contiguous tensor of `f32` values.
@@ -23,7 +22,7 @@ use std::fmt;
 /// let y = x.map(|v| v + 1.0);
 /// assert_eq!(y.sum(), 6.0);
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Serialize)]
 pub struct Tensor {
     data: Vec<f32>,
     shape: Vec<usize>,
@@ -61,21 +60,13 @@ impl Tensor {
     ///
     /// Panics if `data.len()` does not equal the element count of `shape`.
     pub fn from_vec(data: Vec<f32>, shape: &[usize]) -> Self {
-        Self::try_from_vec(data, shape).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible version of [`Tensor::from_vec`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DataLengthMismatch`] when the buffer length
-    /// disagrees with the shape.
-    pub fn try_from_vec(data: Vec<f32>, shape: &[usize]) -> Result<Self, TensorError> {
         let want: usize = shape.iter().product();
-        if data.len() != want {
-            return Err(TensorError::DataLengthMismatch { data_len: data.len(), shape_len: want });
-        }
-        Ok(Tensor { data, shape: shape.to_vec() })
+        assert!(
+            data.len() == want,
+            "data length {} does not match shape element count {want}",
+            data.len()
+        );
+        Tensor { data, shape: shape.to_vec() }
     }
 
     /// Creates a 1-D tensor from a slice.
@@ -197,20 +188,13 @@ impl Tensor {
     ///
     /// Panics if the element counts differ.
     pub fn reshape(&self, shape: &[usize]) -> Tensor {
-        self.try_reshape(shape).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible version of [`Tensor::reshape`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ElementCountMismatch`] when counts differ.
-    pub fn try_reshape(&self, shape: &[usize]) -> Result<Tensor, TensorError> {
         let want: usize = shape.iter().product();
-        if want != self.len() {
-            return Err(TensorError::ElementCountMismatch { have: self.len(), want });
-        }
-        Ok(Tensor { data: self.data.clone(), shape: shape.to_vec() })
+        assert!(
+            want == self.len(),
+            "cannot reshape {} elements into a shape of {want} elements",
+            self.len()
+        );
+        Tensor { data: self.data.clone(), shape: shape.to_vec() }
     }
 
     /// Flattens to rank 1.
@@ -463,6 +447,30 @@ impl FromIterator<f32> for Tensor {
     }
 }
 
+impl Deserialize for Tensor {
+    /// Reads the `data` and `shape` fields that [`Serialize`] writes, and
+    /// refuses a `data` whose length is not the shape's element count:
+    /// every op indexes by that invariant, so a decoder must not build a
+    /// tensor without it. The count is a checked product, so a shape whose
+    /// count overflows `usize` is refused too.
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        let data: Vec<f32> = serde::object_field(value, "data")?;
+        let shape: Vec<usize> = serde::object_field(value, "shape")?;
+        let Some(want) = shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d)) else {
+            return Err(serde::Error::custom(format!(
+                "shape {shape:?} has an element count that overflows usize"
+            )));
+        };
+        if data.len() != want {
+            return Err(serde::Error::custom(format!(
+                "data length {} does not match shape element count {want}",
+                data.len()
+            )));
+        }
+        Ok(Tensor { data, shape })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -487,9 +495,10 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "data length 5 does not match shape element count 6")]
     fn from_vec_validates_length() {
-        assert!(Tensor::try_from_vec(vec![1.0; 5], &[2, 3]).is_err());
-        assert!(Tensor::try_from_vec(vec![1.0; 6], &[2, 3]).is_ok());
+        assert_eq!(Tensor::from_vec(vec![1.0; 6], &[2, 3]).shape(), &[2, 3]);
+        let _ = Tensor::from_vec(vec![1.0; 5], &[2, 3]);
     }
 
     #[test]
@@ -498,7 +507,40 @@ mod tests {
         assert_eq!(t.shape(), &[3, 4]);
         let back = t.reshape(&[12]);
         assert_eq!(back.as_slice(), Tensor::arange(12).as_slice());
-        assert!(t.try_reshape(&[5]).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot reshape 12 elements into a shape of 5 elements")]
+    fn reshape_validates_element_count() {
+        let _ = Tensor::arange(12).reshape(&[5]);
+    }
+
+    /// A tensor as [`Serialize`] writes it, with `data` and `shape` given.
+    fn encoded(data: Vec<f32>, shape: &[u64]) -> Value {
+        Value::Object(vec![
+            ("data".to_string(), data.to_value()),
+            ("shape".to_string(), Value::Array(shape.iter().map(|&d| Value::U64(d)).collect())),
+        ])
+    }
+
+    #[test]
+    fn decoding_refuses_data_that_does_not_fill_its_shape() {
+        let t = Tensor::from_vec(vec![0.5, -0.0, f32::MIN_POSITIVE, 3.25, 1e-7, 9.0], &[2, 3]);
+        let back = Tensor::from_value(&t.to_value()).unwrap();
+        assert_eq!(back.shape(), t.shape());
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&t));
+
+        let err = |v: &Value| Tensor::from_value(v).unwrap_err().to_string();
+        let short = err(&encoded(vec![1.0], &[2, 3]));
+        assert!(short.contains("data length 1 does not match shape element count 6"), "{short}");
+        let long = err(&encoded(vec![1.0; 7], &[2, 3]));
+        assert!(long.contains("data length 7 does not match shape element count 6"), "{long}");
+        let huge = err(&encoded(vec![1.0; 4], &[1 << 32, 1 << 32, 2]));
+        assert!(huge.contains("overflows usize"), "{huge}");
+        // An empty shape is a scalar: one element.
+        assert!(Tensor::from_value(&encoded(vec![2.0], &[])).is_ok());
+        assert!(Tensor::from_value(&encoded(vec![], &[])).is_err());
     }
 
     #[test]
