@@ -18,13 +18,12 @@
 //!   an attack's effect is just noise;
 //! * [`LeastLikelyFgsm`] — Kurakin's targeted single-step variant, immune
 //!   to label leaking (extension);
-//! * [`FgmL2`] / [`PgdL2`] — l2-geometry attacks (extension);
 //! * [`MarginPgd`] — PGD on the Carlini–Wagner margin loss (extension).
 //!
-//! Every attack guarantees the returned examples stay within its norm
-//! ball — `‖x_adv − x‖∞ ≤ ε` for the l∞ attacks, `‖x_adv − x‖₂ ≤ ε` for
-//! [`FgmL2`]/[`PgdL2`] — **and** inside the valid pixel box `[0, 1]`;
-//! the property tests in this crate verify both for every attack.
+//! The paper's threat model is l∞, and so is every attack here: each
+//! guarantees the returned examples stay within the ε-ball
+//! `‖x_adv − x‖∞ ≤ ε` **and** inside the valid pixel box `[0, 1]`; the
+//! property tests in this crate verify both for every attack.
 //!
 //! ## Example
 //!
@@ -46,7 +45,6 @@
 mod attack;
 mod bim;
 mod fgsm;
-mod l2;
 mod margin;
 mod mim;
 mod noise;
@@ -58,7 +56,6 @@ mod targeted;
 pub use attack::Attack;
 pub use bim::Bim;
 pub use fgsm::Fgsm;
-pub use l2::{l2_distance, project_ball_l2, row_l2_norms, FgmL2, PgdL2};
 pub use margin::MarginPgd;
 pub use mim::Mim;
 pub use noise::RandomNoise;

@@ -5,8 +5,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simpadv_attacks::{
-    l2_distance, linf_distance, project_ball, signed_step, Attack, Bim, FgmL2, Fgsm,
-    LeastLikelyFgsm, MarginPgd, Mim, Pgd, PgdL2, RandomNoise,
+    linf_distance, project_ball, signed_step, Attack, Bim, Fgsm, LeastLikelyFgsm, MarginPgd, Mim,
+    Pgd, RandomNoise,
 };
 use simpadv_nn::{Classifier, Dense, Relu, Sequential};
 use simpadv_tensor::Tensor;
@@ -111,19 +111,6 @@ proptest! {
         let (x, y) = batch(seed + 1, 4, 6, 3);
         let adv = MarginPgd::new(eps, iters).perturb(&mut m, &x, &y);
         assert_valid(&adv, &x, eps);
-    }
-
-    #[test]
-    fn l2_attacks_respect_l2_budget_and_box(seed in 0u64..500, eps in 0.0f32..2.0, iters in 1usize..6) {
-        let mut m = random_classifier(seed, 6, 3);
-        let (x, y) = batch(seed + 1, 4, 6, 3);
-        for adv in [
-            FgmL2::new(eps).perturb(&mut m, &x, &y),
-            PgdL2::new(eps, iters).perturb(&mut m, &x, &y),
-        ] {
-            prop_assert!(l2_distance(&adv, &x) <= eps + 1e-4, "l2 budget violated");
-            prop_assert!(adv.as_slice().iter().all(|&v| (-1e-6..=1.0 + 1e-6).contains(&v)));
-        }
     }
 
     // ---- projection primitives: the geometry every attack rests on ----

@@ -4,8 +4,9 @@
 //! experiments run them — the default-MLP matmuls at batch 64, their
 //! `matmul_tn`/`matmul_nt` gradient forms (plus the input gradient of
 //! one craft chunk), the four large ones again on operands as sparse as
-//! training's (`/masked`), the CNN's im2col lowering tiles and the forward
-//! GEMMs over them, the BIM/PGD craft-chunk attack steps, one training
+//! training's (`/masked`), the CNN's per-image im2col lowering tiles and
+//! the per-image `W·cols` products over them, the BIM/PGD craft-chunk
+//! attack steps against the MLP and the CNN, one training
 //! step on a clean+adversarial mixture, one whole BIM(10)-Adv and one
 //! Proposed training batch (craft plus step), and the serve path's
 //! batched forward and request codec — swept two ways:
@@ -250,12 +251,13 @@ pub fn registry() -> Vec<Workload> {
         .map(|w| Workload { name: format!("{}{MASKED_SUFFIX}", w.name), ..w }),
     );
 
-    // -- conv group: the small CNN's im2col lowering tiles (3×3, s1, p1)
-    // and the forward GEMMs over them, cols·Wᵀ.
+    // -- conv group: the small CNN's im2col lowering tiles (3×3, s1, p1),
+    // image by image as `Conv2d` lowers a batch, and the per-image
+    // product W·cols that `Conv2d` runs over each patch matrix.
     let conv_batch = 4usize;
     for (channels, side, c_out, salt) in [(1usize, 28usize, 8usize, 9u64), (8, 14, 16, 10)] {
         let geom = Conv2dGeometry::new(side, side, 3, 3, 1, 1);
-        let input = tensor(&[conv_batch, channels, side, side], salt);
+        let input = tensor(&[conv_batch, channels * side * side], salt);
         let bytes = geom.im2col_bytes(conv_batch, channels);
         workloads.push(Workload::new(
             format!("conv/im2col/{conv_batch}x{channels}x{side}x{side}k3"),
@@ -263,18 +265,20 @@ pub fn registry() -> Vec<Workload> {
             &[conv_batch as u64, channels as u64, side as u64, side as u64, 3, 1, 1],
             bytes,
             move || {
-                let _ = im2col(&input, channels, &geom);
+                for image in input.as_slice().chunks_exact(channels * side * side) {
+                    let _ = im2col(image, channels, &geom);
+                }
             },
         ));
-        let (rows, taps) = geom.lowered_shape(conv_batch, channels);
-        let (cols, weight) = (tensor(&[rows, taps], salt + 8), tensor(&[c_out, taps], salt + 9));
+        let (taps, pixels) = geom.lowered_shape(channels);
+        let (weight, cols) = (tensor(&[c_out, taps], salt + 9), tensor(&[taps, pixels], salt + 8));
         workloads.push(Workload::new(
-            format!("matmul_nt/{rows}x{taps}x{c_out}"),
+            format!("matmul/{c_out}x{taps}x{pixels}"),
             "conv",
-            &[rows as u64, taps as u64, c_out as u64],
-            matmul_bytes(rows, taps, c_out),
+            &[c_out as u64, taps as u64, pixels as u64],
+            matmul_bytes(c_out, taps, pixels),
             move || {
-                let _ = cols.matmul_nt(&weight);
+                let _ = weight.matmul(&cols);
             },
         ));
     }
@@ -291,6 +295,20 @@ pub fn registry() -> Vec<Workload> {
         simpadv_attacks::signed_step_bytes(elems),
         move || {
             let _ = simpadv_attacks::signed_step(&mut clf, &ax, &aorigin, &ay, 0.01, 0.1);
+        },
+    ));
+    // The same craft chunk against the small CNN, whose attack pass runs
+    // both convolutions forward and back.
+    let mut cnn = ModelSpec::small_cnn().build(7);
+    let (cx, corigin, cy) =
+        (tensor(&[CRAFT_CHUNK, px], 11), tensor(&[CRAFT_CHUNK, px], 11), labels(CRAFT_CHUNK));
+    workloads.push(Workload::new(
+        format!("attack/signed_step/{CRAFT_CHUNK}x{px}/cnn"),
+        "attack",
+        &[CRAFT_CHUNK as u64, px as u64],
+        simpadv_attacks::signed_step_bytes(elems),
+        move || {
+            let _ = simpadv_attacks::signed_step(&mut cnn, &cx, &corigin, &cy, 0.01, 0.1);
         },
     ));
     let (bx, borigin) = (tensor(&[CRAFT_CHUNK, px], 12), tensor(&[CRAFT_CHUNK, px], 13));
@@ -654,15 +672,35 @@ mod tests {
             assert_eq!(artifact.rows[&format!("{id}{MASKED_SUFFIX}")], artifact.rows[id], "{id}");
         }
 
-        // the small CNN's first conv forward: 4·28·28 patches × 9 taps × 8 filters
-        let conv = &artifact.rows["matmul_nt/3136x9x8"];
-        assert_eq!(conv["group"], Value::String("conv".into()));
-        assert_eq!(conv["flops"], u(matmul_flops(3136, 9, 8)));
+        // the small CNN's lowering tiles move data only; its convolutions
+        // are one W [c_out, taps] · cols [taps, pixels] product per image
+        for (id, channels, side) in
+            [("conv/im2col/4x1x28x28k3", 1u64, 28u64), ("conv/im2col/4x8x14x14k3", 8, 14)]
+        {
+            assert_eq!(counters(id), [u(0), u(0), u(0), u(0)]);
+            let (input, lowered) = (4 * channels * side * side, 4 * channels * 9 * side * side);
+            assert_eq!(artifact.rows[id]["bytes"], u(4 * (input + lowered)), "{id}");
+        }
+        for (id, [m, k, n]) in
+            [("matmul/8x9x784", [8, 9, 784]), ("matmul/16x72x196", [16, 72, 196])]
+        {
+            assert_eq!(artifact.rows[id]["group"], Value::String("conv".into()));
+            assert_eq!(counters(id), [u(0), u(0), u(matmul_flops(m, k, n)), u(0)]);
+            assert_eq!(artifact.rows[id]["bytes"], u(matmul_bytes(m, k, n)));
+        }
 
         // one craft chunk: the forward plus the input gradient, no weight
         // gradients — 2·(16·784·128 + 16·128·10)
         let step = counters("attack/signed_step/16x784");
         assert_eq!(step, [u(1), u(1), u(3_252_224), u(1)]);
+        // and against the small CNN: both convolutions and the head,
+        // forward and input gradient — 2·16·(8·9·784 + 16·72·196 + 784·10)
+        let cnn_image = matmul_flops(8, 9, 784) + matmul_flops(16, 72, 196) + 784 * 10;
+        let cnn_step = counters("attack/signed_step/16x784/cnn");
+        assert_eq!(cnn_step, [u(1), u(1), u(2 * 16 * cnn_image), u(1)]);
+        assert_eq!(2 * 16 * cnn_image, 9_282_560);
+        let cnn_bytes = &artifact.rows["attack/signed_step/16x784/cnn"]["bytes"];
+        assert_eq!(cnn_bytes, &artifact.rows["attack/signed_step/16x784"]["bytes"]);
 
         // one training step on 64 clean + 64 adversarial rows: the forward,
         // layer 2's weight and input gradients, layer 0's weight gradient

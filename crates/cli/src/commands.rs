@@ -6,7 +6,7 @@ use simpadv::train::{
     Trainer, VanillaTrainer,
 };
 use simpadv::{EvalSuite, ModelSpec, TrainConfig};
-use simpadv_attacks::{Attack, Bim, FgmL2, Fgsm, LeastLikelyFgsm, Mim, Pgd, PgdL2, RandomNoise};
+use simpadv_attacks::{Attack, Bim, Fgsm, LeastLikelyFgsm, Mim, Pgd, RandomNoise};
 use simpadv_data::{ascii_image, SynthConfig, SynthDataset};
 use simpadv_resilience::PersistError;
 use simpadv_serve::{ServeError, ServedModel};
@@ -88,7 +88,7 @@ COMMANDS
             contract sweep cells are judged by
   evaluate  --model FILE --dataset mnist|fashion [--samples N] [--seed S]
   attack    --model FILE --dataset mnist|fashion [--attack A] [--index I]
-            attacks: noise fgsm llfgsm bim10 bim30 pgd10 mim10 fgml2 pgdl2
+            attacks: noise fgsm llfgsm bim10 bim30 pgd10 mim10
   serve     --model-dir DIR [--addr HOST:PORT] [--batch-max N]
             [--queue-cap N] [--watch-interval-us N] [--requests N]
             [--addr-file FILE]
@@ -267,8 +267,6 @@ fn parse_attack(name: &str, eps: f32, seed: u64) -> Result<Box<dyn Attack>, CliE
         "bim30" => Box::new(Bim::new(eps, 30)),
         "pgd10" => Box::new(Pgd::new(eps, 10, seed)),
         "mim10" => Box::new(Mim::new(eps, 10, 1.0)),
-        "fgml2" => Box::new(FgmL2::new(eps * 10.0)), // l2 budgets live on another scale
-        "pgdl2" => Box::new(PgdL2::new(eps * 10.0, 10)),
         other => return Err(CliError(format!("unknown attack '{other}'"))),
     })
 }
@@ -1702,11 +1700,11 @@ mod tests {
 
     #[test]
     fn all_attack_names_parse() {
-        for name in
-            ["noise", "fgsm", "llfgsm", "bim10", "bim30", "pgd10", "mim10", "fgml2", "pgdl2"]
-        {
+        for name in ["noise", "fgsm", "llfgsm", "bim10", "bim30", "pgd10", "mim10"] {
             assert!(parse_attack(name, 0.3, 1).is_ok(), "{name}");
         }
-        assert!(parse_attack("nope", 0.3, 1).is_err());
+        for unknown in ["nope", "fgml2", "pgdl2"] {
+            assert!(parse_attack(unknown, 0.3, 1).is_err(), "{unknown}");
+        }
     }
 }

@@ -21,9 +21,13 @@ pub enum ModelSpec {
     },
     /// A small convolutional network: two 3×3 conv + ReLU + 2×2 max-pool
     /// stages with the given channel counts, then a dense classifier head.
+    /// Every layer maps `[n, features]` rows to rows; between the
+    /// convolutions each row holds one image's channel planes in NCHW
+    /// order, so the head reads the last pool's rows as they are.
     ///
-    /// Substantially slower than the MLP on one CPU core; used by tests
-    /// and examples rather than the default experiment sweeps.
+    /// Substantially slower than the MLP on one CPU core. No experiment
+    /// or CLI verb builds it: only tests and the kernel lab's CNN
+    /// attack-step row do.
     Cnn {
         /// Channels of the first conv stage.
         c1: usize,
@@ -66,17 +70,15 @@ impl ModelSpec {
                 Classifier::new(net, CLASS_COUNT)
             }
             ModelSpec::Cnn { c1, c2 } => {
-                use simpadv_nn::{Conv2d, Flatten, MaxPool2d, Reshape};
+                use simpadv_nn::{Conv2d, MaxPool2d};
                 let side = simpadv_data::IMAGE_SIDE;
                 let mut net = Sequential::empty();
-                net.push(Box::new(Reshape::new(&[1, side, side])));
                 net.push(Box::new(Conv2d::new(1, *c1, 3, 1, 1, side, side, &mut rng)));
                 net.push(Box::new(Relu::new()));
-                net.push(Box::new(MaxPool2d::new(2, 2)));
+                net.push(Box::new(MaxPool2d::new(*c1, 2, 2, side, side)));
                 net.push(Box::new(Conv2d::new(*c1, *c2, 3, 1, 1, side / 2, side / 2, &mut rng)));
                 net.push(Box::new(Relu::new()));
-                net.push(Box::new(MaxPool2d::new(2, 2)));
-                net.push(Box::new(Flatten::new()));
+                net.push(Box::new(MaxPool2d::new(*c2, 2, 2, side / 2, side / 2)));
                 let head_in = (side / 4) * (side / 4) * c2;
                 net.push(Box::new(Dense::new(head_in, CLASS_COUNT, &mut rng)));
                 Classifier::new(net, CLASS_COUNT)
@@ -143,6 +145,8 @@ mod tests {
         let logits = m.logits(&x);
         assert_eq!(logits.shape(), &[2, CLASS_COUNT]);
         assert_eq!(ModelSpec::small_cnn().id(), "cnn[8,16]");
+        let layers = ["conv2d", "relu", "maxpool2d", "conv2d", "relu", "maxpool2d", "dense"];
+        assert_eq!(m.network().layer_names(), layers);
     }
 
     #[test]

@@ -44,22 +44,6 @@ impl AtdaTrainer {
         assert!(epsilon >= 0.0 && epsilon.is_finite(), "invalid epsilon {epsilon}");
         AtdaTrainer { epsilon, lambda: 1.0 / 3.0, center_momentum: 0.1 }
     }
-
-    /// Overrides the domain-adaptation weight λ.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lambda` is negative.
-    pub fn with_lambda(mut self, lambda: f32) -> Self {
-        assert!(lambda >= 0.0, "lambda must be non-negative");
-        self.lambda = lambda;
-        self
-    }
-
-    /// The regularization weight λ.
-    pub fn lambda(&self) -> f32 {
-        self.lambda
-    }
 }
 
 impl Trainer for AtdaTrainer {
@@ -330,9 +314,7 @@ mod tests {
     }
 
     #[test]
-    fn lambda_accessor_and_override() {
-        let t = AtdaTrainer::new(0.2).with_lambda(0.5);
-        assert_eq!(t.lambda(), 0.5);
-        assert_eq!(t.id(), "atda");
+    fn id_is_atda() {
+        assert_eq!(AtdaTrainer::new(0.2).id(), "atda");
     }
 }

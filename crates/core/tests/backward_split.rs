@@ -253,9 +253,9 @@ fn cnn_training_step_skips_the_first_conv_input_gradient() {
     });
     assert_eq!(full, 3 * forward);
 
-    // The first conv layer lowers [n, 1, 28, 28] to n·28·28 patches of
-    // 9 taps; its input gradient is g_cols [n·784, 8] @ W [8, 9].
-    let conv1_input_grad = matmul_flops(n * 28 * 28, 8, 9);
+    // The first conv layer lowers each 28×28 image to a [9, 784] patch
+    // matrix; its input gradient is Wᵀ [9, 8] @ G [8, 784] per image.
+    let conv1_input_grad = n as u64 * matmul_flops(9, 8, 28 * 28);
     let train = flops(&mut || {
         let _ = clf.train_batch(&x, &y, &mut optimizer());
     });

@@ -750,7 +750,7 @@ fn step(&self, x: &T, orig: &T) -> T {
                 "crates/attacks/src/projection.rs",
                 "pub fn project_ball(x: &T, eps: f32) -> T { x.maximum(eps) }",
             ),
-            ("crates/attacks/src/l2.rs", "fn f(x: &T) -> T { x.clamp(0.0, 1.0) }"),
+            ("crates/attacks/src/mim.rs", "fn f(x: &T) -> T { x.clamp(0.0, 1.0) }"),
         ];
         assert!(run("R4", &files).is_empty());
     }

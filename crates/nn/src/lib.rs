@@ -14,6 +14,11 @@
 //!   only for the half they read: [`Layer::backward_input`] computes no
 //!   weight gradients, [`Layer::backward_params`] no input gradient below
 //!   the first trained layer.
+//! * Every layer maps `[n, features]` rows to rows. A convolutional
+//!   network's row holds one image in NCHW order (channel planes, each in
+//!   raster order): [`Conv2d`] and [`MaxPool2d`] know their input's
+//!   `(channels, h, w)` from construction, so flattened pixels go in and
+//!   the last pool's rows feed a [`Dense`] head with no reshaping layer.
 //! * All randomness (weight init) is seeded; training runs are exactly
 //!   reproducible.
 //! * The optimizer, [`Sgd`] with momentum, operates on a flat, stable
@@ -55,7 +60,7 @@ pub(crate) mod testutil;
 
 pub use classifier::{Classifier, GradientModel};
 pub use layer::{Layer, Mode, ParamRef};
-pub use layers::{Conv2d, Dense, Flatten, MaxPool2d, Relu, Reshape, Sequential};
+pub use layers::{Conv2d, Dense, MaxPool2d, Relu, Sequential};
 pub use loss::{log_softmax, softmax, SoftmaxCrossEntropy};
 pub use metrics::accuracy;
 pub use optim::{OptimState, Sgd};

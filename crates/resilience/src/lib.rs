@@ -16,9 +16,9 @@
 //!   and automatic fallback to the newest generation that validates;
 //! * [`failpoint`] — `SIMPADV_FAILPOINTS`-driven fault injection at the
 //!   named IO sites, so every crash window is testable;
-//! * [`backoff`] — the shared capped-exponential retry schedule with
-//!   seeded-deterministic jitter used by every retry loop (the sweep
-//!   orchestrator's cell supervision, the serve client's 503 handling).
+//! * [`backoff`] — the capped-exponential retry schedule with
+//!   seeded-deterministic jitter behind the sweep orchestrator's cell
+//!   supervision, its one retry loop.
 //!
 //! Every other crate funnels its file creation through here (lint rule
 //! R9 enforces this), which is what makes the crash-safety guarantee a

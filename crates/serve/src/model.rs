@@ -366,9 +366,10 @@ mod tests {
         let spec = ModelSpec::default_mlp();
         let mlp = ServedModel::capture(&spec, &spec.build(7), "mnist", "proposed");
 
-        // the MLP's weights under a CNN spec: the conv layer has none
+        // the MLP's weights under a CNN spec: the first layer's weight
+        // is the dense [784, 128], where the conv layer's is [8, 9]
         let cnn = ServedModel { spec: ModelSpec::small_cnn(), ..mlp.clone() };
-        assert_eq!(misfit(&cnn), "1.weight");
+        assert_eq!(misfit(&cnn), "0.weight");
 
         // the output layer's entries dropped
         let mut truncated = mlp.clone();

@@ -10,7 +10,7 @@
 //! * row-major contiguous [`Tensor`]s of arbitrary rank,
 //! * NumPy-style broadcasting for element-wise arithmetic,
 //! * 2-D matrix multiplication (with transpose variants) for dense layers,
-//! * `im2col`/`col2im` lowering for convolution layers,
+//! * per-image `im2col`/`col2im` lowering for convolution layers,
 //! * axis and global reductions (`sum`, `mean`, `max`, `argmax`, ...),
 //! * a seeded uniform constructor and a Box–Muller normal sampler.
 //!
@@ -48,7 +48,7 @@ mod rng;
 mod shape;
 mod tensor;
 
-pub use conv::{col2im, im2col, Conv2dGeometry};
+pub use conv::{col2im, im2col, map_images, Conv2dGeometry};
 pub use linalg::{matmul_bytes, matmul_flops};
 pub use rng::{shuffled_indices, NormalSampler};
 pub use shape::{broadcast_shapes, Shape};

@@ -1,6 +1,5 @@
 //! The [`Tensor`] type: storage, constructors, shape manipulation, slicing.
 
-use crate::shape::row_major_strides;
 use rand::{Rng, RngExt};
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
@@ -219,43 +218,6 @@ impl Tensor {
         Tensor { data: out, shape: vec![c, r] }
     }
 
-    /// Generalized axis permutation.
-    ///
-    /// `perm` must be a permutation of `0..rank`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `perm` is not a valid permutation of the axes.
-    pub fn permute(&self, perm: &[usize]) -> Tensor {
-        assert_eq!(perm.len(), self.rank(), "permutation rank mismatch");
-        let mut seen = vec![false; self.rank()];
-        for &p in perm {
-            assert!(p < self.rank() && !seen[p], "invalid permutation {perm:?}");
-            seen[p] = true;
-        }
-        let new_shape: Vec<usize> = perm.iter().map(|&p| self.shape[p]).collect();
-        let old_strides = row_major_strides(&self.shape);
-        let new_strides: Vec<usize> = perm.iter().map(|&p| old_strides[p]).collect();
-        let mut out = vec![0.0f32; self.len()];
-        let mut index = vec![0usize; self.rank()];
-        for slot in out.iter_mut() {
-            let mut src = 0;
-            for (axis, &i) in index.iter().enumerate() {
-                src += i * new_strides[axis];
-            }
-            *slot = self.data[src];
-            // increment odometer over new_shape
-            for axis in (0..self.rank()).rev() {
-                index[axis] += 1;
-                if index[axis] < new_shape[axis] {
-                    break;
-                }
-                index[axis] = 0;
-            }
-        }
-        Tensor { data: out, shape: new_shape }
-    }
-
     // ------------------------------------------------------------------
     // Row / batch slicing (axis 0)
     // ------------------------------------------------------------------
@@ -369,12 +331,6 @@ impl Tensor {
             start = end;
         }
         out
-    }
-
-    /// Whether every element is finite (no NaN / infinity) — the cheap
-    /// invariant check training loops assert on.
-    pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|v| v.is_finite())
     }
 
     /// Stacks rank-`r` tensors into a rank-`r+1` tensor along a new axis 0.
@@ -561,16 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn permute_matches_transpose() {
-        let t = Tensor::arange(6).reshape(&[2, 3]);
-        assert_eq!(t.permute(&[1, 0]), t.transpose());
-        let u = Tensor::arange(24).reshape(&[2, 3, 4]);
-        let p = u.permute(&[2, 0, 1]);
-        assert_eq!(p.shape(), &[4, 2, 3]);
-        assert_eq!(p.at(&[3, 1, 2]), u.at(&[1, 2, 3]));
-    }
-
-    #[test]
     fn row_ops() {
         let t = Tensor::arange(12).reshape(&[3, 4]);
         assert_eq!(t.row(1).as_slice(), &[4.0, 5.0, 6.0, 7.0]);
@@ -609,16 +555,6 @@ mod tests {
         assert_eq!(parts[0].shape(), &[2, 2]);
         assert_eq!(parts[2].shape(), &[1, 2]);
         assert_eq!(Tensor::concat_rows(&parts.iter().collect::<Vec<_>>()), t);
-    }
-
-    #[test]
-    fn finite_checks() {
-        assert!(Tensor::ones(&[3]).all_finite());
-        let mut t = Tensor::ones(&[3]);
-        t.as_mut_slice()[1] = f32::NAN;
-        assert!(!t.all_finite());
-        t.as_mut_slice()[1] = f32::INFINITY;
-        assert!(!t.all_finite());
     }
 
     #[test]

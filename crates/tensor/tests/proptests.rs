@@ -110,12 +110,12 @@ proptest! {
         prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
         let mut rng = StdRng::seed_from_u64(seed);
         let g = Conv2dGeometry::new(h, w, k, k, 1, pad);
-        let x = Tensor::rand_uniform(&mut rng, &[2, 1, h, w], -1.0, 1.0);
-        let cols = im2col(&x, 1, &g);
+        let x = Tensor::rand_uniform(&mut rng, &[2, h, w], -1.0, 1.0);
+        let cols = im2col(x.as_slice(), 2, &g);
         let y = Tensor::rand_uniform(&mut rng, cols.shape(), -1.0, 1.0);
-        let back = col2im(&y, 2, 1, &g);
+        let back = col2im(&y, 2, &g);
         let lhs: f32 = cols.as_slice().iter().zip(y.as_slice()).map(|(&a, &b)| a * b).sum();
-        let rhs: f32 = x.as_slice().iter().zip(back.as_slice()).map(|(&a, &b)| a * b).sum();
+        let rhs: f32 = x.as_slice().iter().zip(&back).map(|(&a, &b)| a * b).sum();
         prop_assert!((lhs - rhs).abs() < 1e-2 * (1.0 + lhs.abs()), "adjoint mismatch {lhs} vs {rhs}");
     }
 

@@ -136,18 +136,6 @@ pub fn set_trace_root(trace_id: u128) {
     lock_state().trace = Some(TraceState { trace_id, remote_parent: None });
 }
 
-/// Joins an existing campaign trace programmatically (the env-var
-/// equivalent happens automatically at first use / sink install).
-pub fn adopt_context(ctx: TraceContext) {
-    lock_state().trace =
-        Some(TraceState { trace_id: ctx.trace_id, remote_parent: Some(ctx.span_id) });
-}
-
-/// Drops any campaign membership; subsequent spans carry no `ctx`.
-pub fn clear_trace_context() {
-    lock_state().trace = None;
-}
-
 /// The context a propagating call should hand to the other side right
 /// now: the innermost open span's identity. `None` when tracing is off,
 /// no campaign context is set, or no span is open.
@@ -628,27 +616,6 @@ mod tests {
         }
         let second = handle.take();
         assert_eq!(chain_ids(&first), chain_ids(&second));
-        // clear_trace_context drops campaign membership mid-process.
-        let handle = install_memory();
-        set_trace_root(7);
-        clear_trace_context();
-        {
-            let s = span!("plain");
-            assert_eq!(s.context(), None);
-            assert_eq!(current_context(), None);
-        }
-        assert!(handle.take().iter().all(|e| e.ctx.is_none()));
-        // adopt_context hangs top-level spans under a remote parent.
-        let handle = install_memory();
-        adopt_context(TraceContext { trace_id: 11, span_id: 0xAB, parent: None });
-        {
-            let s = span!("train");
-            let ctx = s.context().unwrap();
-            assert_eq!(ctx.trace_id, 11);
-            assert_eq!(ctx.parent, Some(0xAB));
-        }
-        let adopted = handle.take();
-        assert_eq!(adopted[0].ctx.unwrap().parent, Some(0xAB));
         uninstall();
     }
 
